@@ -672,7 +672,9 @@ pub struct ScenarioMachine<S: Scenario> {
     /// Pre-lexed include headers, built lazily on the first mutant that
     /// compiles against a given include set and reused while the set is
     /// unchanged — which in a mutation campaign is every mutant, since
-    /// only the driver file is spliced.
+    /// only the driver file is spliced. The first mutant compiled through
+    /// it also records the front-end checkpoint of the driver's prefix up
+    /// to its `#include`, which later mutants resume from.
     include_cache: Option<IncludeCache>,
 }
 
@@ -763,8 +765,9 @@ impl<S: Scenario> ScenarioMachine<S> {
         refine_dead_code(program, report, file_name, dead_site)
     }
 
-    /// Compile one mutant, re-lexing only the spliced driver file when the
-    /// include set is unchanged since the previous mutant.
+    /// Compile one mutant, compiling only what follows the driver's
+    /// `#include` when the include set is unchanged since the previous
+    /// mutant (see `devil_minic::compile_with_cache`).
     fn compile_mutant(
         &mut self,
         file_name: &str,

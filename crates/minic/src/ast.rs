@@ -1,12 +1,19 @@
 //! Abstract syntax tree for the C subset.
 
 use crate::types::{CType, StructTable};
+use std::sync::Arc;
 
 /// A parsed translation unit.
+///
+/// Its top-level items are a shared prefix followed by the unit's own
+/// items. A unit parsed in full has an empty prefix; a unit resumed from a
+/// front-end checkpoint (see [`crate::compile_with_cache`]) shares the
+/// checkpoint's prefix items instead of copying them. Equality compares
+/// the item sequence, so where the split falls does not matter.
 #[derive(Debug, Clone)]
 pub struct Unit {
-    /// Top-level items in source order.
-    pub items: Vec<Item>,
+    prefix: Arc<[Item]>,
+    items: Vec<Item>,
     /// Struct definitions interned during parsing.
     pub structs: StructTable,
     /// Participating file names; index = the `file_id` packed into AST
@@ -14,7 +21,42 @@ pub struct Unit {
     pub files: Vec<String>,
 }
 
+impl PartialEq for Unit {
+    fn eq(&self, other: &Unit) -> bool {
+        self.items().eq(other.items()) && self.structs == other.structs && self.files == other.files
+    }
+}
+
 impl Unit {
+    /// A unit whose items are `prefix` (shared) followed by `items`.
+    pub(crate) fn new(
+        prefix: Arc<[Item]>,
+        items: Vec<Item>,
+        structs: StructTable,
+        files: Vec<String>,
+    ) -> Unit {
+        Unit { prefix, items, structs, files }
+    }
+
+    /// Top-level items in source order.
+    pub fn items(&self) -> impl Iterator<Item = &Item> + Clone {
+        self.prefix.iter().chain(&self.items)
+    }
+
+    /// The items after the shared prefix: every item of a unit parsed in
+    /// full, the remainder's items of a resumed one.
+    pub(crate) fn own_items(&self) -> &[Item] {
+        &self.items
+    }
+
+    /// Split a unit parsed in full into its items (as one shareable
+    /// slice) and its struct table — how a front-end checkpoint keeps a
+    /// parsed prefix.
+    pub(crate) fn into_shared(self) -> (Arc<[Item]>, StructTable) {
+        debug_assert!(self.prefix.is_empty(), "a checkpoint shares a unit parsed in full");
+        (Arc::from(self.items), self.structs)
+    }
+
     /// Resolve a packed line id to `(file name, 1-based line)`.
     pub fn file_line(&self, packed: u32) -> (&str, u32) {
         let (fid, line) = crate::token::unpack_line(packed);
@@ -33,7 +75,7 @@ impl Unit {
 
     /// Iterate over function definitions.
     pub fn functions(&self) -> impl Iterator<Item = &Function> {
-        self.items.iter().filter_map(|i| match i {
+        self.items().filter_map(|i| match i {
             Item::Func(f) => Some(f),
             _ => None,
         })
@@ -46,7 +88,7 @@ impl Unit {
 
     /// Iterate over global variable definitions.
     pub fn globals(&self) -> impl Iterator<Item = &Global> {
-        self.items.iter().filter_map(|i| match i {
+        self.items().filter_map(|i| match i {
             Item::Global(g) => Some(g),
             _ => None,
         })
@@ -54,7 +96,7 @@ impl Unit {
 }
 
 /// One top-level item.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Item {
     /// A global variable (with optional initialiser).
     Global(Global),
@@ -64,8 +106,19 @@ pub enum Item {
     Proto(Prototype),
 }
 
+impl Item {
+    /// The name the item declares.
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            Item::Global(g) => &g.name,
+            Item::Func(f) => &f.name,
+            Item::Proto(p) => &p.name,
+        }
+    }
+}
+
 /// A global variable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Global {
     /// Name.
     pub name: String,
@@ -80,7 +133,7 @@ pub struct Global {
 }
 
 /// A function prototype.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prototype {
     /// Name.
     pub name: String,
@@ -95,7 +148,7 @@ pub struct Prototype {
 }
 
 /// A function definition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Name.
     pub name: String,
@@ -110,7 +163,7 @@ pub struct Function {
 }
 
 /// An initialiser.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Init {
     /// Scalar initialiser.
     Expr(Expr),
@@ -119,14 +172,14 @@ pub enum Init {
 }
 
 /// A brace block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Block {
     /// Statements in order.
     pub stmts: Vec<Stmt>,
 }
 
 /// A statement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// Local declaration.
     Decl {
@@ -198,7 +251,7 @@ pub enum Stmt {
 
 /// One arm of a switch; execution falls through to the next arm unless a
 /// `break` intervenes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchArm {
     /// Labels guarding this arm.
     pub labels: Vec<CaseLabel>,
@@ -286,7 +339,7 @@ impl BinOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer constant.
     IntLit {

@@ -17,6 +17,7 @@ use crate::ast::*;
 use crate::error::{CError, CPhase};
 use crate::types::{CType, StructTable};
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// A function signature (user-defined or builtin).
 #[derive(Debug, Clone)]
@@ -63,6 +64,38 @@ pub fn builtin_signatures() -> HashMap<String, Sig> {
     m
 }
 
+/// Names declared at file scope: function signatures (builtins
+/// included), the names of defined functions, and globals with their
+/// `const` flag — the checker's pass-1 environment.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Env {
+    funcs: HashMap<String, Sig>,
+    defined: HashSet<String>,
+    globals: HashMap<String, (CType, bool)>,
+}
+
+impl Env {
+    /// Whether `name` is declared here as a function or a global.
+    pub(crate) fn declares(&self, name: &str) -> bool {
+        self.funcs.contains_key(name) || self.globals.contains_key(name)
+    }
+
+    /// `base` with these declarations added on top, as one environment.
+    pub(crate) fn over(self, base: &Env) -> Env {
+        let mut env = base.clone();
+        env.funcs.extend(self.funcs);
+        env.defined.extend(self.defined);
+        env.globals.extend(self.globals);
+        env
+    }
+}
+
+/// The environment every unit starts from: the builtins alone.
+pub(crate) fn builtins() -> &'static Env {
+    static BUILTINS: OnceLock<Env> = OnceLock::new();
+    BUILTINS.get_or_init(|| Env { funcs: builtin_signatures(), ..Env::default() })
+}
+
 /// Type-check a unit.
 ///
 /// # Errors
@@ -70,27 +103,47 @@ pub fn builtin_signatures() -> HashMap<String, Sig> {
 /// Returns the first violation (a kernel build would report them all, but
 /// one is enough to classify a mutant as compile-time detected).
 pub fn check(unit: &Unit) -> Result<StructTable, CError> {
+    check_items(unit.items(), &unit.structs, builtins())?;
+    Ok(unit.structs.clone())
+}
+
+/// Check `items` as the file-scope items that follow the declarations in
+/// `base`, in three passes: collect signatures and globals, then check
+/// global initialisers, then function bodies. Returns what the items
+/// declare. Declarations shadow `base` as a later declaration would
+/// replace an earlier one, so checking a unit's items in two runs matches
+/// one run over all of them only when the second run declares no name the
+/// first did: pass 1 of the whole unit ends before pass 2 of the first
+/// items begins.
+///
+/// # Errors
+///
+/// Returns the first violation.
+pub(crate) fn check_items<'a>(
+    items: impl Iterator<Item = &'a Item> + Clone,
+    structs: &StructTable,
+    base: &Env,
+) -> Result<Env, CError> {
     let mut cx = Checker {
-        structs: &unit.structs,
-        funcs: builtin_signatures(),
-        defined: HashSet::new(),
-        globals: HashMap::new(),
+        structs,
+        base,
+        env: Env::default(),
         scopes: Vec::new(),
         current_ret: CType::Void,
         loop_depth: 0,
         switch_depth: 0,
     };
     // Pass 1: collect signatures and globals.
-    for item in &unit.items {
+    for item in items.clone() {
         match item {
             Item::Proto(p) => {
                 let sig = Sig { ret: p.ret.clone(), params: p.params.clone(), varargs: p.varargs };
-                if let Some(prev) = cx.funcs.get(&p.name) {
+                if let Some(prev) = cx.func(&p.name) {
                     if prev.params.len() != sig.params.len() || prev.ret != sig.ret {
                         return Err(err(p.line, format!("conflicting declaration of `{}`", p.name)));
                     }
                 }
-                cx.funcs.insert(p.name.clone(), sig);
+                cx.env.funcs.insert(p.name.clone(), sig);
             }
             Item::Func(f) => {
                 let sig = Sig {
@@ -98,16 +151,17 @@ pub fn check(unit: &Unit) -> Result<StructTable, CError> {
                     params: f.params.iter().map(|(_, t)| t.clone()).collect(),
                     varargs: false,
                 };
-                if !cx.defined.insert(f.name.clone()) {
+                if cx.defined(&f.name) {
                     return Err(err(f.line, format!("redefinition of function `{}`", f.name)));
                 }
-                if cx.globals.contains_key(&f.name) {
+                cx.env.defined.insert(f.name.clone());
+                if cx.global(&f.name).is_some() {
                     return Err(err(
                         f.line,
                         format!("`{}` redeclared as a different kind of symbol", f.name),
                     ));
                 }
-                if let Some(prev) = cx.funcs.get(&f.name) {
+                if let Some(prev) = cx.func(&f.name) {
                     if prev.params.len() != sig.params.len() || prev.ret != sig.ret {
                         return Err(err(
                             f.line,
@@ -115,13 +169,14 @@ pub fn check(unit: &Unit) -> Result<StructTable, CError> {
                         ));
                     }
                 }
-                cx.funcs.insert(f.name.clone(), sig);
+                cx.env.funcs.insert(f.name.clone(), sig);
             }
             Item::Global(g) => {
-                if cx.globals.insert(g.name.clone(), (g.ty.clone(), g.is_const)).is_some() {
+                if cx.global(&g.name).is_some() {
                     return Err(err(g.line, format!("redefinition of `{}`", g.name)));
                 }
-                if cx.defined.contains(&g.name) || cx.funcs.contains_key(&g.name) {
+                cx.env.globals.insert(g.name.clone(), (g.ty.clone(), g.is_const));
+                if cx.defined(&g.name) || cx.func(&g.name).is_some() {
                     return Err(err(
                         g.line,
                         format!("`{}` redeclared as a different kind of symbol", g.name),
@@ -132,14 +187,15 @@ pub fn check(unit: &Unit) -> Result<StructTable, CError> {
         }
     }
     // Pass 2: check global initialisers.
-    for g in unit.globals() {
-        if let Some(init) = &g.init {
-            cx.check_init(&g.ty, init, g.line)?;
-            cx.require_const_init(init, g.line)?;
+    for item in items.clone() {
+        if let Item::Global(Global { ty, init: Some(init), line, .. }) = item {
+            cx.check_init(ty, init, *line)?;
+            cx.require_const_init(init, *line)?;
         }
     }
     // Pass 3: check function bodies.
-    for f in unit.functions() {
+    for item in items {
+        let Item::Func(f) = item else { continue };
         cx.current_ret = f.ret.clone();
         cx.scopes.clear();
         cx.scopes.push(HashMap::new());
@@ -153,7 +209,7 @@ pub fn check(unit: &Unit) -> Result<StructTable, CError> {
         cx.check_block(&f.body)?;
         cx.scopes.pop();
     }
-    Ok(unit.structs.clone())
+    Ok(cx.env)
 }
 
 fn err(line: u32, msg: impl Into<String>) -> CError {
@@ -166,9 +222,10 @@ fn err(line: u32, msg: impl Into<String>) -> CError {
 
 struct Checker<'u> {
     structs: &'u StructTable,
-    funcs: HashMap<String, Sig>,
-    defined: HashSet<String>,
-    globals: HashMap<String, (CType, bool)>,
+    /// Declarations made before the items being checked.
+    base: &'u Env,
+    /// Declarations the items being checked make; they shadow `base`.
+    env: Env,
     scopes: Vec<HashMap<String, CType>>,
     current_ret: CType,
     loop_depth: u32,
@@ -193,6 +250,18 @@ impl Typed {
 }
 
 impl<'u> Checker<'u> {
+    fn func(&self, name: &str) -> Option<&Sig> {
+        self.env.funcs.get(name).or_else(|| self.base.funcs.get(name))
+    }
+
+    fn global(&self, name: &str) -> Option<&(CType, bool)> {
+        self.env.globals.get(name).or_else(|| self.base.globals.get(name))
+    }
+
+    fn defined(&self, name: &str) -> bool {
+        self.env.defined.contains(name) || self.base.defined.contains(name)
+    }
+
     fn complete_type(&self, ty: &CType, line: u32) -> Result<(), CError> {
         match ty {
             CType::Struct(id) => {
@@ -221,7 +290,7 @@ impl<'u> Checker<'u> {
                 return Some((t.clone(), false));
             }
         }
-        self.globals.get(name).cloned()
+        self.global(name).cloned()
     }
 
     fn display(&self, t: &CType) -> String {
@@ -470,7 +539,7 @@ impl<'u> Checker<'u> {
                 if let Some((ty, is_const)) = self.lookup(name) {
                     return Ok(Typed { ty, lvalue: true, constant: is_const });
                 }
-                if self.funcs.contains_key(name) {
+                if self.func(name).is_some() {
                     // A function designator decays to a pointer; using it
                     // as a value drew only a warning from the paper's gcc.
                     return Ok(Typed::rvalue(CType::Ptr(Box::new(CType::Void))));
@@ -586,7 +655,7 @@ impl<'u> Checker<'u> {
                 if self.lookup(name).is_some() {
                     return Err(err(*line, format!("called object `{name}` is not a function")));
                 }
-                let Some(sig) = self.funcs.get(name).cloned() else {
+                let Some(sig) = self.func(name).cloned() else {
                     return Err(err(*line, format!("implicit declaration of function `{name}`")));
                 };
                 if args.len() < sig.params.len() || (!sig.varargs && args.len() > sig.params.len())

@@ -166,7 +166,7 @@ pub fn line_bounds(unit: &Unit) -> Vec<u32> {
         let slot = &mut bounds[fid as usize];
         *slot = (*slot).max(line);
     };
-    for item in &unit.items {
+    for item in unit.items() {
         match item {
             crate::ast::Item::Global(g) => {
                 note(g.line);

@@ -19,6 +19,44 @@
 //! contract). New harness code should lower once with
 //! [`Program::to_bytecode`] and boot mutants through [`vm::Vm`].
 //!
+//! # Front-end checkpoints
+//!
+//! A CDevil driver includes a generated stub header that is most of its
+//! token stream, and every mutant of the driver differs from it only
+//! after the `#include`. [`compile_with_cache`] therefore compiles that
+//! header once per [`pp::IncludeCache`]. The first compile through a
+//! cache cuts its main file after the last `#include` line and, if that
+//! prefix compiles on its own, records a checkpoint (if it does not, the
+//! cache never records one; a long-lived cache should be warmed with the
+//! clean driver, as `devil-serve` does): the preprocessor's
+//! macro table and file list, the parser's items, struct table and
+//! typedefs, and the checker's pass-1 environment with the prefix's
+//! initialisers and bodies already checked. Every later compile whose
+//! source starts with the same prefix bytes preprocesses, parses and
+//! checks only the remainder, from that state, and shares the prefix's
+//! items instead of copying them. Each stage is one implementation that
+//! takes a starting state; a full compile starts from the empty one.
+//!
+//! The cut must fall outside every conditional block, comment, string,
+//! character constant and `\` continuation, or no checkpoint is made.
+//! A stage resumes only when the remainder cannot change what the
+//! prefix compiled to; otherwise it runs in full over the whole unit,
+//! which is also the oracle the resumed stages are tested against:
+//!
+//! * the preprocessor expands the whole unit with the macro table the
+//!   *last* directive leaves (`int x = K;\n#define K 9` sets `x` to 9), so
+//!   preprocessing runs in full when the remainder holds any directive
+//!   (no macro call can span the cut: a prefix that compiles on its own
+//!   ends with a complete item, never with a function-like macro's
+//!   name); parsing resumes whenever preprocessing did and succeeded;
+//! * the checker collects every declaration before it checks any body,
+//!   so checking runs in full when the remainder completes a struct the
+//!   prefix only declared, or declares a name the prefix or a builtin
+//!   already declares.
+//!
+//! [`pp::IncludeCache::resume_stats`] counts the compiles that resumed
+//! each stage and, per guard, those that fell back.
+//!
 //! ```
 //! use devil_minic::{compile, interp::{Interpreter, NullHost}};
 //!
@@ -46,6 +84,7 @@ pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod pp;
+mod resume;
 pub mod token;
 pub mod types;
 pub mod value;
@@ -55,9 +94,10 @@ pub use bytecode::CompiledProgram;
 pub use coverage::Coverage;
 pub use deadline::Deadline;
 pub use error::{CError, CPhase};
+pub use resume::ResumeStats;
 
 /// A fully checked program, ready to interpret.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// The translation unit.
     pub unit: ast::Unit,
@@ -96,8 +136,12 @@ pub fn compile_with_includes(
 /// Like [`compile_with_includes`], resolving includes against a pre-lexed
 /// [`pp::IncludeCache`] — the mutation-campaign fast path, where thousands
 /// of mutated drivers compile against one unchanged header set. Build the
-/// cache once (it is `Sync`; campaign workers can share it) and only the
-/// spliced driver file pays for lexing on each compile.
+/// cache once (it is `Sync`; campaign workers can share it): the headers
+/// are lexed once, and the main file's prefix up to its last `#include`
+/// is preprocessed, parsed and checked once, by the first compile through
+/// the cache (see [Front-end checkpoints](crate#front-end-checkpoints)).
+/// Later compiles of the same file starting with the same prefix bytes
+/// compile only what follows it.
 ///
 /// # Errors
 ///
@@ -107,10 +151,7 @@ pub fn compile_with_cache(
     source: &str,
     cache: &pp::IncludeCache,
 ) -> Result<Program, CError> {
-    let tokens = pp::preprocess_cached(file, source, cache)?;
-    let unit = parser::parse(tokens)?;
-    let structs = check::check(&unit)?;
-    Ok(Program { unit, structs })
+    resume::compile(file, source, cache)
 }
 
 #[cfg(test)]

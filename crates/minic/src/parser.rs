@@ -8,32 +8,60 @@ use crate::ast::*;
 use crate::error::{CError, CPhase};
 use crate::token::{CTok, CToken, Punct};
 use crate::types::{CType, StructDef, StructTable};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Parse a preprocessed token stream into a [`Unit`].
 ///
 /// # Errors
 ///
 /// Returns the first syntax error.
-pub fn parse((tokens, files): (Vec<CToken>, Vec<String>)) -> Result<Unit, CError> {
+pub fn parse(tokens: (Vec<CToken>, Vec<String>)) -> Result<Unit, CError> {
+    parse_from(tokens, &ParseState::default()).map(|(unit, _)| unit)
+}
+
+/// The parser's state between two top-level items: the items parsed so
+/// far, the struct table and the typedef names. The default is the state
+/// before the first item.
+#[derive(Debug, Default)]
+pub(crate) struct ParseState {
+    pub(crate) items: Arc<[Item]>,
+    pub(crate) structs: StructTable,
+    pub(crate) typedefs: HashMap<String, CType>,
+}
+
+/// Parse `tokens` as the top-level items that follow `start`. The unit's
+/// items are `start`'s (shared, not copied) followed by the parsed ones;
+/// the typedef table comes back alongside, borrowed from `start` when
+/// the tokens declare no typedef.
+///
+/// # Errors
+///
+/// Returns the first syntax error.
+pub(crate) fn parse_from<'s>(
+    (tokens, files): (Vec<CToken>, Vec<String>),
+    start: &'s ParseState,
+) -> Result<(Unit, Cow<'s, HashMap<String, CType>>), CError> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
-        structs: StructTable::new(),
-        typedefs: HashMap::new(),
+        structs: start.structs.clone(),
+        typedefs: Cow::Borrowed(&start.typedefs),
     };
     let mut items = Vec::new();
     while !p.at_eof() {
         p.top_level(&mut items)?;
     }
-    Ok(Unit { items, structs: p.structs, files })
+    let unit = Unit::new(start.items.clone(), items, p.structs, files);
+    Ok((unit, p.typedefs))
 }
 
-struct Parser {
+struct Parser<'s> {
     toks: Vec<CToken>,
     pos: usize,
     structs: StructTable,
-    typedefs: HashMap<String, CType>,
+    typedefs: Cow<'s, HashMap<String, CType>>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -43,7 +71,7 @@ struct DeclFlags {
     is_static: bool,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn cur(&self) -> &CToken {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
@@ -272,7 +300,7 @@ impl Parser {
             let (name, _) = self.expect_ident("typedef name")?;
             let ty = self.array_suffix(ty)?;
             self.expect_punct(Punct::Semi)?;
-            self.typedefs.insert(name, ty);
+            self.typedefs.to_mut().insert(name, ty);
             return Ok(());
         }
         let (base, flags) = self.decl_specs()?;
@@ -927,8 +955,7 @@ mod tests {
     fn parses_prototypes_and_varargs() {
         let u = parse_src("int panic(const char *fmt, ...);\nvoid g(void);").unwrap();
         let protos: Vec<_> = u
-            .items
-            .iter()
+            .items()
             .filter_map(|i| match i {
                 Item::Proto(p) => Some(p),
                 _ => None,

@@ -6,10 +6,27 @@
 //! file set, `#ifdef`/`#ifndef`/`#else`/`#endif`, line continuations,
 //! block/line comments, and the `__FILE__`/`__LINE__` builtins (use-site
 //! semantics, which is what `dil_assert`'s panic message relies on).
+//!
+//! Directives run in source order while the unit's tokens are collected,
+//! and only then is the whole token stream macro-expanded, with the macro
+//! table the *last* directive left: `int x = K;\n#define K 9` sets `x` to
+//! 9. A front-end checkpoint (see the [crate docs](crate#front-end-checkpoints))
+//! rests on this rule. It preprocesses a main file's prefix, up to and
+//! including its last `#include` line, once; a later compile with the same
+//! prefix bytes starts from the prefix's macro table and file list and
+//! lexes and expands only the remainder. That is exact only when the
+//! remainder holds no directive, which could change the table the prefix
+//! expands with, so any directive there sends the compile down the full
+//! path. The cut itself must fall between logical lines, outside every
+//! conditional block, and at rest for the comment stripper (outside every
+//! comment, string and character constant), so the prefix's stripped text
+//! and logical lines are a prefix of the whole file's.
 
 use crate::error::{CError, CPhase};
 use crate::lexer::lex_line;
+use crate::resume::{Checkpoint, Counters, Guard, ResumeStats};
 use crate::token::{CTok, CToken, Punct};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -36,12 +53,20 @@ enum Macro {
 /// a later compile assigns a different id, the entry is bypassed rather
 /// than served stale.
 ///
-/// The cache is immutable after construction (`OnceLock` per entry) and
-/// `Sync`, so one instance can serve every worker of a
-/// `mutagen::Campaign` simultaneously.
+/// The cache also holds the main file's front-end checkpoint (see
+/// [`crate::compile_with_cache`]): the first compile through the cache
+/// pins its prefix, and counts of how later compiles used it are kept in
+/// [`IncludeCache::resume_stats`].
+///
+/// The cache is immutable after construction (`OnceLock` per entry and
+/// for the checkpoint; the counts are atomics) and `Sync`, so one
+/// instance can serve every worker of a `mutagen::Campaign`
+/// simultaneously.
 #[derive(Debug, Default)]
 pub struct IncludeCache {
     entries: Vec<CacheEntry>,
+    pub(crate) checkpoint: OnceLock<Option<Checkpoint>>,
+    pub(crate) counters: Counters,
 }
 
 #[derive(Debug)]
@@ -78,7 +103,20 @@ impl IncludeCache {
                     lexed: OnceLock::new(),
                 })
                 .collect(),
+            ..IncludeCache::default()
         }
+    }
+
+    /// How the compiles through this cache used its front-end checkpoint:
+    /// the stages they resumed, and per guard the ones that ran in full.
+    pub fn resume_stats(&self) -> ResumeStats {
+        self.counters.snapshot()
+    }
+
+    /// Whether the cache holds any include file at all — without one, no
+    /// prefix can end in an `#include` that compiles.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     /// Whether this cache was built over exactly these include files.
@@ -106,9 +144,9 @@ impl IncludeCache {
 
 /// Tokenise an include eagerly, or report it uncacheable (`None`).
 fn prelex(name: &str, file_id: u16, source: &str) -> Option<PreLexed> {
-    let text = strip_block_comments(source);
+    let (text, _) = strip_block_comments(source);
     let mut lines = Vec::new();
-    for (line, off, text) in logical_lines(&text) {
+    for (line, off, text) in logical_lines(&text, LineStart::TOP) {
         let trimmed = text.trim_start();
         if let Some(rest) = trimmed.strip_prefix('#') {
             let rest = rest.trim_start();
@@ -170,48 +208,138 @@ fn preprocess_impl(
     includes: &[(&str, &str)],
     cache: Option<&IncludeCache>,
 ) -> Result<(Vec<CToken>, Vec<String>), CError> {
-    let mut pp = Preprocessor {
-        includes,
-        cache,
-        macros: HashMap::new(),
-        raw: Vec::new(),
-        depth: 0,
-        files: vec![file.to_string()],
+    let mut pp = Preprocessor::new(includes, cache, Cow::Owned(HashMap::new()), vec![file.to_string()]);
+    pp.file(file, 0, source, LineStart::TOP)?;
+    pp.finish(file, source)
+}
+
+/// A preprocessed unit: its token stream, and its file names (index =
+/// the `file_id` stamped on tokens).
+type Expanded = (Vec<CToken>, Vec<String>);
+
+/// The preprocessor's state at a front-end checkpoint's cut: the macro
+/// table and file list the main file's prefix leaves behind, and where
+/// its remainder starts.
+#[derive(Debug)]
+pub(crate) struct PrefixState {
+    macros: HashMap<String, Macro>,
+    files: Vec<String>,
+    rest: LineStart,
+}
+
+/// Preprocess the main-file prefix `prefix` on its own, as a checkpoint
+/// does once: its state at the cut, and its token stream.
+///
+/// # Errors
+///
+/// As [`preprocess_cached`] over `prefix`.
+pub(crate) fn preprocess_prefix(
+    file: &str,
+    prefix: &str,
+    cache: &IncludeCache,
+) -> Result<(PrefixState, Expanded), CError> {
+    let includes = cache.includes();
+    let mut pp = Preprocessor::new(&includes, Some(cache), Cow::Owned(HashMap::new()), vec![file.to_string()]);
+    pp.file(file, 0, prefix, LineStart::TOP)?;
+    let files = pp.files.clone();
+    let tokens = pp.finish(file, prefix)?;
+    let rest = LineStart {
+        line: prefix.matches('\n').count() as u32 + 1,
+        off: strip_block_comments(prefix).0.len(),
     };
-    pp.file(file, 0, source)?;
-    let raw = std::mem::take(&mut pp.raw);
-    let mut out = Vec::new();
-    let mut i = 0;
-    pp.expand(&raw, &mut i, raw.len(), &mut out, &HashSet::new())?;
-    out.push(CToken {
-        tok: CTok::Eof,
-        file: file.to_string(),
-        file_id: 0,
-        line: source.lines().count() as u32 + 1,
-        pos: source.len(),
-        len: 0,
-    });
-    Ok((out, pp.files))
+    let macros = std::mem::take(&mut pp.macros).into_owned();
+    Ok((PrefixState { macros, files, rest }, tokens))
+}
+
+/// Preprocess `source` from the cut a prefix state was recorded at, with
+/// the prefix's final macro table, returning only the remainder's tokens
+/// (and the end-of-input token of the whole source).
+///
+/// The preprocessor collects the whole unit's tokens before expanding
+/// any, so every macro use expands with the table the *last* directive
+/// leaves. The remainder's tokens therefore match a full run's only when
+/// that table is the prefix's: `Err` declines with [`Guard::Directive`]
+/// when the remainder holds a directive. (No macro call spans the cut: the
+/// prefix compiled on its own, so its tokens end with a complete item.)
+/// `Ok` carries the stage's result, errors included, which are those a
+/// full run reports.
+pub(crate) fn preprocess_rest(
+    file: &str,
+    source: &str,
+    prefix_len: usize,
+    state: &PrefixState,
+) -> Result<Result<Expanded, CError>, Guard> {
+    let mut pp = Preprocessor::new(&[], None, Cow::Borrowed(&state.macros), state.files.clone());
+    pp.frozen = true;
+    let lexed = pp.file(file, 0, &source[prefix_len..], state.rest);
+    if pp.declined {
+        return Err(Guard::Directive);
+    }
+    Ok(lexed.and_then(|()| pp.finish(file, source)))
+}
+
+/// The length of `source`'s checkpoint prefix: everything up to and
+/// including its last `#include` line. `None` when there is no such line
+/// outside every conditional block, when the line is the last one, or
+/// when the cut after it would fall inside a comment, a string or a
+/// character constant. The cut always falls between logical lines, so
+/// never inside a `\` continuation.
+pub(crate) fn prefix_cut(source: &str) -> Option<usize> {
+    let (text, _) = strip_block_comments(source);
+    let lines = logical_lines(&text, LineStart::TOP);
+    let mut depth = 0usize;
+    let mut last = None;
+    for (k, (_, _, text)) in lines.iter().enumerate() {
+        let Some(rest) = text.trim_start().strip_prefix('#') else { continue };
+        match rest.trim_start().split(char::is_whitespace).next() {
+            Some("ifdef" | "ifndef") => depth += 1,
+            Some("endif") => depth = depth.saturating_sub(1),
+            Some("include") if depth == 0 => last = Some(k),
+            _ => {}
+        }
+    }
+    // The cut falls at the start of the physical line where the logical
+    // line after the `#include` begins.
+    let next_line = lines.get(last? + 1)?.0 as usize;
+    let cut = source.match_indices('\n').nth(next_line - 2)?.0 + 1;
+    strip_block_comments(&source[..cut]).1.then_some(cut)
 }
 
 struct Preprocessor<'a> {
     includes: &'a [(&'a str, &'a str)],
     cache: Option<&'a IncludeCache>,
-    macros: HashMap<String, Macro>,
+    /// Borrowed from a checkpoint when resuming, owned otherwise.
+    macros: Cow<'a, HashMap<String, Macro>>,
+    /// Resuming after a checkpoint's cut: a directive stops the run and
+    /// sets `declined` instead of taking effect.
+    frozen: bool,
+    declined: bool,
     raw: Vec<CToken>,
     depth: u32,
     files: Vec<String>,
 }
 
+/// Where a main file's text begins: its first line number and its offset
+/// in the comment-stripped text of the whole file.
+#[derive(Debug, Clone, Copy)]
+struct LineStart {
+    line: u32,
+    off: usize,
+}
+
+impl LineStart {
+    const TOP: LineStart = LineStart { line: 1, off: 0 };
+}
+
 /// Split comment-stripped source into continuation-joined logical lines of
-/// `(start_line, start_offset, text)`.
-fn logical_lines(text: &str) -> Vec<(u32, usize, String)> {
+/// `(start_line, start_offset, text)`, numbering from `start`.
+fn logical_lines(text: &str, start: LineStart) -> Vec<(u32, usize, String)> {
     let mut logical: Vec<(u32, usize, String)> = Vec::new();
     let mut cur = String::new();
-    let mut cur_start_line = 1u32;
-    let mut cur_start_off = 0usize;
-    let mut line_no = 1u32;
-    let mut offset = 0usize;
+    let mut cur_start_line = start.line;
+    let mut cur_start_off = start.off;
+    let mut line_no = start.line;
+    let mut offset = start.off;
     let mut continuing = false;
     #[allow(clippy::explicit_counter_loop)] // offset advances with line_no
     for line in text.split('\n') {
@@ -238,13 +366,18 @@ fn logical_lines(text: &str) -> Vec<(u32, usize, String)> {
     logical
 }
 
-/// Strip `/* ... */` comments, preserving newlines so line numbers hold.
-fn strip_block_comments(src: &str) -> String {
+/// Strip `/* ... */` and `//` comments, preserving newlines so line
+/// numbers hold. String literals and character constants are copied
+/// whole, escapes included, so a comment opener inside one stays. The
+/// flag says whether the scan ended at rest: outside every comment,
+/// string and character constant.
+fn strip_block_comments(src: &str) -> (String, bool) {
     let mut out = String::with_capacity(src.len());
     let b = src.as_bytes();
     let mut i = 0;
     let mut in_comment = false;
-    let mut in_str = false;
+    // The quote that closes the string or character constant we are in.
+    let mut quote: Option<u8> = None;
     while i < b.len() {
         if in_comment {
             if b[i] == b'\n' {
@@ -258,18 +391,18 @@ fn strip_block_comments(src: &str) -> String {
                 out.push(' ');
                 i += 1;
             }
-        } else if in_str {
+        } else if let Some(q) = quote {
             out.push(b[i] as char);
             if b[i] == b'\\' && i + 1 < b.len() {
                 out.push(b[i + 1] as char);
                 i += 1;
-            } else if b[i] == b'"' {
-                in_str = false;
+            } else if b[i] == q {
+                quote = None;
             }
             i += 1;
-        } else if b[i] == b'"' {
-            in_str = true;
-            out.push('"');
+        } else if b[i] == b'"' || b[i] == b'\'' {
+            quote = Some(b[i]);
+            out.push(b[i] as char);
             i += 1;
         } else if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
             in_comment = true;
@@ -285,22 +418,63 @@ fn strip_block_comments(src: &str) -> String {
             i += 1;
         }
     }
-    out
+    let at_rest = !in_comment && quote.is_none();
+    (out, at_rest)
 }
 
 impl<'a> Preprocessor<'a> {
-    fn file(&mut self, name: &str, file_id: u16, source: &str) -> Result<(), CError> {
+    fn new(
+        includes: &'a [(&'a str, &'a str)],
+        cache: Option<&'a IncludeCache>,
+        macros: Cow<'a, HashMap<String, Macro>>,
+        files: Vec<String>,
+    ) -> Self {
+        Preprocessor {
+            includes,
+            cache,
+            macros,
+            frozen: false,
+            declined: false,
+            raw: Vec::new(),
+            depth: 0,
+            files,
+        }
+    }
+
+    /// Expand the collected tokens with the final macro table and end the
+    /// stream with `source`'s end-of-input token.
+    fn finish(&mut self, file: &str, source: &str) -> Result<Expanded, CError> {
+        let raw = std::mem::take(&mut self.raw);
+        let mut out = Vec::new();
+        let mut i = 0;
+        self.expand(&raw, &mut i, raw.len(), &mut out, &HashSet::new())?;
+        out.push(CToken {
+            tok: CTok::Eof,
+            file: file.to_string(),
+            file_id: 0,
+            line: source.lines().count() as u32 + 1,
+            pos: source.len(),
+            len: 0,
+        });
+        Ok((out, std::mem::take(&mut self.files)))
+    }
+
+    fn file(&mut self, name: &str, file_id: u16, source: &str, start: LineStart) -> Result<(), CError> {
         self.depth += 1;
         if self.depth > 16 {
             return Err(CError::new(CPhase::Preprocess, name, 1, "include depth exceeded"));
         }
-        let text = strip_block_comments(source);
+        let (text, _) = strip_block_comments(source);
         // Conditional-inclusion stack: (parent_active, this_branch_taken).
         let mut cond: Vec<(bool, bool)> = Vec::new();
-        for (line, off, text) in logical_lines(&text) {
+        for (line, off, text) in logical_lines(&text, start) {
             let trimmed = text.trim_start();
             let active = cond.iter().all(|(p, t)| *p && *t);
             if let Some(rest) = trimmed.strip_prefix('#') {
+                if self.frozen {
+                    self.declined = true;
+                    return Ok(());
+                }
                 let rest = rest.trim_start();
                 let (directive, args) =
                     rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
@@ -395,7 +569,7 @@ impl<'a> Preprocessor<'a> {
         match directive {
             "define" => self.define(name, file_id, line, off, args.trim()),
             "undef" => {
-                self.macros.remove(args.trim());
+                self.macros.to_mut().remove(args.trim());
                 Ok(())
             }
             "include" => {
@@ -441,7 +615,7 @@ impl<'a> Preprocessor<'a> {
                         }
                     }
                 }
-                self.file(&inner_name, inner_id, &owned)
+                self.file(&inner_name, inner_id, &owned, LineStart::TOP)
             }
             other => Err(CError::new(
                 CPhase::Preprocess,
@@ -519,7 +693,7 @@ impl<'a> Preprocessor<'a> {
                     ));
                 }
             }
-            self.macros.insert(name, Macro::Function { params, body });
+            self.macros.to_mut().insert(name, Macro::Function { params, body });
         } else {
             let body = toks[1..].to_vec();
             if let Some(Macro::Object(b0)) = self.macros.get(&name) {
@@ -532,7 +706,7 @@ impl<'a> Preprocessor<'a> {
                     ));
                 }
             }
-            self.macros.insert(name, Macro::Object(body));
+            self.macros.to_mut().insert(name, Macro::Object(body));
         }
         Ok(())
     }
@@ -791,6 +965,18 @@ mod tests {
     fn comment_inside_string_preserved() {
         let ts = run("s = \"/* not a comment */\";");
         assert!(ts.contains(&CTok::Str("/* not a comment */".into())));
+    }
+
+    #[test]
+    fn quote_in_a_character_constant_does_not_open_a_string() {
+        let ts = run("int f(void) { char c = '\"'; /* n */ return c; }");
+        assert!(ts.contains(&CTok::Char(b'"')));
+        assert!(!ts.contains(&CTok::Punct(Punct::Slash)), "{ts:?}");
+        // Escapes inside character constants are skipped as in strings.
+        let ts = run("a = '\\''; /* x */ b = '\\\\'; /* \" */ c;");
+        let chars: Vec<&CTok> = ts.iter().filter(|t| matches!(t, CTok::Char(_))).collect();
+        assert_eq!(chars, [&CTok::Char(b'\''), &CTok::Char(b'\\')]);
+        assert!(!ts.contains(&CTok::Punct(Punct::Slash)), "{ts:?}");
     }
 
     #[test]

@@ -142,6 +142,12 @@ pub struct ServiceStats {
     /// — treated as ledger corruption: the entry was evicted, the fresh
     /// outcome recorded and served.
     pub ledger_diverged: u64,
+    /// Compiles that resumed preprocessing from a driver's front-end
+    /// checkpoint instead of compiling the driver's headers again,
+    /// summed over the server's per-driver include caches.
+    pub compiles_resumed: u64,
+    /// Compiles that ran every front-end stage over the whole unit.
+    pub compiles_full: u64,
     /// Every `(file, fingerprint)` pair currently refused at admission
     /// (strikes at or over the server's quarantine limit), with its
     /// durable strike count.
@@ -339,6 +345,8 @@ impl Response {
                     stats.ledger_misses,
                     stats.ledger_verified,
                     stats.ledger_diverged,
+                    stats.compiles_resumed,
+                    stats.compiles_full,
                 ] {
                     put_u64(&mut out, v);
                 }
@@ -392,6 +400,8 @@ impl Response {
                     ledger_misses: c.u64()?,
                     ledger_verified: c.u64()?,
                     ledger_diverged: c.u64()?,
+                    compiles_resumed: c.u64()?,
+                    compiles_full: c.u64()?,
                     quarantined: Vec::new(),
                 };
                 let n = c.u32()?;
@@ -500,6 +510,8 @@ mod tests {
                     ledger_misses: 4,
                     ledger_verified: 2,
                     ledger_diverged: 1,
+                    compiles_resumed: 40,
+                    compiles_full: 2,
                     quarantined: vec![
                         QuarantinedPair {
                             file: "busmouse.c".into(),

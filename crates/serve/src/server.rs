@@ -14,7 +14,12 @@
 //!   (`Campaign::run_queue`): one workspace per worker, holding one
 //!   snapshot-reset [`ScenarioMachine`] per *workload* (scenario ×
 //!   fault plan × seed) built lazily on first use, with one shared
-//!   pre-lexed [`IncludeCache`] per driver file serving every worker;
+//!   pre-lexed [`IncludeCache`] per driver file serving every worker.
+//!   At start each CDevil catalog driver is compiled once through its
+//!   cache, so the cache's front-end checkpoint holds the driver's
+//!   compiled header prefix and every catalog mutant compiles only what
+//!   follows it (`STATS` counts the compiles that resumed and those that
+//!   ran in full);
 //! * **delivery** — each job carries the sender of its connection's
 //!   response channel, so outcomes stream back to whoever asked,
 //!   whatever worker classified them.
@@ -350,6 +355,10 @@ struct Routes {
 }
 
 impl Routes {
+    /// Build the caches and compile each catalog driver that includes
+    /// headers once through its own, so the cache's front-end checkpoint
+    /// is the catalog driver's prefix before any client can pin another.
+    /// (A cache without headers never records a checkpoint.)
     fn build() -> Routes {
         let mut caches = HashMap::new();
         for case in devil_drivers::corpus::scenario_catalog() {
@@ -361,11 +370,25 @@ impl Routes {
                         .iter()
                         .map(|(a, b)| (a.as_str(), b.as_str()))
                         .collect();
-                    Arc::new(IncludeCache::new(&refs))
+                    let cache = IncludeCache::new(&refs);
+                    if !refs.is_empty() {
+                        // Only the checkpoint is wanted; a catalog driver compiles.
+                        let _ = devil_minic::compile_with_cache(v.file, v.source, &cache);
+                    }
+                    Arc::new(cache)
                 });
             }
         }
         Routes { caches }
+    }
+
+    /// Compiles through the drivers' caches that resumed preprocessing
+    /// from a checkpoint, and compiles that ran every stage in full.
+    fn front_end_counts(&self) -> (u64, u64) {
+        self.caches
+            .values()
+            .map(|c| c.resume_stats())
+            .fold((0, 0), |(resumed, full), s| (resumed + s.pp, full + s.full()))
     }
 
     /// Validate a submission's routing fields; `Err` is the message for a
@@ -534,6 +557,7 @@ pub fn serve_with<S: Duplex>(
     let stats_now = |queue: &JobQueue<Job>| {
         let q = queue.stats();
         let lc = ledger.as_ref().map(Ledger::counters).unwrap_or_default();
+        let (compiles_resumed, compiles_full) = routes.front_end_counts();
         let mut offenders = quarantine.counts();
         offenders.sort();
         let quarantined = offenders
@@ -557,6 +581,8 @@ pub fn serve_with<S: Duplex>(
             ledger_misses: lc.misses,
             ledger_verified: verified.load(Ordering::Relaxed),
             ledger_diverged: diverged.load(Ordering::Relaxed),
+            compiles_resumed,
+            compiles_full,
             quarantined,
         }
     };

@@ -65,6 +65,8 @@ fn sample_responses() -> Vec<Response> {
                 ledger_misses: 5,
                 ledger_verified: 1,
                 ledger_diverged: 0,
+                compiles_resumed: 9,
+                compiles_full: 1,
                 quarantined: vec![QuarantinedPair {
                     file: "busmouse.c".into(),
                     fingerprint: 0xDEAD_BEEF,

@@ -17,7 +17,10 @@
 //!   `EngineError` and `Deadline`, while every other mutant still
 //!   matches the batch path bit for bit;
 //! * **Graceful drain** — a drain mid-burst answers every accepted job,
-//!   sheds the rest explicitly, and loses zero replies.
+//!   sheds the rest explicitly, and loses zero replies;
+//! * **Warm checkpoints** — catalog mutants resume from the front-end
+//!   checkpoint the server pinned at start, even after a client's first
+//!   submission had another prefix.
 
 use devil_drivers::corpus::{build_faulted, build_scenario, find_variant};
 use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
@@ -427,4 +430,67 @@ fn graceful_drain_mid_burst_loses_no_replies() {
     let stats = server.shutdown().expect("drained server exits cleanly");
     assert_eq!(stats.completed, classified);
     assert_eq!(stats.shed, shed);
+}
+
+/// Ask the server for its counters over an open connection.
+fn server_stats(
+    r: &mut impl std::io::Read,
+    w: &mut impl std::io::Write,
+    req_id: u64,
+) -> devil_serve::proto::ServiceStats {
+    write_frame(w, &Request::Stats { req_id }.encode()).unwrap();
+    let payload = read_frame(r).unwrap().expect("server answers STATS");
+    match Response::decode(&payload).unwrap() {
+        Response::Stats { stats, .. } => stats,
+        other => panic!("unexpected response {other:?}"),
+    }
+}
+
+/// The server compiles each catalog driver once at start, so a client
+/// whose first submission has another prefix cannot pin it: the catalog
+/// mutants after it still resume from the catalog driver's checkpoint,
+/// and still classify exactly as the batch path does.
+#[test]
+fn warmed_checkpoints_survive_a_foreign_first_submission() {
+    let wl = Workload { scenario: "mouse-stream", plan: "", driver: "busmouse_cdevil" };
+    let v = find_variant(wl.scenario, wl.driver).expect("catalog workload");
+    let header_texts: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
+    let model = CMutationModel::new(v.source, &header_texts, v.style);
+    let mutants = sample(model.mutants(), 0.04, 77);
+    assert!(!mutants.is_empty());
+    let batch = batch_outcomes(&wl, &mutants, v.file);
+
+    let server = InProcServer::start(ServeConfig { threads: 2, ..ServeConfig::default() });
+    let (mut r, mut w) = server.connect().split();
+    let before = server_stats(&mut r, &mut w, u64::MAX);
+    let foreign = format!("int foreign_first;\n{}", v.source);
+    let submissions =
+        std::iter::once((foreign.as_str(), 0)).chain(mutants.iter().map(|m| (m.source.as_str(), m.line)));
+    for (id, (source, line)) in submissions.enumerate() {
+        let mut req = submit_req(id as u64, wl.scenario, wl.plan, v.file, source);
+        req.dead_line = line;
+        write_frame(&mut w, &Request::Submit(req).encode()).unwrap();
+    }
+    let mut got: HashMap<u64, Outcome> = HashMap::new();
+    while got.len() <= mutants.len() {
+        let payload = read_frame(&mut r).unwrap().expect("every submission answered");
+        match Response::decode(&payload).unwrap() {
+            Response::Outcome { req_id, outcome, .. } => {
+                got.insert(req_id, outcome);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    for (i, want) in batch.iter().enumerate() {
+        assert_eq!(got[&(i as u64 + 1)], *want, "mutant {i}: service and batch disagree");
+    }
+    let after = server_stats(&mut r, &mut w, u64::MAX - 1);
+    drop(w);
+    server.shutdown().expect("server exits cleanly");
+    assert_eq!(after.compiles_full - before.compiles_full, 1, "only the foreign prefix ran in full");
+    assert_eq!(
+        after.compiles_resumed - before.compiles_resumed,
+        mutants.len() as u64,
+        "every catalog mutant resumed from the warmed checkpoint"
+    );
 }

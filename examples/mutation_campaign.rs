@@ -38,9 +38,12 @@
 //! interposer's cursor rewinds with the snapshot, so every mutant sees
 //! the same fault sequence), instead of being reconstructed ~100 times.
 //! The generated stub headers are pre-lexed once per campaign into a
-//! shared [`IncludeCache`] (it is `Sync`), so every worker re-lexes only
-//! the spliced driver file, and each mutant runs through the minic
-//! bytecode VM.
+//! shared [`IncludeCache`] (it is `Sync`), and the first mutant compiled
+//! through it records a front-end checkpoint of the driver's prefix up to
+//! its `#include`, so every worker preprocesses, parses and checks only
+//! the rest of each mutant; the campaign prints how many compiles resumed
+//! each stage and why the others ran in full. Each mutant runs through
+//! the minic bytecode VM.
 
 use devil::drivers::corpus::{
     build_faulted, build_scenario, scenario_catalog, scenario_names, DriverVariant,
@@ -124,6 +127,13 @@ fn campaign(
         let c = l.counters();
         println!("  ledger: {} replayed, {} classified fresh", c.hits, c.misses);
     }
+    let r = cache.resume_stats();
+    println!(
+        "  front end: resumed preprocess {} parse {} check {}; in full: \
+         {} without a checkpoint, {} for a directive; checked in full: \
+         {} for a struct completion, {} for a name clash",
+        r.pp, r.parse, r.check, r.no_checkpoint, r.directive, r.struct_completion, r.name_clash
+    );
     for outcome in Outcome::table_order() {
         if let Some(n) = tally.get(&outcome) {
             println!(
