@@ -1,25 +1,16 @@
 //! Run the complete evaluation: Tables 1–4, the figures, and the §4.2
 //! headline comparison. This is the one-shot reproduction entry point.
 //!
-//! Usage: `repro [--fraction=F] [--seed=N]`
+//! Usage: `repro [--fraction=F] [--seed=N]` (seeds decimal or `0x`/`0X`
+//! hex; parsed by `devil_bench::tables::CampaignArgs`)
 
 use devil_bench::tables::{
-    driver_campaign, render_outcome_table, render_table1, render_table2, table2,
+    driver_campaign, render_outcome_table, render_table1, render_table2, table2, CampaignArgs,
     CampaignOptions, Driver, Headline,
 };
 
 fn main() {
-    let mut opts = CampaignOptions::default();
-    for arg in std::env::args().skip(1) {
-        if let Some(f) = arg.strip_prefix("--fraction=") {
-            opts.fraction = f.parse().expect("--fraction=0.25");
-        } else if let Some(s) = arg.strip_prefix("--seed=") {
-            opts.seed = s.parse().expect("--seed=1234");
-        } else {
-            eprintln!("unknown argument {arg}");
-            std::process::exit(2);
-        }
-    }
+    let opts = CampaignArgs::from_env(CampaignOptions::default(), &["--fraction", "--seed"]).opts;
 
     println!("==============================================================");
     println!(" Reproduction: Improving Driver Robustness (Devil, DSN-2001)");

@@ -2,129 +2,32 @@
 //!
 //! Usage: `table3 [--scenario=NAME] [--all] [--fraction=F] [--seed=N]
 //! [--threads=N] [--fault-plan=NAME] [--fault-seed=N] [--ledger=PATH]
-//! [--resume]`
+//! [--resume]` — the flags of `devil_bench::tables::CampaignArgs`.
 //!
-//! Seeds accept decimal or `0x`/`0X` hex; `--threads=0` (the default)
-//! uses every available core.
-//!
-//! `--ledger=PATH` checkpoints every classification to a crash-safe
-//! append-only ledger as it is produced; `--resume` additionally replays
-//! the ledger's surviving records first and reruns only the missing
-//! mutants, so a campaign killed partway (even `kill -9`) finishes with
-//! a bit-identical table. Without `--resume` the file is started fresh.
-//!
-//! `--scenario` selects any workload from the scenario catalog
-//! (`corpus::scenario_names()`: `ide-boot`, `ide-stress`, `mouse-stream`,
-//! `ne2000-stress`, ...); the default is the paper's IDE boot. One table
-//! is printed per plain-C driver paired with the scenario.
-//!
-//! `--fault-plan` reruns the campaign on deterministically flaky hardware
-//! under a bundled fault plan (`devil_hwsim::FaultPlan::plan_names()`);
-//! `--fault-seed` picks the plan's PRNG seed. Either flag alone implies
-//! the other's default (`mixed` / `DEFAULT_FAULT_SEED`).
+//! One table is printed per plain-C driver the scenario catalog pairs
+//! with the scenario; the default scenario is the paper's IDE boot.
 
-use devil_bench::tables::{
-    open_campaign_ledger, parse_seed, render_outcome_table, scenario_campaign,
-    scenario_campaign_ledgered, scenario_variants, CampaignOptions,
-};
-use devil_drivers::corpus::scenario_names;
-use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
+use devil_bench::tables::{print_tables, CampaignArgs, CampaignOptions};
 use devil_mutagen::c::CStyle;
-use std::path::PathBuf;
+
+const FLAGS: &[&str] = &[
+    "--scenario",
+    "--all",
+    "--fraction",
+    "--seed",
+    "--threads",
+    "--fault-plan",
+    "--fault-seed",
+    "--ledger",
+    "--resume",
+];
 
 fn main() {
-    let mut opts = CampaignOptions::default();
-    let mut scenario = String::from("ide-boot");
-    let mut fault_plan: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut ledger_path: Option<PathBuf> = None;
-    let mut resume = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--all" {
-            opts.fraction = 1.0;
-        } else if arg == "--resume" {
-            resume = true;
-        } else if let Some(p) = arg.strip_prefix("--ledger=") {
-            ledger_path = Some(PathBuf::from(p));
-        } else if let Some(f) = arg.strip_prefix("--fraction=") {
-            opts.fraction = f.parse().expect("--fraction=0.25");
-        } else if let Some(s) = arg.strip_prefix("--seed=") {
-            opts.seed = parse_seed(s).unwrap_or_else(|e| {
-                eprintln!("--seed: {e}");
-                std::process::exit(2);
-            });
-        } else if let Some(t) = arg.strip_prefix("--threads=") {
-            opts.threads = t.parse().expect("--threads=N");
-        } else if let Some(s) = arg.strip_prefix("--scenario=") {
-            scenario = s.to_string();
-        } else if let Some(p) = arg.strip_prefix("--fault-plan=") {
-            fault_plan = Some(p.to_string());
-        } else if let Some(s) = arg.strip_prefix("--fault-seed=") {
-            fault_seed = Some(parse_seed(s).unwrap_or_else(|e| {
-                eprintln!("--fault-seed: {e}");
-                std::process::exit(2);
-            }));
-        } else {
-            eprintln!("unknown argument {arg}");
-            std::process::exit(2);
-        }
-    }
-    if !scenario_names().contains(&scenario.as_str()) {
-        eprintln!("unknown scenario `{scenario}`; try one of {:?}", scenario_names());
-        std::process::exit(2);
-    }
-    if resume && ledger_path.is_none() {
-        eprintln!("--resume requires --ledger=PATH");
-        std::process::exit(2);
-    }
-    if fault_plan.is_some() || fault_seed.is_some() {
-        let name = fault_plan.as_deref().unwrap_or("mixed");
-        let seed = fault_seed.unwrap_or(DEFAULT_FAULT_SEED);
-        opts.fault_plan = Some(FaultPlan::named(name, seed).unwrap_or_else(|| {
-            eprintln!("unknown fault plan `{name}`; try one of {:?}", FaultPlan::plan_names());
-            std::process::exit(2);
-        }));
-    }
-    println!(
-        "Table 3: Mutations on C code, `{scenario}` scenario (sampling {:.0}%, seed {:#x}{})",
-        opts.fraction * 100.0,
-        opts.seed,
-        match &opts.fault_plan {
-            Some(p) => format!(", fault plan `{}` seed {:#x}", p.name(), p.seed()),
-            None => String::new(),
-        }
+    let args = CampaignArgs::from_env(CampaignOptions::default(), FLAGS);
+    print_tables(
+        &args,
+        "Table 3: Mutations on C code",
+        CStyle::PlainC,
+        "(paper: compile 26.7, crash 2.9, loop 11.2, halt 21.5, damaged 2.9, boot 34.7 %)",
     );
-    if scenario == "ide-boot" && opts.fault_plan.is_none() {
-        println!("(paper: compile 26.7, crash 2.9, loop 11.2, halt 21.5, damaged 2.9, boot 34.7 %)");
-    }
-    println!();
-    // --ledger without --resume starts the file fresh; later variants of
-    // the same run append to it (their revisions keep them apart).
-    let mut keep = resume;
-    for v in scenario_variants(&scenario, CStyle::PlainC) {
-        let t = match &ledger_path {
-            None => scenario_campaign(&scenario, &v, &opts),
-            Some(path) => {
-                let ledger =
-                    open_campaign_ledger(path, keep, &v, &opts).unwrap_or_else(|e| {
-                        eprintln!("cannot open ledger {}: {e}", path.display());
-                        std::process::exit(2);
-                    });
-                keep = true;
-                let t = scenario_campaign_ledgered(&scenario, &v, &opts, &ledger);
-                let c = ledger.counters();
-                println!(
-                    "ledger {}: {} replayed, {} classified fresh",
-                    path.display(),
-                    c.hits,
-                    c.misses
-                );
-                t
-            }
-        };
-        println!(
-            "{}",
-            render_outcome_table(&t, &format!("Mutations on the C driver `{}`", v.label))
-        );
-    }
 }

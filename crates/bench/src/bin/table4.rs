@@ -2,150 +2,46 @@
 //!
 //! Usage: `table4 [--scenario=NAME] [--all] [--fraction=F] [--seed=N]
 //! [--threads=N] [--weak-types] [--no-asserts] [--fault-plan=NAME]
-//! [--fault-seed=N] [--ledger=PATH] [--resume]`
+//! [--fault-seed=N] [--ledger=PATH] [--resume]` — the flags of
+//! `devil_bench::tables::CampaignArgs`.
 //!
-//! Seeds accept decimal or `0x`/`0X` hex; `--threads=0` (the default)
-//! uses every available core.
-//!
-//! `--ledger=PATH`/`--resume` checkpoint and resume the campaign through
-//! a crash-safe outcome ledger, exactly as in `table3`. The ledger
-//! revision folds in the stub headers, so ablation runs (`--weak-types`,
-//! `--no-asserts`) can share a file with the debug-stub run without ever
-//! being served each other's outcomes.
-//!
-//! `--fault-plan`/`--fault-seed` rerun the campaign on deterministically
-//! flaky hardware, exactly as in `table3`.
-//!
-//! `--scenario` selects any workload from the scenario catalog; the
-//! default is the paper's IDE boot. One table is printed per CDevil glue
-//! driver paired with the scenario (a scenario whose corpus has no CDevil
-//! variant, e.g. `ne2000-stress`, reports so and exits cleanly).
+//! One table is printed per CDevil glue driver the scenario catalog
+//! pairs with the scenario (a scenario whose corpus has no CDevil
+//! variant, e.g. `ne2000-stress`, reports so and exits cleanly); the
+//! default scenario is the paper's IDE boot.
 //!
 //! Ablations (DESIGN.md §5): `--weak-types` runs the campaign against
 //! *production* stubs (plain integer typedefs — the struct encoding and
 //! all assertions gone); `--no-asserts` keeps the struct encoding but
 //! strips every run-time assertion, isolating what the type system alone
 //! buys. Both apply to the IDE glue, whose header is regenerated per
-//! flavour.
+//! flavour. The ledger revision folds in the stub headers, so ablation
+//! runs can share a `--ledger` file with the debug-stub run without ever
+//! being served each other's outcomes.
 
-use devil_bench::tables::{
-    open_campaign_ledger, parse_seed, render_outcome_table, scenario_campaign,
-    scenario_campaign_ledgered, scenario_variants, CampaignOptions, StubFlavor,
-};
-use devil_drivers::corpus::scenario_names;
-use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
+use devil_bench::tables::{print_tables, CampaignArgs, CampaignOptions};
 use devil_mutagen::c::CStyle;
-use std::path::PathBuf;
+
+const FLAGS: &[&str] = &[
+    "--scenario",
+    "--all",
+    "--fraction",
+    "--seed",
+    "--threads",
+    "--weak-types",
+    "--no-asserts",
+    "--fault-plan",
+    "--fault-seed",
+    "--ledger",
+    "--resume",
+];
 
 fn main() {
-    let mut opts = CampaignOptions::default();
-    let mut scenario = String::from("ide-boot");
-    let mut fault_plan: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut ledger_path: Option<PathBuf> = None;
-    let mut resume = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--all" {
-            opts.fraction = 1.0;
-        } else if arg == "--resume" {
-            resume = true;
-        } else if let Some(p) = arg.strip_prefix("--ledger=") {
-            ledger_path = Some(PathBuf::from(p));
-        } else if arg == "--weak-types" {
-            opts.stub_flavor = StubFlavor::Production;
-        } else if arg == "--no-asserts" {
-            opts.stub_flavor = StubFlavor::DebugNoAsserts;
-        } else if let Some(f) = arg.strip_prefix("--fraction=") {
-            opts.fraction = f.parse().expect("--fraction=0.25");
-        } else if let Some(s) = arg.strip_prefix("--seed=") {
-            opts.seed = parse_seed(s).unwrap_or_else(|e| {
-                eprintln!("--seed: {e}");
-                std::process::exit(2);
-            });
-        } else if let Some(t) = arg.strip_prefix("--threads=") {
-            opts.threads = t.parse().expect("--threads=N");
-        } else if let Some(s) = arg.strip_prefix("--scenario=") {
-            scenario = s.to_string();
-        } else if let Some(p) = arg.strip_prefix("--fault-plan=") {
-            fault_plan = Some(p.to_string());
-        } else if let Some(s) = arg.strip_prefix("--fault-seed=") {
-            fault_seed = Some(parse_seed(s).unwrap_or_else(|e| {
-                eprintln!("--fault-seed: {e}");
-                std::process::exit(2);
-            }));
-        } else {
-            eprintln!("unknown argument {arg}");
-            std::process::exit(2);
-        }
-    }
-    if !scenario_names().contains(&scenario.as_str()) {
-        eprintln!("unknown scenario `{scenario}`; try one of {:?}", scenario_names());
-        std::process::exit(2);
-    }
-    if resume && ledger_path.is_none() {
-        eprintln!("--resume requires --ledger=PATH");
-        std::process::exit(2);
-    }
-    if fault_plan.is_some() || fault_seed.is_some() {
-        let name = fault_plan.as_deref().unwrap_or("mixed");
-        let seed = fault_seed.unwrap_or(DEFAULT_FAULT_SEED);
-        opts.fault_plan = Some(FaultPlan::named(name, seed).unwrap_or_else(|| {
-            eprintln!("unknown fault plan `{name}`; try one of {:?}", FaultPlan::plan_names());
-            std::process::exit(2);
-        }));
-    }
-    println!(
-        "Table 4: Mutations on CDevil code, `{scenario}` scenario (sampling {:.0}%, seed {:#x}{}{})",
-        opts.fraction * 100.0,
-        opts.seed,
-        match opts.stub_flavor {
-            StubFlavor::Debug => "",
-            StubFlavor::Production => ", WEAK TYPES ablation",
-            StubFlavor::DebugNoAsserts => ", NO ASSERTS ablation",
-        },
-        match &opts.fault_plan {
-            Some(p) => format!(", fault plan `{}` seed {:#x}", p.name(), p.seed()),
-            None => String::new(),
-        }
+    let args = CampaignArgs::from_env(CampaignOptions::default(), FLAGS);
+    print_tables(
+        &args,
+        "Table 4: Mutations on CDevil code",
+        CStyle::CDevil,
+        "(paper: compile 58.0, run-time 14.1, crash 0, loop 0.7, halt 4.9, damaged 0.5, boot 12.3, dead 9.4 %)",
     );
-    if scenario == "ide-boot" && opts.fault_plan.is_none() {
-        println!(
-            "(paper: compile 58.0, run-time 14.1, crash 0, loop 0.7, halt 4.9, damaged 0.5, boot 12.3, dead 9.4 %)"
-        );
-    }
-    println!();
-    let variants = scenario_variants(&scenario, CStyle::CDevil);
-    if variants.is_empty() {
-        println!("the `{scenario}` corpus has no CDevil glue driver yet — nothing to mutate");
-        return;
-    }
-    // --ledger without --resume starts the file fresh; later variants of
-    // the same run append to it (their revisions keep them apart).
-    let mut keep = resume;
-    for v in variants {
-        let t = match &ledger_path {
-            None => scenario_campaign(&scenario, &v, &opts),
-            Some(path) => {
-                let ledger =
-                    open_campaign_ledger(path, keep, &v, &opts).unwrap_or_else(|e| {
-                        eprintln!("cannot open ledger {}: {e}", path.display());
-                        std::process::exit(2);
-                    });
-                keep = true;
-                let t = scenario_campaign_ledgered(&scenario, &v, &opts, &ledger);
-                let c = ledger.counters();
-                println!(
-                    "ledger {}: {} replayed, {} classified fresh",
-                    path.display(),
-                    c.hits,
-                    c.misses
-                );
-                t
-            }
-        };
-        println!(
-            "{}",
-            render_outcome_table(&t, &format!("Mutations on the CDevil driver `{}`", v.label))
-        );
-    }
 }

@@ -1,4 +1,5 @@
-//! Campaign runners and table renderers shared by the bench binaries.
+//! Campaign runners, table renderers and the command line shared by the
+//! bench binaries and the `mutation_campaign` example.
 //!
 //! Since the scenario engine landed, the Table 3/4 campaigns run through
 //! the catalog (`devil_drivers::corpus`): [`scenario_campaign`] evaluates
@@ -6,27 +7,26 @@
 //! `ScenarioMachine` engine (one machine per worker, dirty-journal
 //! restores per mutant), so `table3`/`table4` can emit a paper-style
 //! table for every `corpus::scenario_names()` entry, not just the IDE
-//! boot.
+//! boot. Every campaign CLI parses its flags with [`CampaignArgs`].
 
-use devil_drivers::corpus::{build_faulted, build_scenario, scenario_catalog, DriverVariant};
+use devil_drivers::corpus::{
+    build_faulted, build_scenario, scenario_catalog, scenario_names, DriverVariant,
+};
 use devil_drivers::{ide, specs};
-use devil_hwsim::FaultPlan;
+use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
 use devil_kernel::boot::{Outcome, DEFAULT_FUEL};
 use devil_kernel::scenario::ScenarioMachine;
 use devil_mutagen::c::{CMutationModel, CStyle};
 use devil_mutagen::devil::DevilMutationModel;
-use devil_mutagen::{run_parallel, sample, source_fingerprint, Campaign, Ledger, LedgerKey, Mutant};
+use devil_mutagen::{run_parallel, sample, Campaign, Ledger, LedgerKey, Mutant};
 use std::collections::{BTreeMap, HashSet};
+use std::path::PathBuf;
 
 /// Default seed for the 25% sample, matching the paper's methodology of
 /// randomly testing a quarter of the generated mutants.
 pub const DEFAULT_SEED: u64 = 0xDE71;
 /// Default sampling fraction.
 pub const DEFAULT_FRACTION: f64 = 0.25;
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-}
 
 /// Parse a seed CLI argument: a decimal integer or a `0x`/`0X`-prefixed
 /// hex literal. The error message names the accepted forms.
@@ -35,6 +35,145 @@ pub fn parse_seed(v: &str) -> Result<u64, String> {
         .or_else(|| v.strip_prefix("0X"))
         .map_or_else(|| v.parse(), |hex| u64::from_str_radix(hex, 16))
         .map_err(|_| format!("expected a decimal integer or 0x/0X hex literal, got `{v}`"))
+}
+
+// ------------------------------------------------------------ Command line
+
+/// The command line of every campaign CLI (`table3`, `table4`, `repro`
+/// and the `mutation_campaign` example): one parser, one spelling per
+/// flag, one set of usage errors. Each CLI names the flags it takes.
+///
+/// | flag | effect |
+/// |---|---|
+/// | `--scenario=NAME` | catalog scenario (`corpus::scenario_names()`; default `ide-boot`) |
+/// | `--all` | classify every mutant (fraction 1) |
+/// | `--fraction=F` | sampling fraction |
+/// | `--seed=N` | sampling seed |
+/// | `--threads=N` | worker threads; 0 uses every core |
+/// | `--fault-plan=NAME` | run on flaky hardware under a bundled plan (`FaultPlan::plan_names()`) |
+/// | `--fault-seed=N` | the fault plan's PRNG seed |
+/// | `--ledger=PATH` | checkpoint every outcome to a crash-safe ledger as it is produced |
+/// | `--resume` | replay the ledger's records first, classify only the rest (needs `--ledger`) |
+/// | `--weak-types` | compile against production stubs (ablation) |
+/// | `--no-asserts` | compile against assertion-free stubs (ablation) |
+///
+/// Seeds are decimal or `0x`/`0X` hex. `--fault-plan` alone runs at seed
+/// `DEFAULT_FAULT_SEED`, and `--fault-seed` alone under the `mixed` plan.
+/// Without `--resume` the ledger file starts fresh; with it, a campaign
+/// killed partway (even `kill -9`) finishes with a bit-identical result.
+#[derive(Debug, Clone)]
+pub struct CampaignArgs {
+    /// The catalog scenario to campaign under.
+    pub scenario: String,
+    /// Sampling, threads, stub flavour and fault plan.
+    pub opts: CampaignOptions,
+    /// The outcome ledger file, if any.
+    pub ledger: Option<PathBuf>,
+    /// Replay the ledger's surviving records before classifying.
+    pub resume: bool,
+}
+
+impl CampaignArgs {
+    /// Parse `args` (without the program name) over `defaults`, taking
+    /// only the flags in `accepted` (spelled as before any `=`). `Err`
+    /// holds the usage error to print.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        defaults: CampaignOptions,
+        accepted: &[&str],
+    ) -> Result<CampaignArgs, String> {
+        let mut parsed = CampaignArgs {
+            scenario: "ide-boot".into(),
+            opts: defaults,
+            ledger: None,
+            resume: false,
+        };
+        let (mut plan, mut fault_seed) = (None, None);
+        for arg in args {
+            let (flag, value) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            if !accepted.contains(&flag) {
+                return Err(format!("unknown argument `{arg}`"));
+            }
+            let seed = |v| parse_seed(v).map_err(|e| format!("{flag}: {e}"));
+            match (flag, value) {
+                ("--all", None) => parsed.opts.fraction = 1.0,
+                ("--resume", None) => parsed.resume = true,
+                ("--weak-types", None) => parsed.opts.stub_flavor = StubFlavor::Production,
+                ("--no-asserts", None) => parsed.opts.stub_flavor = StubFlavor::DebugNoAsserts,
+                ("--all" | "--resume" | "--weak-types" | "--no-asserts", Some(_)) => {
+                    return Err(format!("`{flag}` takes no value"));
+                }
+                (_, None) => return Err(format!("`{flag}` needs a value: `{flag}=...`")),
+                ("--scenario", Some(v)) => parsed.scenario = v.to_string(),
+                ("--fraction", Some(v)) => {
+                    parsed.opts.fraction = v
+                        .parse()
+                        .map_err(|_| format!("--fraction: expected a number, got `{v}`"))?;
+                }
+                ("--seed", Some(v)) => parsed.opts.seed = seed(v)?,
+                ("--threads", Some(v)) => {
+                    parsed.opts.threads = v
+                        .parse()
+                        .map_err(|_| format!("--threads: expected a thread count, got `{v}`"))?;
+                }
+                ("--fault-plan", Some(v)) => plan = Some(v.to_string()),
+                ("--fault-seed", Some(v)) => fault_seed = Some(seed(v)?),
+                ("--ledger", Some(v)) => parsed.ledger = Some(PathBuf::from(v)),
+                _ => return Err(format!("unknown argument `{arg}`")),
+            }
+        }
+        if !scenario_names().contains(&parsed.scenario.as_str()) {
+            return Err(format!(
+                "unknown scenario `{}`; try one of {:?}",
+                parsed.scenario,
+                scenario_names()
+            ));
+        }
+        if parsed.resume && parsed.ledger.is_none() {
+            return Err("--resume requires --ledger=PATH".into());
+        }
+        if plan.is_some() || fault_seed.is_some() {
+            let name = plan.as_deref().unwrap_or("mixed");
+            let seed = fault_seed.unwrap_or(DEFAULT_FAULT_SEED);
+            parsed.opts.fault_plan = Some(FaultPlan::named(name, seed).ok_or_else(|| {
+                format!("unknown fault plan `{name}`; try one of {:?}", FaultPlan::plan_names())
+            })?);
+        }
+        Ok(parsed)
+    }
+
+    /// [`CampaignArgs::parse`] over the process arguments; a usage error
+    /// is printed and ends the process with status 2.
+    pub fn from_env(defaults: CampaignOptions, accepted: &[&str]) -> CampaignArgs {
+        CampaignArgs::parse(std::env::args().skip(1), defaults, accepted).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// The `--ledger` file opened for the campaign on `v`, the `nth`
+    /// driver of this run, stamped with [`campaign_spec_revision`]: the
+    /// first driver starts the file fresh unless `--resume` (which
+    /// replays its surviving records as hits), and every later one
+    /// appends to it — their revisions differ, so their entries never
+    /// collide. `None` without `--ledger`; a file that cannot be opened
+    /// ends the process with status 2.
+    pub fn open_ledger(&self, v: &DriverVariant, nth: usize) -> Option<Ledger> {
+        let path = self.ledger.as_ref()?;
+        let rev = campaign_spec_revision(v, &self.opts);
+        let opened = if self.resume || nth > 0 {
+            Ledger::resume(path, rev)
+        } else {
+            Ledger::create(path, rev)
+        };
+        Some(opened.unwrap_or_else(|e| {
+            eprintln!("cannot open ledger {}: {e}", path.display());
+            std::process::exit(2);
+        }))
+    }
 }
 
 // ---------------------------------------------------------------- Table 2
@@ -73,9 +212,8 @@ pub fn table2() -> Vec<Table2Row> {
         .map(|(name, file, src)| {
             let model = DevilMutationModel::new(src).expect("bundled specs parse");
             let mutants = model.mutants();
-            let verdicts = run_parallel(&mutants, default_threads(), |m| {
-                devil_core::compile(file, &m.source).is_err()
-            });
+            let verdicts =
+                run_parallel(&mutants, 0, |m| devil_core::compile(file, &m.source).is_err());
             let detected = verdicts.iter().filter(|d| **d).count();
             Table2Row {
                 name,
@@ -140,7 +278,7 @@ pub struct CampaignOptions {
     pub fraction: f64,
     /// Sampling seed.
     pub seed: u64,
-    /// Worker threads.
+    /// Worker threads (0 = every available core).
     pub threads: usize,
     /// Interpreter fuel per boot.
     pub fuel: u64,
@@ -156,7 +294,7 @@ impl Default for CampaignOptions {
         CampaignOptions {
             fraction: DEFAULT_FRACTION,
             seed: DEFAULT_SEED,
-            threads: default_threads(),
+            threads: 0,
             fuel: DEFAULT_FUEL,
             stub_flavor: StubFlavor::Debug,
             fault_plan: None,
@@ -183,8 +321,7 @@ impl OutcomeTable {
         if self.total_mutants == 0 {
             return 0.0;
         }
-        self.rows.get(&outcome).map(|(_, m)| *m).copied_or_zero() as f64
-            / self.total_mutants as f64
+        self.rows.get(&outcome).map_or(0, |(_, m)| *m) as f64 / self.total_mutants as f64
     }
 
     /// Fraction of mutants detected at compile or run time.
@@ -196,16 +333,6 @@ impl OutcomeTable {
     /// the paper's "worst case".
     pub fn undetected_fraction(&self) -> f64 {
         self.fraction(Outcome::Boot)
-    }
-}
-
-trait CopiedOrZero {
-    fn copied_or_zero(self) -> usize;
-}
-
-impl CopiedOrZero for Option<usize> {
-    fn copied_or_zero(self) -> usize {
-        self.unwrap_or(0)
     }
 }
 
@@ -242,18 +369,6 @@ fn variant_headers(v: &DriverVariant, flavor: StubFlavor) -> Vec<(String, String
     }
 }
 
-/// Run one `(scenario, driver)` campaign through the snapshot-reset
-/// engine: one `ScenarioMachine` per worker thread, each mutant evaluated
-/// as restore → compile → drive → classify. This is the generalisation of
-/// the old boot-only Table 3/4 runner to the whole scenario catalog.
-pub fn scenario_campaign(
-    scenario: &str,
-    v: &DriverVariant,
-    opts: &CampaignOptions,
-) -> OutcomeTable {
-    scenario_campaign_inner(scenario, v, opts, None)
-}
-
 /// The spec-revision fingerprint a ledgered campaign stamps its entries
 /// with: the workspace-wide revision (`devil_drivers::corpus::spec_revision`
 /// — `.dil` specs, engine version, fuel) *plus* the headers this variant
@@ -272,47 +387,18 @@ pub fn campaign_spec_revision(v: &DriverVariant, opts: &CampaignOptions) -> u64 
     devil_kernel::fingerprint::spec_revision(pairs, opts.fuel)
 }
 
-/// CLI helper behind the `--ledger=PATH [--resume]` flags the campaign
-/// binaries share: open `path` as the outcome ledger for one variant's
-/// campaign, stamped with [`campaign_spec_revision`]. With `resume`
-/// false the existing file is removed first (a fresh campaign); with it
-/// true the file's surviving records are replayed and served as hits.
-/// Multi-variant runs pass `resume = true` for every variant after the
-/// first so one file accumulates the whole run — cross-variant entries
-/// never collide because each variant's revision differs.
-pub fn open_campaign_ledger(
-    path: &std::path::Path,
-    resume: bool,
-    v: &DriverVariant,
-    opts: &CampaignOptions,
-) -> std::io::Result<Ledger> {
-    if !resume {
-        match std::fs::remove_file(path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ledger::resume(path, campaign_spec_revision(v, opts))
-}
-
-/// [`scenario_campaign`] through a crash-safe outcome [`Ledger`]: every
-/// classification is appended to the ledger the moment a worker produces
-/// it, and mutants whose key is already recorded are answered from the
-/// ledger without a run. Open the ledger with
-/// [`campaign_spec_revision`] as its revision; a campaign killed partway
-/// (even `kill -9`) resumes by rerunning only the missing mutants and
-/// produces a bit-identical table.
-pub fn scenario_campaign_ledgered(
-    scenario: &str,
-    v: &DriverVariant,
-    opts: &CampaignOptions,
-    ledger: &Ledger,
-) -> OutcomeTable {
-    scenario_campaign_inner(scenario, v, opts, Some(ledger))
-}
-
-fn scenario_campaign_inner(
+/// Run one `(scenario, driver)` campaign through the snapshot-reset
+/// engine: one `ScenarioMachine` per worker thread, each mutant evaluated
+/// as restore → compile → drive → classify. This is the generalisation of
+/// the old boot-only Table 3/4 runner to the whole scenario catalog.
+///
+/// With a `ledger` (opened with [`campaign_spec_revision`] as its
+/// revision), every classification is appended the moment a worker
+/// produces it, and mutants whose key is already recorded are answered
+/// from the ledger without a run, so a campaign killed partway (even
+/// `kill -9`) resumes by rerunning only the missing mutants and produces
+/// a bit-identical table.
+pub fn scenario_campaign(
     scenario: &str,
     v: &DriverVariant,
     opts: &CampaignOptions,
@@ -349,21 +435,11 @@ fn scenario_campaign_inner(
         None => campaign.run(&mutants),
         Some(ledger) => {
             let rev = ledger.spec_rev();
-            let (plan_name, plan_seed) = fault_plan
-                .map(|p| (p.name().to_string(), p.seed()))
-                .unwrap_or_default();
+            let (plan, plan_seed) = fault_plan.map_or(("", 0), |p| (p.name(), p.seed()));
             campaign.run_memoized(
                 &mutants,
                 ledger,
-                |m| LedgerKey {
-                    file: v.file.to_string(),
-                    source: source_fingerprint(&m.source),
-                    scenario: scenario.to_string(),
-                    plan: plan_name.clone(),
-                    plan_seed,
-                    dead_line: m.line,
-                    spec_rev: rev,
-                },
+                |m| LedgerKey::new(v.file, &m.source, scenario, plan, plan_seed, m.line, rev),
                 // The table campaigns record outcome codes only (the
                 // detail never reaches a table); nondeterministic
                 // outcomes are never checkpointed.
@@ -407,7 +483,57 @@ pub fn driver_campaign(driver: Driver, opts: &CampaignOptions) -> OutcomeTable {
     };
     let variants = scenario_variants("ide-boot", style);
     let v = variants.first().expect("catalog pairs the IDE boot with both drivers");
-    scenario_campaign("ide-boot", v, opts)
+    scenario_campaign("ide-boot", v, opts, None)
+}
+
+/// The body of `table3` and `table4`: print the table heading (`title`,
+/// then the scenario, sampling, ablation and fault plan), the paper's
+/// figures (`paper`) when the run is the paper's setup, and one outcome
+/// table per `style` driver the catalog pairs with the scenario, each
+/// after its ledger counts when `--ledger` is given.
+pub fn print_tables(args: &CampaignArgs, title: &str, style: CStyle, paper: &str) {
+    let (scenario, opts) = (&args.scenario, &args.opts);
+    let ablation = match opts.stub_flavor {
+        StubFlavor::Debug => "",
+        StubFlavor::Production => ", WEAK TYPES ablation",
+        StubFlavor::DebugNoAsserts => ", NO ASSERTS ablation",
+    };
+    let hardware = match &opts.fault_plan {
+        Some(p) => format!(", fault plan `{}` seed {:#x}", p.name(), p.seed()),
+        None => String::new(),
+    };
+    println!(
+        "{title}, `{scenario}` scenario (sampling {:.0}%, seed {:#x}{ablation}{hardware})",
+        opts.fraction * 100.0,
+        opts.seed,
+    );
+    if scenario == "ide-boot" && opts.fault_plan.is_none() {
+        println!("{paper}");
+    }
+    println!();
+    let (kind, driver) = match style {
+        CStyle::PlainC => ("plain-C", "C"),
+        CStyle::CDevil => ("CDevil glue", "CDevil"),
+    };
+    let variants = scenario_variants(scenario, style);
+    if variants.is_empty() {
+        println!("the `{scenario}` corpus has no {kind} driver yet — nothing to mutate");
+    }
+    for (nth, v) in variants.iter().enumerate() {
+        let ledger = args.open_ledger(v, nth);
+        let t = scenario_campaign(scenario, v, opts, ledger.as_ref());
+        if let Some(l) = &ledger {
+            let c = l.counters();
+            println!(
+                "ledger {}: {} replayed, {} classified fresh",
+                l.path().display(),
+                c.hits,
+                c.misses
+            );
+        }
+        let heading = format!("Mutations on the {driver} driver `{}`", v.label);
+        println!("{}", render_outcome_table(&t, &heading));
+    }
 }
 
 // ------------------------------------------------- Fault attribution
@@ -679,6 +805,103 @@ mod tests {
         assert!(err.contains("0x/0X hex literal"), "{err}");
         assert!(parse_seed("").is_err());
         assert!(parse_seed("-3").is_err());
+    }
+
+    const EVERY_FLAG: &[&str] = &[
+        "--scenario",
+        "--all",
+        "--fraction",
+        "--seed",
+        "--threads",
+        "--fault-plan",
+        "--fault-seed",
+        "--ledger",
+        "--resume",
+        "--weak-types",
+        "--no-asserts",
+    ];
+
+    fn parse(args: &[&str], accepted: &[&str]) -> Result<CampaignArgs, String> {
+        let args = args.iter().map(|a| a.to_string());
+        CampaignArgs::parse(args, CampaignOptions::default(), accepted)
+    }
+
+    #[test]
+    fn campaign_args_defaults_come_from_the_caller() {
+        let a = parse(&[], EVERY_FLAG).unwrap();
+        assert_eq!(a.scenario, "ide-boot");
+        assert_eq!((a.opts.fraction, a.opts.seed, a.opts.threads), (0.25, DEFAULT_SEED, 0));
+        assert_eq!(a.opts.stub_flavor, StubFlavor::Debug);
+        assert!(a.opts.fault_plan.is_none() && a.ledger.is_none() && !a.resume);
+        let defaults = CampaignOptions { fraction: 0.05, seed: 42, ..CampaignOptions::default() };
+        let a = CampaignArgs::parse(Vec::new(), defaults, EVERY_FLAG).unwrap();
+        assert_eq!((a.opts.fraction, a.opts.seed), (0.05, 42));
+    }
+
+    #[test]
+    fn campaign_args_parse_every_flag() {
+        let a = parse(
+            &[
+                "--scenario=mouse-stream",
+                "--fraction=0.5",
+                "--seed=0x1f",
+                "--threads=3",
+                "--fault-plan=bus-noise",
+                "--fault-seed=0X2A",
+                "--ledger=out.bin",
+                "--resume",
+                "--weak-types",
+            ],
+            EVERY_FLAG,
+        )
+        .unwrap();
+        assert_eq!(a.scenario, "mouse-stream");
+        assert_eq!((a.opts.fraction, a.opts.seed, a.opts.threads), (0.5, 0x1F, 3));
+        assert_eq!(a.opts.stub_flavor, StubFlavor::Production);
+        let plan = a.opts.fault_plan.expect("fault plan set");
+        assert_eq!((plan.name(), plan.seed()), ("bus-noise", 0x2A));
+        assert_eq!(a.ledger, Some(PathBuf::from("out.bin")));
+        assert!(a.resume);
+
+        let a = parse(&["--all", "--no-asserts", "--seed=1234"], EVERY_FLAG).unwrap();
+        assert_eq!((a.opts.fraction, a.opts.seed), (1.0, 1234));
+        assert_eq!(a.opts.stub_flavor, StubFlavor::DebugNoAsserts);
+        let a = parse(&["--seed=0XDE71"], EVERY_FLAG).unwrap();
+        assert_eq!(a.opts.seed, 0xDE71, "both hex prefixes");
+    }
+
+    #[test]
+    fn one_fault_flag_implies_the_others_default() {
+        let a = parse(&["--fault-plan=flaky-status"], EVERY_FLAG).unwrap();
+        let plan = a.opts.fault_plan.unwrap();
+        assert_eq!((plan.name(), plan.seed()), ("flaky-status", DEFAULT_FAULT_SEED));
+        let a = parse(&["--fault-seed=7"], EVERY_FLAG).unwrap();
+        let plan = a.opts.fault_plan.unwrap();
+        assert_eq!((plan.name(), plan.seed()), ("mixed", 7));
+    }
+
+    #[test]
+    fn campaign_args_usage_errors() {
+        let err = |args: &[&str], accepted: &[&str]| parse(args, accepted).unwrap_err();
+        assert_eq!(err(&["--bogus"], EVERY_FLAG), "unknown argument `--bogus`");
+        assert_eq!(err(&["ide-boot"], EVERY_FLAG), "unknown argument `ide-boot`");
+        assert_eq!(
+            err(&["--ledger=x.bin"], &["--fraction", "--seed"]),
+            "unknown argument `--ledger=x.bin`",
+            "a flag the CLI does not take is unknown to it"
+        );
+        assert_eq!(err(&["--all=yes"], EVERY_FLAG), "`--all` takes no value");
+        assert_eq!(err(&["--seed"], EVERY_FLAG), "`--seed` needs a value: `--seed=...`");
+        assert!(err(&["--fraction=most"], EVERY_FLAG).starts_with("--fraction: "));
+        assert!(err(&["--threads=-1"], EVERY_FLAG).starts_with("--threads: "));
+        let e = err(&["--seed=0xzz"], EVERY_FLAG);
+        assert!(e.starts_with("--seed: ") && e.contains("0x/0X hex literal"), "{e}");
+        assert!(err(&["--fault-seed=ten"], EVERY_FLAG).starts_with("--fault-seed: "));
+        let e = err(&["--scenario=no-such"], EVERY_FLAG);
+        assert!(e.starts_with("unknown scenario `no-such`"), "{e}");
+        let e = err(&["--fault-plan=no-such"], EVERY_FLAG);
+        assert!(e.starts_with("unknown fault plan `no-such`"), "{e}");
+        assert_eq!(err(&["--resume"], EVERY_FLAG), "--resume requires --ledger=PATH");
     }
 
     #[test]

@@ -35,9 +35,10 @@
 //! `DEVIL_BLESS=1 cargo test --release --test scenario_differential` once
 //! to create it, after eyeballing that the printed outcome distribution
 //! makes sense. From then on the scenario is runnable from the campaign
-//! CLI (`cargo run --release --example mutation_campaign -- <name>`),
-//! covered by the VM-vs-interpreter differential tests, and benchable via
-//! `cargo bench --bench scenarios`.
+//! CLIs (`cargo run --release --example mutation_campaign --
+//! --scenario=<name>`, and `table3`/`table4`), covered by the
+//! VM-vs-interpreter differential tests, and benchable via `cargo bench
+//! --bench scenarios`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -582,21 +582,6 @@ pub fn run_interp_bounded<S: Scenario + ?Sized>(
     finish(scenario, io, drive, console, coverage)
 }
 
-/// A marker that makes the *harness itself* panic when it appears on the
-/// first line of a submitted driver source — the deterministic chaos seam
-/// the worker-supervision tests (and the CI chaos step) use to prove that
-/// a classify panic is isolated as [`Outcome::EngineError`] instead of
-/// tearing the campaign down. Only the first line is inspected, so the
-/// check costs one short scan per compile; real driver sources start with
-/// code or comments and never trip it.
-pub const CHAOS_PANIC_MARKER: &str = "__devil_chaos_panic__";
-
-fn chaos_check(source: &str) {
-    if source.lines().next().is_some_and(|l| l.contains(CHAOS_PANIC_MARKER)) {
-        panic!("classify panicked: chaos marker `{CHAOS_PANIC_MARKER}` tripped");
-    }
-}
-
 /// Refine a `Boot` outcome into `DeadCode` when the mutated line was never
 /// executed. `dead_site` is the 1-based line of the mutation in
 /// `file_name`.
@@ -704,7 +689,6 @@ impl<S: Scenario> ScenarioMachine<S> {
         includes: &[(&str, &str)],
         dead_site: Option<u32>,
     ) -> (Outcome, Detail) {
-        chaos_check(source);
         let program = match self.compile_mutant(file_name, source, includes) {
             Ok(p) => p,
             Err(e) => return (Outcome::CompileCheck, e.to_string().into()),
@@ -726,7 +710,6 @@ impl<S: Scenario> ScenarioMachine<S> {
         dead_site: Option<u32>,
         deadline: Option<Deadline>,
     ) -> (Outcome, Detail) {
-        chaos_check(source);
         let program = match devil_minic::compile_with_cache(file_name, source, cache) {
             Ok(p) => p,
             Err(e) => return (Outcome::CompileCheck, e.to_string().into()),

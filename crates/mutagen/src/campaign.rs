@@ -21,12 +21,21 @@
 //!   `CampaignMachine` for the concrete reset-per-mutant lifecycle.
 //!
 //! Everything is dependency-free: sampling uses a splitmix64-seeded
-//! Fisher–Yates shuffle, and the worker pool is built on
-//! [`std::thread::scope`]. Workers pull indices from a shared atomic
-//! counter and push `(index, outcome)` pairs into a thread-local buffer,
-//! so the mutant list is never cloned or re-sorted per worker and there
-//! is no per-item lock on the hot path. [`run_parallel`] survives as the
-//! stateless-workspace special case.
+//! Fisher–Yates shuffle, and there is **one worker pool**, built on
+//! [`std::thread::scope`] and fed by a [`JobQueue`]. Every worker loops
+//! pop → classify → deliver until the queue is closed and drained, and
+//! one of the workers is the calling thread. The two front doors differ
+//! only in what they put in the queue and where outcomes go:
+//!
+//! * **batch** ([`Campaign::run`], [`Campaign::run_memoized`],
+//!   [`run_parallel`]) — a closed queue pre-filled with the items, each
+//!   tagged with its index; each outcome is put back in its item's slot,
+//!   so results come back in item order and no item is cloned;
+//! * **service** ([`Campaign::run_queue`]) — the live admission queue;
+//!   each outcome goes wherever its item says (a reply channel).
+//!
+//! Memoization is one stage for both doors: [`Ledger::admit`] before a
+//! job is queued and [`Ledger::settle`] once its outcome exists.
 //!
 //! # Worker supervision
 //!
@@ -44,10 +53,11 @@
 //! delivery path — still abort: supervision isolates per-item failures,
 //! it does not paper over a broken harness.
 
-use crate::ledger::{Ledger, LedgerKey};
+use crate::ledger::{Admission, Ledger, LedgerKey};
 use crate::queue::JobQueue;
 use crate::site::Mutant;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// Minimal deterministic RNG (splitmix64) for reproducible sampling.
 #[derive(Debug, Clone)]
@@ -199,38 +209,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Classify one item under supervision: build the workspace if the worker
-/// does not have one (first item, or the previous item panicked), catch a
-/// classify panic, and either substitute the policy's outcome or re-raise.
-/// On panic the workspace is dropped before the policy runs, so no torn
-/// state survives into the next item.
-fn classify_supervised<W, I, O, B, F, R>(
-    build: &B,
-    classify: &F,
-    recover: &R,
-    workspace: &mut Option<W>,
-    item: &I,
-) -> O
-where
-    B: Fn() -> W,
-    F: Fn(&mut W, &I) -> O,
-    R: Supervise<I, O>,
-{
-    let ws = workspace.get_or_insert_with(build);
-    match catch_unwind(AssertUnwindSafe(|| classify(ws, item))) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            // The panic may have left the workspace mid-mutation; discard
-            // it so the next item starts from a freshly built one.
-            *workspace = None;
-            match recover.recover(item, panic_text(payload.as_ref())) {
-                Some(outcome) => outcome,
-                None => resume_unwind(payload),
-            }
-        }
-    }
-}
-
 impl<B, F> Campaign<B, F, Unsupervised> {
     /// Create a campaign that builds one workspace per worker with `build`
     /// and evaluates each item with `classify`. Uses all available cores
@@ -264,19 +242,18 @@ impl<B, F, R> Campaign<B, F, R> {
 
     /// Classify every item, preserving order.
     ///
-    /// Worker threads pull indices from a shared atomic counter; each
-    /// builds its workspace once and reuses it for every item it pulls.
-    /// With one worker (or fewer than two items) everything runs on the
-    /// calling thread.
+    /// The workers pop index-tagged items from one closed queue; each
+    /// builds its workspace on its first item and reuses it for every
+    /// later one. With one worker (or fewer than two items) everything
+    /// runs on the calling thread.
     /// Under the default [`Unsupervised`] policy, if any worker's
-    /// `classify` panics the whole campaign aborts: the panic is re-raised
-    /// on the calling thread when that worker is joined (message
-    /// `campaign worker panicked`), and the outcomes of the other workers
-    /// are discarded with it — a mutant that breaks the engine must fail
-    /// loudly, never appear as a hole in the results. A
-    /// [`Campaign::supervised`] campaign instead substitutes the policy's
-    /// outcome for the panicking item, rebuilds that worker's workspace,
-    /// and keeps going.
+    /// `classify` panics the whole campaign aborts: once every worker has
+    /// stopped, the calling thread panics with `campaign worker
+    /// panicked`, and the other workers' outcomes are discarded with it —
+    /// a mutant that breaks the engine must fail loudly, never appear as
+    /// a hole in the results. A [`Campaign::supervised`] campaign instead
+    /// substitutes the policy's outcome for the panicking item, rebuilds
+    /// that worker's workspace, and keeps going.
     pub fn run<W, I, O>(&self, items: &[I]) -> Vec<O>
     where
         B: Fn() -> W + Sync,
@@ -285,20 +262,21 @@ impl<B, F, R> Campaign<B, F, R> {
         I: Sync,
         O: Send,
     {
-        let all: Vec<usize> = (0..items.len()).collect();
-        self.run_observed(items, &all, &|_, _| {})
+        self.run_slots(items, items.iter().map(|_| None).collect(), |_, _| {})
     }
 
-    /// The memoized flavour of [`Campaign::run`]: consult `ledger` before
-    /// dispatch, classify only the misses, and checkpoint each fresh
-    /// outcome the moment its worker produces it.
+    /// The memoized flavour of [`Campaign::run`]: put each item through
+    /// the ledger's memo stage ([`Ledger::admit`]) before dispatch,
+    /// classify only the items it does not answer, and settle each fresh
+    /// outcome ([`Ledger::settle`]) the moment its worker produces it.
     ///
     /// `key_of` names each item's classification identity; `encode` turns
     /// a fresh outcome into a `(wire code, detail)` pair to persist
     /// (`None` for outcomes that are not deterministic and must never be
     /// memoized — engine errors, deadline overruns); `decode` rebuilds an
     /// outcome from a stored pair (`None` for codes this binary does not
-    /// know, which are then re-classified rather than trusted).
+    /// know, which are then evicted and re-classified rather than
+    /// trusted).
     ///
     /// Checkpointing is **incremental**: the record for item *i* is
     /// appended on the worker thread immediately after classifying *i*,
@@ -326,115 +304,24 @@ impl<B, F, R> Campaign<B, F, R> {
         E: Fn(&O) -> Option<(u8, String)> + Sync,
         D: Fn(u8, &str) -> Option<O>,
     {
-        let keys: Vec<LedgerKey> = items.iter().map(key_of).collect();
-        let mut results: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match ledger.lookup(key).and_then(|(code, detail)| decode(code, &detail)) {
-                Some(outcome) => results[i] = Some(outcome),
-                None => misses.push(i),
-            }
-        }
-        let fresh = self.run_observed(items, &misses, &|i, outcome| {
-            if let Some((code, detail)) = encode(outcome) {
-                let _ = ledger.record(&keys[i], code, &detail);
-            }
-        });
-        for (&i, outcome) in misses.iter().zip(fresh) {
-            results[i] = Some(outcome);
-        }
-        results.into_iter().map(|o| o.expect("every index resolved")).collect()
-    }
-
-    /// Classify `items[picked[0]], items[picked[1]], …`, returning
-    /// outcomes aligned with `picked`, and call `observe(item index,
-    /// &outcome)` on the classifying worker thread as each outcome is
-    /// produced — the hook [`Campaign::run_memoized`] checkpoints through.
-    fn run_observed<W, I, O>(
-        &self,
-        items: &[I],
-        picked: &[usize],
-        observe: &(impl Fn(usize, &O) + Sync),
-    ) -> Vec<O>
-    where
-        B: Fn() -> W + Sync,
-        F: Fn(&mut W, &I) -> O + Sync,
-        R: Supervise<I, O>,
-        I: Sync,
-        O: Send,
-    {
-        if picked.is_empty() {
-            // Do not pay for a workspace nobody will use.
-            return Vec::new();
-        }
-        let threads = effective_threads(self.threads).min(picked.len());
-        if threads == 1 || picked.len() < 2 {
-            let mut workspace: Option<W> = None;
-            return picked
-                .iter()
-                .map(|&i| {
-                    let outcome = classify_supervised(
-                        &self.build,
-                        &self.classify,
-                        &self.recover,
-                        &mut workspace,
-                        &items[i],
-                    );
-                    observe(i, &outcome);
-                    outcome
-                })
-                .collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let build = &self.build;
-        let classify = &self.classify;
-        let recover = &self.recover;
-        let mut per_worker: Vec<Vec<(usize, O)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut workspace: Option<W> = None;
-                        let mut local: Vec<(usize, O)> = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if k >= picked.len() {
-                                break;
-                            }
-                            let outcome = classify_supervised(
-                                build,
-                                classify,
-                                recover,
-                                &mut workspace,
-                                &items[picked[k]],
-                            );
-                            observe(picked[k], &outcome);
-                            local.push((k, outcome));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        });
-        let mut results: Vec<Option<O>> = (0..picked.len()).map(|_| None).collect();
-        for chunk in &mut per_worker {
-            for (k, out) in chunk.drain(..) {
-                results[k] = Some(out);
-            }
-        }
-        results
-            .into_iter()
-            .map(|o| o.expect("every index classified"))
-            .collect()
+        let (slots, tickets): (Vec<Option<O>>, Vec<_>) = items
+            .iter()
+            .map(|item| match ledger.admit(key_of(item), 0.0, &decode) {
+                Admission::Hit(outcome) => (Some(outcome), None),
+                Admission::Run(ticket) => (None, Some(ticket)),
+            })
+            .unzip();
+        self.run_slots(items, slots, |i, outcome| {
+            let ticket = tickets[i].as_ref().expect("only admitted items run");
+            let fresh = encode(outcome);
+            ledger.settle(ticket, fresh.as_ref().map(|(code, detail)| (*code, detail.as_str())));
+        })
     }
 
     /// The queue-fed flavour of [`Campaign::run`] — the campaign **service**
-    /// engine. Instead of a finished item slice, workers drain a live
-    /// [`JobQueue`]: each worker builds its workspace once, then loops
-    /// `pop → classify → deliver` until the queue is closed and drained.
+    /// engine. Instead of a finished item slice, the workers drain a live
+    /// [`JobQueue`], each building its workspace on its first item, until
+    /// the queue is closed and drained.
     ///
     /// `deliver(item, outcome)` is called on the worker thread that
     /// classified the item, with the *owned* item — the item itself
@@ -460,35 +347,99 @@ impl<B, F, R> Campaign<B, F, R> {
         D: Fn(I, O) + Sync,
         I: Send,
     {
-        let threads = effective_threads(self.threads);
-        let build = &self.build;
-        let classify = &self.classify;
-        let recover = &self.recover;
-        let deliver = &deliver;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // Build lazily: a worker that never receives an
-                        // item never pays for a workspace.
-                        let mut workspace: Option<W> = None;
-                        while let Some(item) = queue.pop() {
-                            let outcome = classify_supervised(
-                                build,
-                                classify,
-                                recover,
-                                &mut workspace,
-                                &item,
-                            );
-                            deliver(item, outcome);
+        self.pool(effective_threads(self.threads), queue, |item| item, deliver);
+    }
+
+    /// The batch door: classify `items[i]` for every empty slot `i`
+    /// through a closed queue pre-filled with those items, each tagged
+    /// with its index; call `settle(i, &outcome)` on the worker as each
+    /// outcome lands, and return the slots in item order. A batch with
+    /// nothing to classify builds no workspace.
+    fn run_slots<W, I, O>(
+        &self,
+        items: &[I],
+        slots: Vec<Option<O>>,
+        settle: impl Fn(usize, &O) + Sync,
+    ) -> Vec<O>
+    where
+        B: Fn() -> W + Sync,
+        F: Fn(&mut W, &I) -> O + Sync,
+        R: Supervise<I, O>,
+        I: Sync,
+        O: Send,
+    {
+        let queue = JobQueue::bounded(items.len());
+        for (i, item) in items.iter().enumerate().filter(|&(i, _)| slots[i].is_none()) {
+            assert!(queue.push((i, item)).is_ok(), "the queue holds every item");
+        }
+        queue.close();
+        let threads = effective_threads(self.threads).min(queue.depth());
+        let slots: Vec<Mutex<Option<O>>> = slots.into_iter().map(Mutex::new).collect();
+        let poisoned = "no worker panics while holding a slot";
+        self.pool(
+            threads,
+            &queue,
+            |&(_, item)| item,
+            |(i, _), outcome| {
+                settle(i, &outcome);
+                *slots[i].lock().expect(poisoned) = Some(outcome);
+            },
+        );
+        slots
+            .into_iter()
+            .map(|s| s.into_inner().expect(poisoned).expect("every item classified"))
+            .collect()
+    }
+
+    /// The one worker pool: `threads` workers — the calling thread and
+    /// `threads - 1` scoped threads — each pop a job, classify
+    /// `item_of(&job)` in the worker's own workspace, and hand the job
+    /// and its outcome to `deliver`, until `queue` is closed and drained.
+    /// A classify panic is caught and put to the [`Supervise`] policy;
+    /// one the policy re-raises (or one raised in `build` or `deliver`)
+    /// stops its worker, and once every worker has stopped the calling
+    /// thread panics with `campaign worker panicked`.
+    fn pool<W, I, O, J>(
+        &self,
+        threads: usize,
+        queue: &JobQueue<J>,
+        item_of: impl Fn(&J) -> &I + Sync,
+        deliver: impl Fn(J, O) + Sync,
+    ) where
+        B: Fn() -> W + Sync,
+        F: Fn(&mut W, &I) -> O + Sync,
+        R: Supervise<I, O>,
+        J: Send,
+    {
+        let worker = || {
+            // Built lazily: a worker that never receives a job never
+            // pays for a workspace.
+            let mut workspace: Option<W> = None;
+            while let Some(job) = queue.pop() {
+                let item = item_of(&job);
+                let ws = workspace.get_or_insert_with(&self.build);
+                let outcome = match catch_unwind(AssertUnwindSafe(|| (self.classify)(ws, item))) {
+                    Ok(outcome) => outcome,
+                    Err(payload) => {
+                        // The panic may have left the workspace
+                        // mid-mutation; discard it so the next job
+                        // starts from a freshly built one.
+                        workspace = None;
+                        match self.recover.recover(item, panic_text(payload.as_ref())) {
+                            Some(outcome) => outcome,
+                            None => resume_unwind(payload),
                         }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("campaign worker panicked");
+                    }
+                };
+                deliver(job, outcome);
             }
+        };
+        let clean = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let here = catch_unwind(AssertUnwindSafe(worker)).is_ok();
+            helpers.into_iter().fold(here, |clean, h| h.join().is_ok() && clean)
         });
+        assert!(clean, "campaign worker panicked");
     }
 }
 

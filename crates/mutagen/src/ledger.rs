@@ -46,14 +46,19 @@
 //! guard. Strike records are *not* revision-gated: a mutant that broke
 //! the harness is assumed poison until an operator clears the file.
 //!
-//! **Verification divergence:** a consumer replaying a sampled hit
-//! against the live engine (the service's `--verify-fraction` mode)
-//! treats any mismatch as ledger corruption: [`Ledger::evict`] appends a
-//! tombstone (the entry is dead from that point on, including across
-//! future recoveries), the fresh outcome is recorded and served, and the
-//! divergence is counted. Lookups can therefore only ever return a value
-//! that was (a) written whole, (b) classified under the current spec
-//! revision, and (c) not since evicted.
+//! # The memo stage
+//!
+//! Both campaign front doors — the batch `Campaign::run_memoized` and the
+//! service's admission path — memoize through one pair of calls that owns
+//! the whole policy: [`Ledger::admit`] before a job runs and
+//! [`Ledger::settle`] after. A sampled hit replayed against the live
+//! engine (the service's `--verify-fraction` mode) that disagrees is
+//! treated as corruption: [`Ledger::evict`] appends a tombstone (the
+//! entry is dead from that point on, including across future
+//! recoveries), and the fresh outcome is recorded in its place. Lookups
+//! can therefore only ever return a value that was (a) written whole,
+//! (b) classified under the current spec revision, and (c) not since
+//! evicted.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -119,15 +124,82 @@ pub struct LedgerKey {
     pub source: u64,
     /// Scenario name (e.g. `ide-boot`).
     pub scenario: String,
-    /// Fault plan name (`none` for fault-free runs).
+    /// Fault plan name; empty for fault-free runs.
     pub plan: String,
-    /// Fault plan seed (ignored by rule-less plans but part of identity).
+    /// Fault plan seed (ignored by rule-less plans but part of identity;
+    /// 0 for fault-free runs).
     pub plan_seed: u64,
     /// Dead-code refinement line (1-based), or 0 when the run had none —
     /// DeadCode outcomes depend on it, so it is part of the key.
     pub dead_line: u32,
     /// Spec-revision fingerprint (specs + engine version + fuel budget).
     pub spec_rev: u64,
+}
+
+impl LedgerKey {
+    /// The key of classifying the mutated `source` of driver file `file`
+    /// (hashed with [`source_fingerprint`]); the other arguments are the
+    /// fields of the same name. An empty `plan` is fault-free hardware,
+    /// whose seed is set to 0: a fault-free run is the same run whatever
+    /// seed came with it.
+    pub fn new(
+        file: &str,
+        source: &str,
+        scenario: &str,
+        plan: &str,
+        plan_seed: u64,
+        dead_line: u32,
+        spec_rev: u64,
+    ) -> LedgerKey {
+        LedgerKey {
+            file: file.to_string(),
+            source: source_fingerprint(source),
+            scenario: scenario.to_string(),
+            plan: plan.to_string(),
+            plan_seed: if plan.is_empty() { 0 } else { plan_seed },
+            dead_line,
+            spec_rev,
+        }
+    }
+}
+
+/// Deterministic verification sample: hash the key's identity and admit
+/// the fraction of the hash space below the threshold. The same key
+/// always lands on the same side, so re-submitting a mutant audits it
+/// (or not) consistently — no RNG state, no cross-restart drift.
+fn in_verify_sample(key: &LedgerKey, fraction: f64) -> bool {
+    // Fraction 0 (the batch door) hashes nothing.
+    if fraction <= 0.0 {
+        return false;
+    }
+    let mut id = Vec::with_capacity(key.file.len() + key.scenario.len() + 32);
+    id.extend_from_slice(key.file.as_bytes());
+    id.extend_from_slice(&key.source.to_le_bytes());
+    id.extend_from_slice(key.scenario.as_bytes());
+    id.extend_from_slice(key.plan.as_bytes());
+    id.extend_from_slice(&key.plan_seed.to_le_bytes());
+    id.extend_from_slice(&key.dead_line.to_le_bytes());
+    let h = fnv1a(&id);
+    // Top 53 bits → uniform in [0, 1): exact in f64.
+    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+    unit < fraction
+}
+
+/// The memo stage's answer to one job ([`Ledger::admit`]).
+#[derive(Debug)]
+pub enum Admission<O> {
+    /// The ledger holds the job's outcome: serve it and run nothing.
+    Hit(O),
+    /// Run the job, then [`Ledger::settle`] its outcome with this ticket.
+    Run(Ticket),
+}
+
+/// A job's key, and the recorded `(code, detail)` its fresh outcome is
+/// audited against when the key fell in the verify sample.
+#[derive(Debug)]
+pub struct Ticket {
+    key: LedgerKey,
+    audit: Option<(u8, String)>,
 }
 
 /// What [`Ledger::resume`] found while replaying the file.
@@ -155,6 +227,11 @@ pub struct LedgerCounters {
     pub misses: u64,
     /// Records appended since open (outcomes + strikes + tombstones).
     pub appended: u64,
+    /// Audited jobs whose fresh outcome matched the recorded one.
+    pub verified: u64,
+    /// Audited jobs whose fresh outcome differed: the entry was evicted
+    /// and the fresh outcome, if deterministic, recorded in its place.
+    pub diverged: u64,
 }
 
 /// The crash-safe outcome store; see the [module docs](self) for the
@@ -170,6 +247,8 @@ pub struct Ledger {
     hits: AtomicU64,
     misses: AtomicU64,
     appended: AtomicU64,
+    verified: AtomicU64,
+    diverged: AtomicU64,
 }
 
 impl Ledger {
@@ -193,6 +272,8 @@ impl Ledger {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             appended: AtomicU64::new(0),
+            verified: AtomicU64::new(0),
+            diverged: AtomicU64::new(0),
         })
     }
 
@@ -253,6 +334,8 @@ impl Ledger {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             appended: AtomicU64::new(0),
+            verified: AtomicU64::new(0),
+            diverged: AtomicU64::new(0),
         })
     }
 
@@ -277,6 +360,8 @@ impl Ledger {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             appended: self.appended.load(Ordering::Relaxed),
+            verified: self.verified.load(Ordering::Relaxed),
+            diverged: self.diverged.load(Ordering::Relaxed),
         }
     }
 
@@ -308,6 +393,62 @@ impl Ledger {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
+        }
+    }
+
+    /// The memo stage's admission half: look `key` up (counting a hit or
+    /// a miss). A miss runs the job. A hit whose key falls in the
+    /// deterministic verify sample of `verify_fraction` (0.0..=1.0) runs
+    /// it anyway, with the recorded entry on the ticket for
+    /// [`Ledger::settle`] to audit. Any other hit is answered with
+    /// `decode(code, detail)` — unless `decode` does not know the code
+    /// (written by a newer build): then the entry is evicted and the job
+    /// runs.
+    pub fn admit<O>(
+        &self,
+        key: LedgerKey,
+        verify_fraction: f64,
+        decode: impl FnOnce(u8, &str) -> Option<O>,
+    ) -> Admission<O> {
+        let Some((code, detail)) = self.lookup(&key) else {
+            return Admission::Run(Ticket { key, audit: None });
+        };
+        if in_verify_sample(&key, verify_fraction) {
+            return Admission::Run(Ticket { key, audit: Some((code, detail)) });
+        }
+        match decode(code, &detail) {
+            Some(outcome) => Admission::Hit(outcome),
+            None => {
+                let _ = self.evict(&key);
+                Admission::Run(Ticket { key, audit: None })
+            }
+        }
+    }
+
+    /// The memo stage's settlement half, once an admitted job's outcome
+    /// exists: `fresh` is its `(wire code, detail)`, or `None` when it is
+    /// not deterministic (an engine error, a deadline overrun) and must
+    /// never be memoized. An unaudited job records a deterministic
+    /// outcome. An audited one that agrees with the recorded entry is
+    /// counted verified; one that disagrees means the entry is corrupt
+    /// (or the engine changed without a spec-revision bump): it is
+    /// evicted, a deterministic fresh outcome recorded in its place, and
+    /// the divergence counted. Append failures are swallowed: they cost
+    /// memoization, never the outcome the caller returns.
+    pub fn settle(&self, ticket: &Ticket, fresh: Option<(u8, &str)>) {
+        match &ticket.audit {
+            Some((code, detail)) if fresh == Some((*code, detail.as_str())) => {
+                self.verified.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Some(_) => {
+                self.diverged.fetch_add(1, Ordering::Relaxed);
+                let _ = self.evict(&ticket.key);
+            }
+            None => {}
+        }
+        if let Some((code, detail)) = fresh {
+            let _ = self.record(&ticket.key, code, detail);
         }
     }
 
@@ -621,6 +762,153 @@ mod tests {
         assert!(ledger.is_empty());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The decoder the memo-stage tests use: codes above 100 are "from a
+    /// newer build" and unknown.
+    fn decode(code: u8, detail: &str) -> Option<(u8, String)> {
+        (code <= 100).then(|| (code, detail.to_string()))
+    }
+
+    /// Admit `key` and expect the job to run; returns its ticket.
+    fn admit_run(ledger: &Ledger, key: LedgerKey, fraction: f64) -> Ticket {
+        match ledger.admit(key, fraction, decode) {
+            Admission::Run(ticket) => ticket,
+            Admission::Hit(hit) => panic!("expected the job to run, got hit {hit:?}"),
+        }
+    }
+
+    fn counts(ledger: &Ledger) -> (u64, u64, u64, u64, u64) {
+        let c = ledger.counters();
+        (c.hits, c.misses, c.appended, c.verified, c.diverged)
+    }
+
+    #[test]
+    fn memo_stage_miss_runs_and_records() {
+        let path = tmp("memo-miss");
+        let ledger = Ledger::create(&path, 77).unwrap();
+        let ticket = admit_run(&ledger, key(1), 0.0);
+        assert!(ticket.audit.is_none());
+        ledger.settle(&ticket, Some((2, "halted")));
+        assert_eq!(counts(&ledger), (0, 1, 1, 0, 0));
+        assert_eq!(ledger.lookup(&key(1)), Some((2, "halted".into())));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn memo_stage_hit_answers_without_running() {
+        let path = tmp("memo-hit");
+        let ledger = Ledger::create(&path, 77).unwrap();
+        ledger.record(&key(1), 4, "boot check").unwrap();
+        match ledger.admit(key(1), 0.0, decode) {
+            Admission::Hit(hit) => assert_eq!(hit, (4, "boot check".into())),
+            Admission::Run(ticket) => panic!("expected a hit, got {ticket:?}"),
+        }
+        assert_eq!(counts(&ledger), (1, 0, 1, 0, 0), "a hit appends nothing");
+        assert_eq!(ledger.lookup(&key(1)), Some((4, "boot check".into())));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn memo_stage_audited_agreement_is_verified() {
+        let path = tmp("memo-verified");
+        let ledger = Ledger::create(&path, 77).unwrap();
+        ledger.record(&key(1), 4, "boot check").unwrap();
+        let ticket = admit_run(&ledger, key(1), 1.0);
+        assert_eq!(ticket.audit, Some((4, "boot check".into())));
+        ledger.settle(&ticket, Some((4, "boot check")));
+        assert_eq!(counts(&ledger), (1, 0, 1, 1, 0), "verification appends nothing");
+        assert_eq!(ledger.lookup(&key(1)), Some((4, "boot check".into())));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn memo_stage_audited_disagreement_evicts_records_and_diverges() {
+        let path = tmp("memo-diverged");
+        let ledger = Ledger::create(&path, 77).unwrap();
+        ledger.record(&key(1), 3, "planted lie").unwrap();
+        let ticket = admit_run(&ledger, key(1), 1.0);
+        ledger.settle(&ticket, Some((0, "")));
+        // Record + tombstone + fresh record.
+        assert_eq!(counts(&ledger), (1, 0, 3, 0, 1));
+        assert_eq!(ledger.lookup(&key(1)), Some((0, String::new())));
+        drop(ledger);
+        let ledger = Ledger::resume(&path, 77).unwrap();
+        assert_eq!(ledger.lookup(&key(1)), Some((0, String::new())), "the repair is durable");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn memo_stage_evicts_an_undecodable_code_then_reruns() {
+        let path = tmp("memo-undecodable");
+        let ledger = Ledger::create(&path, 77).unwrap();
+        ledger.record(&key(1), 200, "from a newer build").unwrap();
+        let ticket = admit_run(&ledger, key(1), 0.0);
+        assert!(ticket.audit.is_none(), "an undecodable entry is not audited");
+        assert_eq!(counts(&ledger), (1, 0, 2, 0, 0), "record + tombstone");
+        assert_eq!(ledger.len(), 0, "the entry is gone before the re-run");
+        ledger.settle(&ticket, Some((1, "")));
+        assert_eq!(counts(&ledger), (1, 0, 3, 0, 0));
+        assert_eq!(ledger.lookup(&key(1)), Some((1, String::new())));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn memo_stage_never_records_a_non_deterministic_outcome() {
+        let path = tmp("memo-nondeterministic");
+        let ledger = Ledger::create(&path, 77).unwrap();
+        // Unaudited miss: nothing to record, nothing counted.
+        let ticket = admit_run(&ledger, key(1), 0.0);
+        ledger.settle(&ticket, None);
+        assert_eq!(counts(&ledger), (0, 1, 0, 0, 0));
+        assert_eq!(ledger.lookup(&key(1)), None);
+        // Audited hit: the entry cannot be confirmed, so it diverges and
+        // is evicted, and the fresh outcome is still not recorded.
+        ledger.record(&key(2), 4, "boot check").unwrap();
+        let ticket = admit_run(&ledger, key(2), 1.0);
+        ledger.settle(&ticket, None);
+        assert_eq!(counts(&ledger), (1, 2, 2, 0, 1), "record + tombstone only");
+        assert_eq!(ledger.lookup(&key(2)), None);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn verify_sample_is_stable_per_key_and_bounded_by_the_fraction() {
+        let keys: Vec<LedgerKey> = (0..1000).map(key).collect();
+        assert!(keys.iter().all(|k| !in_verify_sample(k, 0.0)), "fraction 0 takes nothing");
+        assert!(keys.iter().all(|k| in_verify_sample(k, 1.0)), "fraction 1 takes everything");
+        let half: Vec<bool> = keys.iter().map(|k| in_verify_sample(k, 0.5)).collect();
+        let again: Vec<bool> = keys.iter().map(|k| in_verify_sample(k, 0.5)).collect();
+        assert_eq!(half, again, "the same key always lands on the same side");
+        let taken = half.iter().filter(|&&t| t).count();
+        assert!((400..=600).contains(&taken), "half of 1000 keys, got {taken}");
+        // The revision is not part of the sample: an entry is audited (or
+        // not) consistently across spec revisions.
+        let mut other_rev = key(5);
+        other_rev.spec_rev = 78;
+        assert_eq!(in_verify_sample(&other_rev, 0.5), half[5]);
+    }
+
+    #[test]
+    fn ledger_key_new_zeroes_the_seed_of_fault_free_runs() {
+        let fault_free = LedgerKey::new("ide.c", "int x;", "ide-boot", "", 0x5EED, 12, 77);
+        assert_eq!(
+            fault_free,
+            LedgerKey {
+                file: "ide.c".into(),
+                source: source_fingerprint("int x;"),
+                scenario: "ide-boot".into(),
+                plan: String::new(),
+                plan_seed: 0,
+                dead_line: 12,
+                spec_rev: 77,
+            }
+        );
+        assert_eq!(fault_free, LedgerKey::new("ide.c", "int x;", "ide-boot", "", 1, 12, 77));
+        let faulted = LedgerKey::new("ide.c", "int x;", "ide-boot", "mixed", 0x5EED, 12, 77);
+        assert_eq!((faulted.plan.as_str(), faulted.plan_seed), ("mixed", 0x5EED));
+        let none_plan = LedgerKey::new("ide.c", "int x;", "ide-boot", "none", 9, 12, 77);
+        assert_eq!(none_plan.plan_seed, 9, "a named plan keeps its seed, even `none`");
     }
 
     #[test]

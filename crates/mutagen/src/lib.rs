@@ -37,7 +37,7 @@ pub mod site;
 pub use campaign::{
     effective_threads, run_parallel, sample, Campaign, Recover, Supervise, Unsupervised,
 };
-pub use ledger::{source_fingerprint, Ledger, LedgerCounters, LedgerKey};
+pub use ledger::{source_fingerprint, Admission, Ledger, LedgerCounters, LedgerKey, Ticket};
 pub use quarantine::Quarantine;
 pub use queue::{JobQueue, QueueStats};
 pub use site::{Mutant, MutationSite, SiteKind};

@@ -1,11 +1,15 @@
 //! A bounded multi-producer/multi-consumer job queue with backpressure
-//! accounting — the feed of a long-running campaign service.
+//! accounting — the feed of the campaign engine's one worker pool.
 //!
-//! The batch engine ([`Campaign::run`](crate::Campaign::run)) owns its
-//! whole item slice up front; a campaign *service* instead receives work
-//! over time and must answer the question the batch path never faces:
-//! what happens when mutants arrive faster than the workers classify
-//! them? [`JobQueue`] is that answer, kept deliberately small:
+//! Both front doors of the engine feed its workers through a
+//! [`JobQueue`]. A batch campaign ([`Campaign::run`](crate::Campaign::run))
+//! is a closed, pre-filled queue: every item, tagged with its index, is
+//! pushed before the workers start, and the queue is closed at once, so
+//! the workers drain it and stop. A campaign *service* instead receives
+//! work over time and must answer the question the batch path never
+//! faces: what happens when mutants arrive faster than the workers
+//! classify them? The queue's admission side is that answer, kept
+//! deliberately small:
 //!
 //! * **bounded** — a fixed capacity chosen at construction; the depth a
 //!   queue is allowed to reach *is* the latency budget the operator

@@ -6,10 +6,13 @@
 //! * **connections** — each accepted stream gets a reader thread
 //!   (decode, validate, admit) and a writer thread (stream responses
 //!   back in completion order);
-//! * **admission** — validated submissions go through one bounded
-//!   [`JobQueue`]; a full queue sheds the request immediately with a
-//!   [`Response::Shed`] instead of stalling the intake path, so the
-//!   client always learns its request's fate at once;
+//! * **admission** — a validated submission first goes through the
+//!   outcome ledger's memo stage ([`Ledger::admit`], when the server
+//!   runs with a ledger), which answers a recorded mutant on the spot;
+//!   the rest go through one bounded [`JobQueue`], and a full queue
+//!   sheds the request immediately with a [`Response::Shed`] instead of
+//!   stalling the intake path, so the client always learns its
+//!   request's fate at once;
 //! * **workers** — a [`Campaign`] in its queue-fed form
 //!   (`Campaign::run_queue`): one workspace per worker, holding one
 //!   snapshot-reset [`ScenarioMachine`] per *workload* (scenario ×
@@ -22,12 +25,14 @@
 //!   ran in full);
 //! * **delivery** — each job carries the sender of its connection's
 //!   response channel, so outcomes stream back to whoever asked,
-//!   whatever worker classified them.
+//!   whatever worker classified them, and its ledger ticket, which
+//!   [`Ledger::settle`] turns into a recorded, verified or diverged
+//!   entry.
 //!
 //! The outcomes are produced by exactly the same `run_cached` per-mutant
-//! unit as the batch `Campaign` path — pinned identical by the
-//! round-trip test — so "is this driver patch safe?" answers the same
-//! whether asked as a table or as a service.
+//! unit, worker pool and memo stage as the batch `Campaign` path — pinned
+//! identical by the round-trip test — so "is this driver patch safe?"
+//! answers the same whether asked as a table or as a service.
 //!
 //! # Surviving the hostile tail
 //!
@@ -66,9 +71,9 @@ use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::scenario::{Deadline, Scenario, ScenarioMachine};
 use devil_kernel::Outcome;
 use devil_minic::pp::IncludeCache;
-use devil_mutagen::ledger::fnv1a;
 use devil_mutagen::{
-    effective_threads, source_fingerprint, Campaign, JobQueue, Ledger, LedgerKey, Quarantine,
+    effective_threads, source_fingerprint, Admission, Campaign, JobQueue, Ledger, LedgerKey,
+    Quarantine, Ticket,
 };
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
@@ -422,15 +427,13 @@ impl Routes {
 /// One admitted unit of work: the validated submission, its wall-clock
 /// expiry (admission time + `deadline_ms`), the sender of the
 /// submitting connection's response channel — the routing state that
-/// brings the outcome home — plus its ledger bookkeeping: the key the
-/// outcome is recorded under, and (for verification jobs) the recorded
-/// `(code, detail)` the fresh run is audited against.
+/// brings the outcome home — plus, when the server keeps a ledger, the
+/// ticket [`Ledger::admit`] issued for it.
 struct Job {
     req: SubmitMutant,
     expires_at: Option<Instant>,
     resp: mpsc::Sender<Vec<u8>>,
-    ledger_key: Option<LedgerKey>,
-    expect: Option<(u8, String)>,
+    memo: Option<Ticket>,
 }
 
 /// The quarantine key: which driver file, which exact mutant source
@@ -440,45 +443,6 @@ type JobKey = (String, u64);
 
 fn job_key(req: &SubmitMutant) -> JobKey {
     (req.file.clone(), source_fingerprint(&req.source))
-}
-
-/// The ledger key of a submission: full classification identity, with
-/// the seed normalized to 0 when no fault plan is named (a fault-free
-/// run is the same run whatever seed the client happened to send).
-fn ledger_key(req: &SubmitMutant, spec_rev: u64) -> LedgerKey {
-    LedgerKey {
-        file: req.file.clone(),
-        source: source_fingerprint(&req.source),
-        scenario: req.scenario.clone(),
-        plan: req.plan.clone(),
-        plan_seed: if req.plan.is_empty() { 0 } else { req.plan_seed },
-        dead_line: req.dead_line,
-        spec_rev,
-    }
-}
-
-/// Deterministic verification sample: hash the key's identity and admit
-/// the fraction of the hash space below the threshold. The same key
-/// always lands on the same side, so re-submitting a mutant audits it
-/// (or not) consistently — no RNG state, no cross-restart drift.
-fn should_verify(key: &LedgerKey, fraction: f64) -> bool {
-    if fraction <= 0.0 {
-        return false;
-    }
-    if fraction >= 1.0 {
-        return true;
-    }
-    let mut id = Vec::with_capacity(key.file.len() + key.scenario.len() + 32);
-    id.extend_from_slice(key.file.as_bytes());
-    id.extend_from_slice(&key.source.to_le_bytes());
-    id.extend_from_slice(key.scenario.as_bytes());
-    id.extend_from_slice(key.plan.as_bytes());
-    id.extend_from_slice(&key.plan_seed.to_le_bytes());
-    id.extend_from_slice(&key.dead_line.to_le_bytes());
-    let h = fnv1a(&id);
-    // Top 53 bits → uniform in [0, 1): exact in f64.
-    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-    unit < fraction
 }
 
 /// A worker's workspace: one snapshot-reset machine per workload it has
@@ -525,8 +489,6 @@ pub fn serve_with<S: Duplex>(
     let completed = AtomicU64::new(0);
     let expired = AtomicU64::new(0);
     let forced_shed = AtomicU64::new(0);
-    let verified = AtomicU64::new(0);
-    let diverged = AtomicU64::new(0);
     let workers_done = AtomicBool::new(false);
     let acceptor_done = AtomicBool::new(false);
     let writers_alive = AtomicUsize::new(0);
@@ -579,8 +541,8 @@ pub fn serve_with<S: Duplex>(
             workers: workers as u64,
             ledger_hits: lc.hits,
             ledger_misses: lc.misses,
-            ledger_verified: verified.load(Ordering::Relaxed),
-            ledger_diverged: diverged.load(Ordering::Relaxed),
+            ledger_verified: lc.verified,
+            ledger_diverged: lc.diverged,
             compiles_resumed,
             compiles_full,
             quarantined,
@@ -595,8 +557,6 @@ pub fn serve_with<S: Duplex>(
         let completed = &completed;
         let expired = &expired;
         let forced_shed = &forced_shed;
-        let verified = &verified;
-        let diverged = &diverged;
         let ledger = &ledger;
         let workers_done = &workers_done;
         let acceptor_done = &acceptor_done;
@@ -678,49 +638,40 @@ pub fn serve_with<S: Duplex>(
                                 }
                                 // Memoized admission: a ledger hit is
                                 // answered here, O(1), without entering
-                                // the job queue — unless this key is in
-                                // the deterministic verify sample, in
-                                // which case it runs live and the fresh
-                                // outcome is audited at delivery.
-                                let mut expect = None;
-                                let lkey =
-                                    ledger.as_ref().map(|l| ledger_key(&s, l.spec_rev()));
-                                if let (Some(l), Some(k)) = (ledger.as_ref(), lkey.as_ref())
-                                {
-                                    if let Some((code, detail)) = l.lookup(k) {
-                                        if should_verify(k, verify_fraction) {
-                                            expect = Some((code, detail));
-                                        } else if let Some(outcome) =
-                                            Outcome::from_code(code)
-                                        {
+                                // the job queue; a job that runs carries
+                                // its ticket to delivery.
+                                let mut memo = None;
+                                if let Some(l) = ledger.as_ref() {
+                                    let key = LedgerKey::new(
+                                        &s.file,
+                                        &s.source,
+                                        &s.scenario,
+                                        &s.plan,
+                                        s.plan_seed,
+                                        s.dead_line,
+                                        l.spec_rev(),
+                                    );
+                                    let decode = |code, detail: &str| {
+                                        Some(Response::Outcome {
+                                            req_id: s.req_id,
+                                            outcome: Outcome::from_code(code)?,
+                                            detail: detail.to_string(),
+                                        })
+                                    };
+                                    match l.admit(key, verify_fraction, decode) {
+                                        Admission::Hit(rep) => {
                                             completed.fetch_add(1, Ordering::Relaxed);
-                                            let rep = Response::Outcome {
-                                                req_id: s.req_id,
-                                                outcome,
-                                                detail,
-                                            };
                                             let _ = tx.send(rep.encode());
                                             continue;
-                                        } else {
-                                            // A wire code this engine
-                                            // doesn't know (written by a
-                                            // newer build): evict the
-                                            // entry and reclassify.
-                                            let _ = l.evict(k);
                                         }
+                                        Admission::Run(ticket) => memo = Some(ticket),
                                     }
                                 }
                                 let expires_at = (s.deadline_ms != 0).then(|| {
                                     Instant::now()
                                         + Duration::from_millis(u64::from(s.deadline_ms))
                                 });
-                                let job = Job {
-                                    req: s,
-                                    expires_at,
-                                    resp: tx.clone(),
-                                    ledger_key: lkey,
-                                    expect,
-                                };
+                                let job = Job { req: s, expires_at, resp: tx.clone(), memo };
                                 if let Err(job) = queue.push(job) {
                                     let rep = Response::Shed { req_id: job.req.req_id };
                                     let _ = job.resp.send(rep.encode());
@@ -796,6 +747,10 @@ pub fn serve_with<S: Duplex>(
         Campaign::new(
             HashMap::new,
             move |ws: &mut Workspace, job: &Job| {
+                // Unit tests drive supervision through a classify that
+                // panics on a marker.
+                #[cfg(test)]
+                tests::panic_on_chaos_marker(&job.req.source);
                 if job.expires_at.is_some_and(|at| Instant::now() >= at) {
                     // Expired while queued: shed without paying for a run.
                     return Response::Expired { req_id: job.req.req_id };
@@ -845,30 +800,12 @@ pub fn serve_with<S: Duplex>(
                 }
                 Response::Outcome { outcome, detail, .. } => {
                     completed.fetch_add(1, Ordering::Relaxed);
-                    if let (Some(l), Some(key)) =
-                        (ledger.as_ref(), job.ledger_key.as_ref())
-                    {
-                        if let Some((code, recorded)) = &job.expect {
-                            // Verification job: the ledger answered, we
-                            // ran anyway. Agreement certifies the entry;
-                            // disagreement means corruption — evict it,
-                            // record the fresh truth, count it.
-                            if *code == outcome.code() && recorded == detail {
-                                verified.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                diverged.fetch_add(1, Ordering::Relaxed);
-                                let _ = l.evict(key);
-                                if outcome.is_deterministic() {
-                                    let _ = l.record(key, outcome.code(), detail);
-                                }
-                            }
-                        } else if outcome.is_deterministic() {
-                            // Miss: checkpoint the classification the
-                            // moment it exists. EngineError and Deadline
-                            // are environmental, not properties of the
-                            // mutant — never memoized.
-                            let _ = l.record(key, outcome.code(), detail);
-                        }
+                    if let (Some(l), Some(ticket)) = (ledger.as_ref(), job.memo.as_ref()) {
+                        // EngineError and Deadline are environmental,
+                        // not properties of the mutant: never memoized.
+                        let fresh =
+                            outcome.is_deterministic().then(|| (outcome.code(), detail.as_str()));
+                        l.settle(ticket, fresh);
                     }
                 }
                 _ => {
@@ -977,10 +914,41 @@ pub fn serve_tcp(
 mod tests {
     use super::*;
     use devil_drivers::corpus::find_variant;
-    use devil_kernel::scenario::CHAOS_PANIC_MARKER;
 
-    fn submit(req_id: u64, scenario: &str, plan: &str, file: &str, source: &str) -> Request {
-        Request::Submit(SubmitMutant {
+    /// The test-only chaos seam: a submission whose first line carries
+    /// this marker makes the workers' classify step panic, which is how
+    /// these tests drive supervision. It exists only in unit-test builds.
+    const CHAOS_PANIC_MARKER: &str = "__devil_chaos_panic__";
+
+    /// Panic when `source`'s first line carries [`CHAOS_PANIC_MARKER`].
+    pub(super) fn panic_on_chaos_marker(source: &str) {
+        if source.lines().next().is_some_and(|l| l.contains(CHAOS_PANIC_MARKER)) {
+            panic!("classify panicked: chaos marker `{CHAOS_PANIC_MARKER}` tripped");
+        }
+    }
+
+    /// The clean busmouse driver with a busy loop spliced into
+    /// `bm_probe`: it spins until its fuel or its deadline runs out.
+    fn busy_loop_driver(source: &str) -> String {
+        let spun = source.replacen(
+            "int bm_probe(void)\n{",
+            "int bm_probe(void)\n{\n    int devil_spin;\n    \
+             for (devil_spin = 0; devil_spin < 100000000; devil_spin++)\n        \
+             mouse_dx = devil_spin;",
+            1,
+        );
+        assert_ne!(spun, source, "busy-loop injection site must exist");
+        spun
+    }
+
+    fn submit_mutant(
+        req_id: u64,
+        scenario: &str,
+        plan: &str,
+        file: &str,
+        source: &str,
+    ) -> SubmitMutant {
+        SubmitMutant {
             req_id,
             scenario: scenario.into(),
             plan: plan.into(),
@@ -989,7 +957,11 @@ mod tests {
             dead_line: 0,
             deadline_ms: 0,
             source: source.into(),
-        })
+        }
+    }
+
+    fn submit(req_id: u64, scenario: &str, plan: &str, file: &str, source: &str) -> Request {
+        Request::Submit(submit_mutant(req_id, scenario, plan, file, source))
     }
 
     #[test]
@@ -1123,6 +1095,137 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
+    fn chaos_mutants_leave_the_service_standing_and_others_unperturbed() {
+        use devil_mutagen::c::CMutationModel;
+        use devil_mutagen::sample;
+
+        // The hostile tail, end to end: a poison mutant that panics the
+        // classifier and a busy-loop mutant that blows through any wall
+        // clock, mixed into an ordinary campaign. The service must answer
+        // EngineError/Deadline for those, keep every other outcome
+        // bit-identical with the batch path, and still be healthy afterward.
+        const FUEL: u64 = 24_000_000; // busy loop ≫ any deadline before fuel runs out
+        const BUSTER_DEADLINE_MS: u32 = 25;
+
+        let v = find_variant("mouse-stream", "busmouse_c").expect("catalog workload");
+        let header_texts: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
+        let model = CMutationModel::new(v.source, &header_texts, v.style);
+        let mutants = sample(model.mutants(), 0.04, 99);
+        assert!(!mutants.is_empty(), "sampled no mutants");
+
+        let poison = format!("// {CHAOS_PANIC_MARKER}\n{}", v.source);
+        let buster = busy_loop_driver(v.source);
+
+        // Batch reference, supervised exactly like the service: normal
+        // mutants plus the poison (EngineError via panic recovery — the
+        // batch classify panics on the marker itself) plus the buster
+        // under the same wall-clock budget (Deadline).
+        struct Shot {
+            source: String,
+            dead_line: Option<u32>,
+            deadline_ms: Option<u32>,
+        }
+        let mut shots: Vec<Shot> = mutants
+            .iter()
+            .map(|m| Shot { source: m.source.clone(), dead_line: Some(m.line), deadline_ms: None })
+            .collect();
+        shots.push(Shot { source: poison.clone(), dead_line: None, deadline_ms: None });
+        shots.push(Shot {
+            source: buster.clone(),
+            dead_line: None,
+            deadline_ms: Some(BUSTER_DEADLINE_MS),
+        });
+
+        let incs: Vec<(&str, &str)> =
+            v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+        let cache = IncludeCache::new(&incs);
+        let batch: Vec<Outcome> = Campaign::new(
+            || {
+                let scenario = build_scenario("mouse-stream").expect("catalog scenario");
+                ScenarioMachine::with_scenario(scenario, FUEL)
+            },
+            |machine: &mut ScenarioMachine<_>, s: &Shot| {
+                panic_on_chaos_marker(&s.source);
+                let deadline =
+                    s.deadline_ms.map(|ms| Deadline::after(Duration::from_millis(u64::from(ms))));
+                machine.run_cached(v.file, &s.source, &cache, s.dead_line, deadline).0
+            },
+        )
+        .supervised(|_s: &Shot, _msg: &str| Outcome::EngineError)
+        .with_threads(2)
+        .run(&shots);
+        let n = mutants.len();
+        assert_eq!(batch[n], Outcome::EngineError, "batch poison outcome");
+        assert_eq!(batch[n + 1], Outcome::Deadline, "batch buster outcome");
+
+        // The same campaign through the service. Normal mutants and the
+        // poison go first; the buster gets its own quiet phase so its
+        // wall-clock budget is spent running, not queueing.
+        let server =
+            InProcServer::start(ServeConfig { threads: 2, fuel: FUEL, ..ServeConfig::default() });
+        let (mut r, mut w) = server.connect().split();
+        let read_reply = |r: &mut crate::pipe::PipeReader| {
+            let payload = read_frame(r).unwrap().expect("reply before EOF");
+            Response::decode(&payload).unwrap()
+        };
+
+        let mut expected: HashMap<u64, Outcome> = HashMap::new();
+        for (i, (m, outcome)) in mutants.iter().zip(&batch).enumerate() {
+            let mut req = submit_mutant(i as u64, "mouse-stream", "", v.file, &m.source);
+            req.dead_line = m.line;
+            write_frame(&mut w, &Request::Submit(req).encode()).unwrap();
+            expected.insert(i as u64, *outcome);
+        }
+        let poison_id = 5_000u64;
+        write_frame(&mut w, &submit(poison_id, "mouse-stream", "", v.file, &poison).encode())
+            .unwrap();
+        expected.insert(poison_id, Outcome::EngineError);
+
+        let mut got: HashMap<u64, Outcome> = HashMap::new();
+        for _ in 0..expected.len() {
+            match read_reply(&mut r) {
+                Response::Outcome { req_id, outcome, .. } => {
+                    got.insert(req_id, outcome);
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        for (id, want) in &expected {
+            assert_eq!(got[id], *want, "req {id}: service and batch disagree");
+        }
+
+        // Quiet phase: the buster alone, with its wall-clock budget.
+        let buster_id = 6_000u64;
+        let mut req = submit_mutant(buster_id, "mouse-stream", "", v.file, &buster);
+        req.deadline_ms = BUSTER_DEADLINE_MS;
+        write_frame(&mut w, &Request::Submit(req).encode()).unwrap();
+        match read_reply(&mut r) {
+            Response::Outcome { req_id, outcome, detail } => {
+                assert_eq!(req_id, buster_id);
+                assert_eq!(outcome, Outcome::Deadline, "{detail}");
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+
+        // The service took a panic and a deadline overrun and is still
+        // classifying clean drivers correctly.
+        write_frame(&mut w, &submit(7_000, "mouse-stream", "", v.file, v.source).encode()).unwrap();
+        match read_reply(&mut r) {
+            Response::Outcome { req_id, outcome, .. } => {
+                assert_eq!(req_id, 7_000);
+                assert_eq!(outcome, Outcome::Boot);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+        drop(w);
+        while read_frame(&mut r).unwrap().is_some() {}
+        let stats = server.shutdown().expect("server survives the chaos campaign");
+        assert_eq!(stats.accepted, expected.len() as u64 + 2);
+        assert_eq!(stats.completed, expected.len() as u64 + 2);
+    }
+
+    #[test]
     fn queued_jobs_past_their_deadline_expire() {
         let server = InProcServer::start(ServeConfig {
             threads: 1,
@@ -1130,10 +1233,11 @@ mod tests {
         });
         let (mut r, mut w) = server.connect().split();
         let v = find_variant("mouse-stream", "busmouse_c").unwrap();
-        // Job 0 pays the machine build (well over a millisecond); the
-        // 1ms-deadline jobs queued behind it expire before they run.
-        write_frame(&mut w, &submit(0, "mouse-stream", "", v.file, v.source).encode())
-            .unwrap();
+        // Job 0 spins until its fuel runs out, far longer than a
+        // millisecond; the 1ms-deadline jobs queued behind it expire
+        // before they run.
+        let spinner = busy_loop_driver(v.source);
+        write_frame(&mut w, &submit(0, "mouse-stream", "", v.file, &spinner).encode()).unwrap();
         let total = 10u64;
         for id in 1..=total {
             let mut req = match submit(id, "mouse-stream", "", v.file, v.source) {

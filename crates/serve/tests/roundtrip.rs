@@ -12,10 +12,6 @@
 //!   populated latency histogram and consistent client/server counters;
 //! * **Backpressure** — a deliberately tiny admission queue sheds
 //!   instead of buffering without bound, and says so;
-//! * **Chaos** — a poison mutant that panics the classifier and a
-//!   deadline-busting mutant leave the service standing, answered as
-//!   `EngineError` and `Deadline`, while every other mutant still
-//!   matches the batch path bit for bit;
 //! * **Graceful drain** — a drain mid-burst answers every accepted job,
 //!   sheds the rest explicitly, and loses zero replies;
 //! * **Warm checkpoints** — catalog mutants resume from the front-end
@@ -25,7 +21,7 @@
 use devil_drivers::corpus::{build_faulted, build_scenario, find_variant};
 use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
 use devil_kernel::boot::DEFAULT_FUEL;
-use devil_kernel::scenario::{Deadline, ScenarioMachine, CHAOS_PANIC_MARKER};
+use devil_kernel::scenario::ScenarioMachine;
 use devil_kernel::Outcome;
 use devil_minic::pp::IncludeCache;
 use devil_mutagen::c::CMutationModel;
@@ -232,155 +228,6 @@ fn queued_submissions_expire_under_saturation_with_balanced_books() {
     assert_eq!(stats.completed, report.completed);
     assert_eq!(stats.shed, report.shed);
     assert_eq!(stats.accepted, stats.completed + stats.expired);
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
-fn chaos_mutants_leave_the_service_standing_and_others_unperturbed() {
-    // The hostile tail, end to end: a poison mutant that panics the
-    // classifier and a busy-loop mutant that blows through any wall
-    // clock, mixed into an ordinary campaign. The service must answer
-    // EngineError/Deadline for those, keep every other outcome
-    // bit-identical with the batch path, and still be healthy afterward.
-    const FUEL: u64 = 24_000_000; // busy loop ≫ any deadline before fuel runs out
-    const BUSTER_DEADLINE_MS: u32 = 25;
-
-    let v = find_variant("mouse-stream", "busmouse_c").expect("catalog workload");
-    let header_texts: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
-    let model = CMutationModel::new(v.source, &header_texts, v.style);
-    let mutants = sample(model.mutants(), 0.04, 99);
-    assert!(!mutants.is_empty(), "sampled no mutants");
-
-    let poison = format!("// {CHAOS_PANIC_MARKER}\n{}", v.source);
-    let buster = v.source.replacen(
-        "int bm_probe(void)\n{",
-        "int bm_probe(void)\n{\n    int devil_spin;\n    \
-         for (devil_spin = 0; devil_spin < 100000000; devil_spin++)\n        \
-         mouse_dx = devil_spin;",
-        1,
-    );
-    assert_ne!(buster, v.source, "busy-loop injection site must exist");
-
-    // Batch reference, supervised exactly like the service: normal
-    // mutants plus the poison (EngineError via panic recovery) plus the
-    // buster under the same wall-clock budget (Deadline).
-    struct Shot {
-        source: String,
-        dead_line: Option<u32>,
-        deadline_ms: Option<u32>,
-    }
-    let mut shots: Vec<Shot> = mutants
-        .iter()
-        .map(|m| Shot {
-            source: m.source.clone(),
-            dead_line: Some(m.line),
-            deadline_ms: None,
-        })
-        .collect();
-    shots.push(Shot { source: poison.clone(), dead_line: None, deadline_ms: None });
-    shots.push(Shot {
-        source: buster.clone(),
-        dead_line: None,
-        deadline_ms: Some(BUSTER_DEADLINE_MS),
-    });
-
-    let incs: Vec<(&str, &str)> =
-        v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-    let cache = IncludeCache::new(&incs);
-    let batch: Vec<Outcome> = Campaign::new(
-        || {
-            let scenario = build_scenario("mouse-stream").expect("catalog scenario");
-            ScenarioMachine::with_scenario(scenario, FUEL)
-        },
-        |machine: &mut ScenarioMachine<_>, s: &Shot| {
-            let deadline = s
-                .deadline_ms
-                .map(|ms| Deadline::after(Duration::from_millis(u64::from(ms))));
-            machine.run_cached(v.file, &s.source, &cache, s.dead_line, deadline).0
-        },
-    )
-    .supervised(|_s: &Shot, _msg: &str| Outcome::EngineError)
-    .with_threads(2)
-    .run(&shots);
-    let n = mutants.len();
-    assert_eq!(batch[n], Outcome::EngineError, "batch poison outcome");
-    assert_eq!(batch[n + 1], Outcome::Deadline, "batch buster outcome");
-
-    // The same campaign through the service. Normal mutants and the
-    // poison go first; the buster gets its own quiet phase so its
-    // wall-clock budget is spent running, not queueing.
-    let server = InProcServer::start(ServeConfig {
-        threads: 2,
-        fuel: FUEL,
-        ..ServeConfig::default()
-    });
-    let (mut r, mut w) = server.connect().split();
-    let read_reply = |r: &mut devil_serve::pipe::PipeReader| {
-        let payload = read_frame(r).unwrap().expect("reply before EOF");
-        Response::decode(&payload).unwrap()
-    };
-
-    let mut expected: HashMap<u64, Outcome> = HashMap::new();
-    for (i, (m, outcome)) in mutants.iter().zip(&batch).enumerate() {
-        let mut req = submit_req(i as u64, "mouse-stream", "", v.file, &m.source);
-        req.dead_line = m.line;
-        write_frame(&mut w, &Request::Submit(req).encode()).unwrap();
-        expected.insert(i as u64, *outcome);
-    }
-    let poison_id = 5_000u64;
-    write_frame(
-        &mut w,
-        &Request::Submit(submit_req(poison_id, "mouse-stream", "", v.file, &poison))
-            .encode(),
-    )
-    .unwrap();
-    expected.insert(poison_id, Outcome::EngineError);
-
-    let mut got: HashMap<u64, Outcome> = HashMap::new();
-    for _ in 0..expected.len() {
-        match read_reply(&mut r) {
-            Response::Outcome { req_id, outcome, .. } => {
-                got.insert(req_id, outcome);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-    for (id, want) in &expected {
-        assert_eq!(got[id], *want, "req {id}: service and batch disagree");
-    }
-
-    // Quiet phase: the buster alone, with its wall-clock budget.
-    let buster_id = 6_000u64;
-    let mut req = submit_req(buster_id, "mouse-stream", "", v.file, &buster);
-    req.deadline_ms = BUSTER_DEADLINE_MS;
-    write_frame(&mut w, &Request::Submit(req).encode()).unwrap();
-    match read_reply(&mut r) {
-        Response::Outcome { req_id, outcome, detail } => {
-            assert_eq!(req_id, buster_id);
-            assert_eq!(outcome, Outcome::Deadline, "{detail}");
-        }
-        other => panic!("unexpected response {other:?}"),
-    }
-
-    // The service took a panic and a deadline overrun and is still
-    // classifying clean drivers correctly.
-    write_frame(
-        &mut w,
-        &Request::Submit(submit_req(7_000, "mouse-stream", "", v.file, v.source)).encode(),
-    )
-    .unwrap();
-    match read_reply(&mut r) {
-        Response::Outcome { req_id, outcome, .. } => {
-            assert_eq!(req_id, 7_000);
-            assert_eq!(outcome, Outcome::Boot);
-        }
-        other => panic!("unexpected response {other:?}"),
-    }
-    drop(w);
-    while read_frame(&mut r).unwrap().is_some() {}
-    let stats = server.shutdown().expect("server survives the chaos campaign");
-    assert_eq!(stats.accepted, expected.len() as u64 + 2);
-    assert_eq!(stats.completed, expected.len() as u64 + 2);
 }
 
 #[test]
