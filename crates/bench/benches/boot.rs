@@ -8,13 +8,13 @@
 //!
 //! * `boot/*_interp` — the tree-walking interpreter (the oracle);
 //! * `boot/*_vm` — the bytecode VM (the production boot path);
-//! * `mutant_boot/*` — the campaign per-mutant unit on the IDE harness:
-//!   snapshot-restore the machine, then boot a precompiled driver
-//!   (the machine-reset-only numbers live in the `campaign_reset` bench
-//!   on the NE2000 harness);
+//! * `mutant_boot/*` — the campaign per-mutant unit on the `ide-boot`
+//!   scenario: snapshot-restore the machine, then boot a precompiled
+//!   driver (the machine-reset-only numbers live in the `campaign_reset`
+//!   bench on the NE2000 harness);
 //! * `mutant_pipeline/*` — the full per-mutant pipeline including the
-//!   compile: `CampaignMachine::run` (pre-lexed include cache + VM) vs
-//!   compile-from-scratch + tree-walker;
+//!   compile: `ScenarioMachine::run` on the `ide-boot` scenario
+//!   (pre-lexed include cache + VM) vs compile-from-scratch + tree-walker;
 //! * `driver_compile/*` — front-end cost, with and without the include
 //!   cache.
 //!
@@ -24,11 +24,10 @@
 
 use criterion::{criterion_group, Criterion};
 use devil_drivers::ide;
-use devil_kernel::boot::{
-    boot_ide_compiled, boot_ide_interp, standard_ide_machine, CampaignMachine, Outcome,
-    DEFAULT_FUEL,
-};
+use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::fs;
+use devil_kernel::scenario::{run_compiled, run_interp, Outcome, Scenario, ScenarioMachine};
+use devil_kernel::scenarios::IdeBootScenario;
 use devil_minic::pp::IncludeCache;
 use devil_minic::Program;
 
@@ -52,15 +51,17 @@ fn bench_boot(c: &mut Criterion) {
         let compiled = program.to_bytecode();
         g.bench_function(format!("{label}_interp"), |b| {
             b.iter(|| {
-                let (mut io, dev) = standard_ide_machine(&files);
-                let report = boot_ide_interp(&program, &mut io, dev, &files, DEFAULT_FUEL);
+                let mut scenario = IdeBootScenario::new(&files[..]);
+                let mut io = scenario.build();
+                let report = run_interp(&scenario, &program, &mut io, DEFAULT_FUEL);
                 assert_eq!(report.outcome, Outcome::Boot);
             });
         });
         g.bench_function(format!("{label}_vm"), |b| {
             b.iter(|| {
-                let (mut io, dev) = standard_ide_machine(&files);
-                let report = boot_ide_compiled(&compiled, &mut io, dev, &files, DEFAULT_FUEL);
+                let mut scenario = IdeBootScenario::new(&files[..]);
+                let mut io = scenario.build();
+                let report = run_compiled(&scenario, &compiled, &mut io, DEFAULT_FUEL);
                 assert_eq!(report.outcome, Outcome::Boot);
             });
         });
@@ -77,8 +78,8 @@ fn bench_boot(c: &mut Criterion) {
 fn bench_mutant_boot(c: &mut Criterion) {
     let mut g = c.benchmark_group("mutant_boot");
     g.sample_size(20);
-    let files = fs::standard_files();
-    let (mut io, dev) = standard_ide_machine(&files);
+    let mut scenario = IdeBootScenario::new(fs::standard_files());
+    let mut io = scenario.build();
     let pristine = io.snapshot();
     for (label, program) in
         [("ide_c", compile_c()), ("ide_cdevil", compile_cdevil())]
@@ -87,15 +88,14 @@ fn bench_mutant_boot(c: &mut Criterion) {
         g.bench_function(format!("{label}_interp"), |b| {
             b.iter(|| {
                 io.restore(&pristine).unwrap();
-                let report = boot_ide_interp(&program, &mut io, dev, &files, DEFAULT_FUEL);
+                let report = run_interp(&scenario, &program, &mut io, DEFAULT_FUEL);
                 assert_eq!(report.outcome, Outcome::Boot);
             });
         });
         g.bench_function(format!("{label}_vm"), |b| {
             b.iter(|| {
                 io.restore(&pristine).unwrap();
-                let report =
-                    boot_ide_compiled(&compiled, &mut io, dev, &files, DEFAULT_FUEL);
+                let report = run_compiled(&scenario, &compiled, &mut io, DEFAULT_FUEL);
                 assert_eq!(report.outcome, Outcome::Boot);
             });
         });
@@ -108,14 +108,14 @@ fn bench_mutant_boot(c: &mut Criterion) {
 fn bench_mutant_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("mutant_pipeline");
     g.sample_size(10);
-    let files = fs::standard_files();
     let incs = ide::cdevil_includes();
     let incs_ref: Vec<(&str, &str)> =
         incs.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
 
     // Old path: compile from scratch, tree-walker boot, fresh machine state
     // via snapshot restore.
-    let (mut io, dev) = standard_ide_machine(&files);
+    let mut scenario = IdeBootScenario::new(fs::standard_files());
+    let mut io = scenario.build();
     let pristine = io.snapshot();
     g.bench_function("cdevil_interp_uncached", |b| {
         b.iter(|| {
@@ -126,13 +126,14 @@ fn bench_mutant_pipeline(c: &mut Criterion) {
             )
             .unwrap();
             io.restore(&pristine).unwrap();
-            let report = boot_ide_interp(&program, &mut io, dev, &files, DEFAULT_FUEL);
+            let report = run_interp(&scenario, &program, &mut io, DEFAULT_FUEL);
             assert_eq!(report.outcome, Outcome::Boot);
         });
     });
 
-    // New path: CampaignMachine (include cache + lowering + VM boot).
-    let mut machine = CampaignMachine::new(&files, DEFAULT_FUEL);
+    // New path: ScenarioMachine (include cache + lowering + VM boot).
+    let mut machine =
+        ScenarioMachine::with_scenario(IdeBootScenario::new(fs::standard_files()), DEFAULT_FUEL);
     g.bench_function("cdevil_campaign_machine", |b| {
         b.iter(|| {
             let (outcome, _) =
@@ -186,7 +187,7 @@ fn emit_json(c: &mut Criterion) {
         criterion::ns_per_iter(rs, "driver_compile/cdevil_driver_cached_includes");
     let entries = criterion::results_json(rs);
     let section = format!(
-        "{{\"workload\": {{\"boot\": \"full simulated IDE boot, tree-walking interpreter vs bytecode VM\", \"mutant_boot\": \"campaign per-mutant unit: snapshot restore + boot of a precompiled driver\", \"mutant_pipeline\": \"per-mutant incl. front end: scratch compile + tree-walk vs CampaignMachine (include cache + VM)\", \"driver_compile\": \"front-end cost, plus bytecode lowering and the pre-lexed include cache\"}}, \"results\": {entries}, \"speedup\": {{\"boot_c_vm_vs_interp\": {:.2}, \"boot_cdevil_vm_vs_interp\": {:.2}, \"per_mutant_boot_vm_vs_interp\": {:.2}, \"per_mutant_boot_c_vm_vs_interp\": {:.2}, \"per_mutant_pipeline_new_vs_old\": {:.2}, \"cdevil_compile_cached_includes\": {:.2}}}}}",
+        "{{\"workload\": {{\"boot\": \"full simulated IDE boot, tree-walking interpreter vs bytecode VM\", \"mutant_boot\": \"campaign per-mutant unit: snapshot restore + boot of a precompiled driver\", \"mutant_pipeline\": \"per-mutant incl. front end: scratch compile + tree-walk vs ScenarioMachine on ide-boot (include cache + VM)\", \"driver_compile\": \"front-end cost, plus bytecode lowering and the pre-lexed include cache\"}}, \"results\": {entries}, \"speedup\": {{\"boot_c_vm_vs_interp\": {:.2}, \"boot_cdevil_vm_vs_interp\": {:.2}, \"per_mutant_boot_vm_vs_interp\": {:.2}, \"per_mutant_boot_c_vm_vs_interp\": {:.2}, \"per_mutant_pipeline_new_vs_old\": {:.2}, \"cdevil_compile_cached_includes\": {:.2}}}}}",
         boot_c_interp / boot_c_vm,
         boot_cd_interp / boot_cd_vm,
         mut_interp / mut_vm,

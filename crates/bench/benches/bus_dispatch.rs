@@ -11,7 +11,6 @@
 
 use criterion::{criterion_group, Criterion};
 use devil_core::runtime::{DeviceInstance, StubMode};
-use devil_core::CheckedSpec;
 use devil_drivers::specs;
 use devil_hwsim::devices::Busmouse;
 use devil_hwsim::reference::{LinearIoSpace, NullDevice};
@@ -89,66 +88,9 @@ fn mouse_machine() -> IoSpace {
     io
 }
 
-/// The pre-refactor stub path, reproduced faithfully: linear name scan
-/// over the spec plus per-access `VariableDef`/`RegisterDef` clones —
-/// what `DeviceInstance::get` did before the compiled access plans.
-fn legacy_get(
-    spec: &CheckedSpec,
-    bases: &[u16],
-    io: &mut IoSpace,
-    cache: &mut [u64],
-    name: &str,
-) -> u64 {
-    let (_, v) = spec.variable(name).expect("variable exists");
-    let v = v.clone();
-    let mut raw = 0u64;
-    for frag in &v.frags {
-        let r = spec.registers[frag.reg.0].clone();
-        for (pvid, pval) in r.pre.clone() {
-            let pv = spec.variables[pvid.0].clone();
-            let mut remaining = pv.width;
-            for pfrag in &pv.frags {
-                let pr = spec.registers[pfrag.reg.0].clone();
-                let w = pfrag.width();
-                remaining -= w;
-                let bits = (pval >> remaining) & ((1u64 << w) - 1);
-                let frag_mask = ((1u64 << w) - 1) << pfrag.lsb;
-                let value = if frag_mask == pr.mask.relevant() {
-                    bits << pfrag.lsb
-                } else {
-                    (cache[pfrag.reg.0] & !frag_mask) | (bits << pfrag.lsb)
-                };
-                let (port, offset) = pr.write_port.unwrap();
-                let wire = pr.mask.apply_write(value);
-                let addr = bases[port.0].wrapping_add(offset as u16);
-                io.outb(addr, wire as u8).unwrap();
-                cache[pfrag.reg.0] = value & pr.mask.relevant();
-            }
-        }
-        let (port, offset) = r.read_port.expect("readable");
-        let addr = bases[port.0].wrapping_add(offset as u16);
-        let value = io.inb(addr).unwrap() as u64;
-        assert!(r.mask.read_respects_fixed(value));
-        let w = frag.width();
-        raw = (raw << w) | ((value >> frag.lsb) & ((1u64 << w) - 1));
-    }
-    raw
-}
-
 fn bench_stub_paths(c: &mut Criterion) {
     let checked = specs::compile("busmouse.dil", specs::BUSMOUSE).unwrap();
     let mut g = c.benchmark_group("stub_access");
-
-    g.bench_function("legacy_clone_path", |b| {
-        let mut io = mouse_machine();
-        let mut cache = vec![0u64; checked.registers.len()];
-        b.iter(|| {
-            let dx = legacy_get(&checked, &[BASE], &mut io, &mut cache, "dx");
-            let dy = legacy_get(&checked, &[BASE], &mut io, &mut cache, "dy");
-            let bt = legacy_get(&checked, &[BASE], &mut io, &mut cache, "buttons");
-            std::hint::black_box((dx, dy, bt))
-        });
-    });
 
     g.bench_function("string_keyed", |b| {
         let mut io = mouse_machine();
@@ -185,15 +127,10 @@ fn emit_json(c: &mut Criterion) {
     let rs = c.results();
     let table = criterion::ns_per_iter(rs, "bus_dispatch/table_o1");
     let linear = criterion::ns_per_iter(rs, "bus_dispatch/linear_reference");
-    let legacy = criterion::ns_per_iter(rs, "stub_access/legacy_clone_path");
-    let string_keyed = criterion::ns_per_iter(rs, "stub_access/string_keyed");
-    let fast = criterion::ns_per_iter(rs, "stub_access/id_fast_path");
     let entries = criterion::results_json(rs);
     let section = format!(
-        "{{\"workload\": {{\"bus_dispatch\": \"16 mapped devices, 1 write + 1 read per window + 1 unmapped read per iter (33 accesses)\", \"stub_access\": \"busmouse dx/dy/buttons state read through debug stubs (11 port accesses)\"}}, \"results\": {entries}, \"speedup\": {{\"bus_dispatch_table_vs_linear\": {:.2}, \"stub_fastpath_vs_legacy\": {:.2}, \"stub_string_keyed_vs_legacy\": {:.2}}}}}",
+        "{{\"workload\": {{\"bus_dispatch\": \"16 mapped devices, 1 write + 1 read per window + 1 unmapped read per iter (33 accesses)\", \"stub_access\": \"busmouse dx/dy/buttons state read through debug stubs (11 port accesses)\"}}, \"results\": {entries}, \"speedup\": {{\"bus_dispatch_table_vs_linear\": {:.2}}}}}",
         linear / table,
-        legacy / fast,
-        legacy / string_keyed,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
     match criterion::update_json_section(path, "bus_dispatch", &section) {

@@ -30,8 +30,8 @@
 use criterion::{criterion_group, Criterion};
 use devil_drivers::corpus::{build_faulted, build_scenario, scenario_catalog};
 use devil_hwsim::{FaultPlan, IoSpace, DEFAULT_FAULT_SEED};
-use devil_kernel::boot::{Outcome, DEFAULT_FUEL};
-use devil_kernel::scenario::{Drive, Scenario, ScenarioEngine, ScenarioMachine};
+use devil_kernel::boot::DEFAULT_FUEL;
+use devil_kernel::scenario::{Drive, Outcome, Scenario, ScenarioEngine, ScenarioMachine};
 use devil_minic::bytecode::CompiledProgram;
 
 const SCENARIO: &str = "ide-boot";

@@ -15,8 +15,8 @@
 
 use criterion::{criterion_group, Criterion};
 use devil_drivers::corpus::{build_scenario, scenario_catalog};
-use devil_kernel::boot::{Outcome, DEFAULT_FUEL};
-use devil_kernel::scenario::ScenarioMachine;
+use devil_kernel::boot::DEFAULT_FUEL;
+use devil_kernel::scenario::{Outcome, ScenarioMachine};
 use devil_minic::pp::IncludeCache;
 
 fn bench_scenarios(c: &mut Criterion) {

@@ -21,9 +21,10 @@
 use criterion::{criterion_group, Criterion};
 use devil_drivers::corpus::build_scenario;
 use devil_drivers::{ide, ne2000};
-use devil_kernel::boot::{CampaignMachine, Outcome, DEFAULT_FUEL};
+use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::fs;
-use devil_kernel::scenario::ScenarioMachine;
+use devil_kernel::scenario::{Outcome, ScenarioMachine};
+use devil_kernel::scenarios::IdeBootScenario;
 use devil_minic::interp::NullHost;
 use devil_minic::value::Value;
 use devil_minic::vm::Vm;
@@ -44,8 +45,8 @@ fn bench_vm_exec(c: &mut Criterion) {
     // CDevil IDE per-mutant boot: fusion on vs off (same machine, same
     // snapshot-restore engine — only the dispatch encoding differs).
     let cdevil = compile_cdevil();
-    let files = fs::standard_files();
-    let mut machine = CampaignMachine::new(&files, DEFAULT_FUEL);
+    let mut machine =
+        ScenarioMachine::with_scenario(IdeBootScenario::new(fs::standard_files()), DEFAULT_FUEL);
     for (label, compiled) in [
         ("cdevil_boot_fused", cdevil.to_bytecode()),
         ("cdevil_boot_unfused", cdevil.to_bytecode_unfused()),

@@ -5,9 +5,19 @@
 //! hex; parsed by `devil_bench::tables::CampaignArgs`)
 
 use devil_bench::tables::{
-    driver_campaign, render_outcome_table, render_table1, render_table2, table2, CampaignArgs,
-    CampaignOptions, Driver, Headline,
+    render_outcome_table, render_table1, render_table2, scenario_campaign, scenario_variants,
+    table2, CampaignArgs, CampaignOptions, Headline, OutcomeTable,
 };
+use devil_mutagen::c::CStyle;
+
+/// The Table 3/4 campaign on the `ide-boot` driver of one side of the split.
+fn ide_boot_campaign(style: CStyle, opts: &CampaignOptions) -> OutcomeTable {
+    let variants = scenario_variants("ide-boot", style);
+    let v = variants
+        .first()
+        .expect("the catalog pairs the IDE boot with both drivers");
+    scenario_campaign("ide-boot", v, opts, None)
+}
 
 fn main() {
     let opts = CampaignArgs::from_env(CampaignOptions::default(), &["--fraction", "--seed"]).opts;
@@ -26,14 +36,14 @@ fn main() {
 
     println!("--- Table 3: mutations on the C IDE driver -------------------");
     println!("(paper: compile 26.7, crash 2.9, loop 11.2, halt 21.5, damaged 2.9, boot 34.7 %)\n");
-    let t3 = driver_campaign(Driver::C, &opts);
+    let t3 = ide_boot_campaign(CStyle::PlainC, &opts);
     println!("{}", render_outcome_table(&t3, ""));
 
     println!("--- Table 4: mutations on the CDevil IDE driver --------------");
     println!(
         "(paper: compile 58.0, run-time 14.1, crash 0, loop 0.7, halt 4.9, damaged 0.5, boot 12.3, dead 9.4 %)\n"
     );
-    let t4 = driver_campaign(Driver::CDevil, &opts);
+    let t4 = ide_boot_campaign(CStyle::CDevil, &opts);
     println!("{}", render_outcome_table(&t4, ""));
 
     println!("--- Headline (§4.2) ------------------------------------------");

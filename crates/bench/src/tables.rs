@@ -14,8 +14,10 @@ use devil_drivers::corpus::{
 };
 use devil_drivers::{ide, specs};
 use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
-use devil_kernel::boot::{Outcome, DEFAULT_FUEL};
-use devil_kernel::scenario::ScenarioMachine;
+use devil_kernel::boot::DEFAULT_FUEL;
+use devil_kernel::scenario::{Outcome, ScenarioMachine};
+use devil_minic::pp::IncludeCache;
+use devil_minic::ResumeStats;
 use devil_mutagen::c::{CMutationModel, CStyle};
 use devil_mutagen::devil::DevilMutationModel;
 use devil_mutagen::{run_parallel, sample, Campaign, Ledger, LedgerKey, Mutant};
@@ -47,7 +49,7 @@ pub fn parse_seed(v: &str) -> Result<u64, String> {
 /// |---|---|
 /// | `--scenario=NAME` | catalog scenario (`corpus::scenario_names()`; default `ide-boot`) |
 /// | `--all` | classify every mutant (fraction 1) |
-/// | `--fraction=F` | sampling fraction |
+/// | `--fraction=F` | sampling fraction, in 0..=1 |
 /// | `--seed=N` | sampling seed |
 /// | `--threads=N` | worker threads; 0 uses every core |
 /// | `--fault-plan=NAME` | run on flaky hardware under a bundled plan (`FaultPlan::plan_names()`) |
@@ -109,9 +111,10 @@ impl CampaignArgs {
                 (_, None) => return Err(format!("`{flag}` needs a value: `{flag}=...`")),
                 ("--scenario", Some(v)) => parsed.scenario = v.to_string(),
                 ("--fraction", Some(v)) => {
-                    parsed.opts.fraction = v
-                        .parse()
-                        .map_err(|_| format!("--fraction: expected a number, got `{v}`"))?;
+                    let fraction = v.parse().ok().filter(|f| (0.0..=1.0).contains(f));
+                    parsed.opts.fraction = fraction.ok_or_else(|| {
+                        format!("--fraction: expected a number in 0..=1, got `{v}`")
+                    })?;
                 }
                 ("--seed", Some(v)) => parsed.opts.seed = seed(v)?,
                 ("--threads", Some(v)) => {
@@ -248,15 +251,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 
 // ------------------------------------------------------------ Tables 3 & 4
 
-/// Which driver a campaign targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Driver {
-    /// The original-style C driver (Table 3).
-    C,
-    /// The CDevil glue driver (Table 4).
-    CDevil,
-}
-
 /// Which stub header flavour a CDevil campaign compiles against — the
 /// ablation axis of DESIGN.md §5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -313,6 +307,9 @@ pub struct OutcomeTable {
     pub total_sites: usize,
     /// Total mutants generated before sampling.
     pub generated: usize,
+    /// How the campaign's compiles used the front-end checkpoint of its
+    /// include cache.
+    pub front_end: ResumeStats,
 }
 
 impl OutcomeTable {
@@ -334,19 +331,6 @@ impl OutcomeTable {
     pub fn undetected_fraction(&self) -> f64 {
         self.fraction(Outcome::Boot)
     }
-}
-
-/// Generate the mutant set for a driver.
-pub fn driver_mutants(driver: Driver) -> (CMutationModel, Vec<Mutant>) {
-    let model = match driver {
-        Driver::C => CMutationModel::new(ide::IDE_C_DRIVER, &[], CStyle::PlainC),
-        Driver::CDevil => {
-            let hdr = ide::ide_debug_header();
-            CMutationModel::new(ide::IDE_CDEVIL_DRIVER, &[&hdr], CStyle::CDevil)
-        }
-    };
-    let mutants = model.mutants();
-    (model, mutants)
 }
 
 /// The include set a catalog variant compiles against, with the Table 4
@@ -389,8 +373,10 @@ pub fn campaign_spec_revision(v: &DriverVariant, opts: &CampaignOptions) -> u64 
 
 /// Run one `(scenario, driver)` campaign through the snapshot-reset
 /// engine: one `ScenarioMachine` per worker thread, each mutant evaluated
-/// as restore → compile → drive → classify. This is the generalisation of
-/// the old boot-only Table 3/4 runner to the whole scenario catalog.
+/// as restore → compile → drive → classify. Every worker compiles through
+/// one campaign-wide [`IncludeCache`], so the headers are lexed, and the
+/// driver's prefix up to its `#include` is compiled, once per campaign;
+/// the table carries the cache's [`ResumeStats`].
 ///
 /// With a `ledger` (opened with [`campaign_spec_revision`] as its
 /// revision), every classification is appended the moment a worker
@@ -416,6 +402,7 @@ pub fn scenario_campaign(
     let headers = variant_headers(v, opts.stub_flavor);
     let inc_refs: Vec<(&str, &str)> =
         headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+    let cache = IncludeCache::new(&inc_refs);
     let fuel = opts.fuel;
     let fault_plan = opts.fault_plan.as_ref();
     let campaign = Campaign::new(
@@ -427,7 +414,7 @@ pub fn scenario_campaign(
             ScenarioMachine::with_scenario(built.expect("catalog scenario builds"), fuel)
         },
         |machine: &mut ScenarioMachine<_>, m: &Mutant| {
-            machine.run(v.file, &m.source, &inc_refs, Some(m.line)).0
+            machine.run_cached(v.file, &m.source, &cache, Some(m.line), None).0
         },
     )
     .with_threads(opts.threads);
@@ -461,6 +448,7 @@ pub fn scenario_campaign(
         total_mutants: mutants.len(),
         total_sites: all_sites.len(),
         generated,
+        front_end: cache.resume_stats(),
     }
 }
 
@@ -473,17 +461,6 @@ pub fn scenario_variants(scenario: &str, style: CStyle) -> Vec<DriverVariant> {
         .flat_map(|c| c.drivers)
         .filter(|v| v.style == style)
         .collect()
-}
-
-/// Run a Table 3/4 campaign on the classic IDE boot scenario.
-pub fn driver_campaign(driver: Driver, opts: &CampaignOptions) -> OutcomeTable {
-    let style = match driver {
-        Driver::C => CStyle::PlainC,
-        Driver::CDevil => CStyle::CDevil,
-    };
-    let variants = scenario_variants("ide-boot", style);
-    let v = variants.first().expect("catalog pairs the IDE boot with both drivers");
-    scenario_campaign("ide-boot", v, opts, None)
 }
 
 /// The body of `table3` and `table4`: print the table heading (`title`,
@@ -767,10 +744,21 @@ mod tests {
         assert!(t.lines().count() > 15);
     }
 
+    /// The `ide-boot` driver of one side of the Table 3/4 split.
+    fn ide_boot_variant(style: CStyle) -> DriverVariant {
+        let mut variants = scenario_variants("ide-boot", style);
+        assert_eq!(variants.len(), 1, "the catalog pairs the IDE boot with one {style:?} driver");
+        variants.remove(0)
+    }
+
     #[test]
     fn driver_mutant_sets_are_nonempty_and_distinct() {
-        let (_, c) = driver_mutants(Driver::C);
-        let (_, d) = driver_mutants(Driver::CDevil);
+        let mutants = |v: DriverVariant| {
+            let headers: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
+            CMutationModel::new(v.source, &headers, v.style).mutants()
+        };
+        let c = mutants(ide_boot_variant(CStyle::PlainC));
+        let d = mutants(ide_boot_variant(CStyle::CDevil));
         assert!(c.len() > 500, "C mutants: {}", c.len());
         assert!(d.len() > 500, "CDevil mutants: {}", d.len());
     }
@@ -787,7 +775,7 @@ mod tests {
             stub_flavor: StubFlavor::Debug,
             fault_plan: None,
         };
-        let t = driver_campaign(Driver::C, &opts);
+        let t = scenario_campaign("ide-boot", &ide_boot_variant(CStyle::PlainC), &opts, None);
         assert!(t.total_mutants > 10);
         let accounted: usize = t.rows.values().map(|(_, m)| *m).sum();
         assert_eq!(accounted, t.total_mutants);
@@ -893,6 +881,10 @@ mod tests {
         assert_eq!(err(&["--all=yes"], EVERY_FLAG), "`--all` takes no value");
         assert_eq!(err(&["--seed"], EVERY_FLAG), "`--seed` needs a value: `--seed=...`");
         assert!(err(&["--fraction=most"], EVERY_FLAG).starts_with("--fraction: "));
+        for out_of_range in ["--fraction=-1", "--fraction=NaN", "--fraction=2"] {
+            let e = err(&[out_of_range], EVERY_FLAG);
+            assert!(e.starts_with("--fraction: ") && e.contains("0..=1"), "{e}");
+        }
         assert!(err(&["--threads=-1"], EVERY_FLAG).starts_with("--threads: "));
         let e = err(&["--seed=0xzz"], EVERY_FLAG);
         assert!(e.starts_with("--seed: ") && e.contains("0x/0X hex literal"), "{e}");
@@ -916,6 +908,7 @@ mod tests {
             total_mutants: total,
             total_sites: 2,
             generated: total,
+            front_end: ResumeStats::default(),
         };
         let c = mk(27, 35, 100);
         let d = mk(72, 12, 100);

@@ -341,10 +341,21 @@ pub fn cdevil_includes() -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use devil_kernel::{boot_ide, fs, Outcome};
+    use devil_kernel::boot::DEFAULT_FUEL;
+    use devil_kernel::scenario::{run_compiled, ScenarioReport};
+    use devil_kernel::scenarios::IdeBootScenario;
+    use devil_kernel::{fs, Outcome, Scenario};
 
     fn includes_ref(v: &[(String, String)]) -> Vec<(&str, &str)> {
         v.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect()
+    }
+
+    /// Boot `program` under the `ide-boot` scenario, on the machine the
+    /// scenario builds.
+    fn boot(program: &devil_minic::Program) -> ScenarioReport {
+        let mut scenario = IdeBootScenario::new(fs::standard_files());
+        let mut io = scenario.build();
+        run_compiled(&scenario, &program.to_bytecode(), &mut io, DEFAULT_FUEL)
     }
 
     #[test]
@@ -366,9 +377,7 @@ mod tests {
     #[test]
     fn c_driver_boots_clean() {
         let program = devil_minic::compile(IDE_C_FILE, IDE_C_DRIVER).unwrap();
-        let files = fs::standard_files();
-        let (mut io, ide) = devil_kernel::boot::standard_ide_machine(&files);
-        let report = boot_ide(&program, &mut io, ide, &files, devil_kernel::boot::DEFAULT_FUEL);
+        let report = boot(&program);
         assert_eq!(report.outcome, Outcome::Boot, "{}: {:?}", report.detail, report.console);
     }
 
@@ -381,9 +390,7 @@ mod tests {
             &includes_ref(&incs),
         )
         .unwrap();
-        let files = fs::standard_files();
-        let (mut io, ide) = devil_kernel::boot::standard_ide_machine(&files);
-        let report = boot_ide(&program, &mut io, ide, &files, devil_kernel::boot::DEFAULT_FUEL);
+        let report = boot(&program);
         assert_eq!(report.outcome, Outcome::Boot, "{}: {:?}", report.detail, report.console);
     }
 

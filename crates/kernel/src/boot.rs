@@ -1,52 +1,20 @@
-//! The simulated boot sequence and outcome classification (§4.2).
+//! The standard experiment machine of the paper's §4.2 boot: an IDE
+//! controller at [`IDE_BASE`] whose disk holds a DevilFS image, and the
+//! fuel one run gets.
 //!
-//! A boot drives the interpreted disk driver exactly like the kernel's
-//! block layer would:
-//!
-//! 1. `ide_probe()` — reset/identify the drive; a failure means the kernel
-//!    cannot find its root disk and panics (*Halt*).
-//! 2. Mount: read the MBR and the DevilFS superblock through
-//!    `ide_read(lba, 1)`; invalid structures panic the mount (*Halt*).
-//! 3. Integrity: read every file and verify its checksum; mismatches are
-//!    *visible damage*.
-//! 4. Write test: write a pattern to the log file via `ide_write(lba)` and
-//!    read it back; a mismatch is damage.
-//! 5. Ground truth: [`crate::fs::fsck`] inspects the platter directly — a
-//!    driver that wrote where it should not (the paper lost a partition
-//!    table this way) is caught even when the boot "looked" fine.
-//!
-//! The driver communicates through a global `u16 io_buf[256]` — one sector
-//! — mirroring the request buffer of the original driver.
-//!
-//! Outcomes map onto the paper's cases 1–7: run-time check (a
-//! `Devil assertion failed` panic), dead code, boot, crash, infinite loop,
-//! halt, damaged boot, plus compile-time check for mutants that never
-//! build.
-//!
-//! Since the scenario engine ([`crate::scenario`]) landed, the boot is
-//! simply the first [`Scenario`](crate::scenario::Scenario) —
-//! [`IdeBootScenario`] — and everything here is a thin IDE-flavoured
-//! wrapper over it: [`boot_ide`] / [`boot_ide_compiled`] run the scenario
-//! on a caller-built machine through the bytecode VM, [`boot_ide_interp`]
-//! through the tree-walking oracle (pinned observationally identical by
-//! `tests/vm_differential.rs`), and [`CampaignMachine`] is the IDE
-//! specialisation of the generic
-//! [`ScenarioMachine`](crate::scenario::ScenarioMachine).
+//! The boot itself (probe, mount, integrity, write test, ground-truth
+//! fsck) is the `ide-boot` scenario,
+//! [`IdeBootScenario`](crate::scenarios::IdeBootScenario), which builds
+//! this machine. Run it like any scenario: through a
+//! [`ScenarioMachine`](crate::scenario::ScenarioMachine), with
+//! [`run_mutant_in`](crate::scenario::run_mutant_in), or by calling the
+//! scenario's `build` and then
+//! [`run_compiled`](crate::scenario::run_compiled) or
+//! [`run_interp`](crate::scenario::run_interp) on the machine it built.
 
 use crate::fs::{self, FsFile};
-use crate::scenario::{self, ScenarioMachine, ScenarioReport};
-use crate::scenarios::IdeBootScenario;
 use devil_hwsim::devices::{IdeController, IdeDisk};
 use devil_hwsim::{DeviceId, IoSpace};
-use devil_minic::{CompiledProgram, Program};
-
-// The outcome taxonomy lives in the engine; the historical `boot::` paths
-// keep working as re-exports (a boot is just the first scenario).
-pub use crate::scenario::{classify_run_error, Detail, Outcome};
-
-/// Everything observed during one boot — the boot-flavoured name of the
-/// engine's [`ScenarioReport`].
-pub type BootReport = ScenarioReport;
 
 /// Default interpreter fuel for one boot (a clean boot uses well under 10%).
 pub const DEFAULT_FUEL: u64 = 1_500_000;
@@ -68,109 +36,18 @@ pub fn standard_ide_machine(files: &[FsFile]) -> (IoSpace, DeviceId) {
     (io, id)
 }
 
-/// Boot the machine with the given compiled driver, through the bytecode
-/// VM (lowering the program on the spot — campaigns that boot one mutant
-/// many times should lower once and use [`boot_ide_compiled`]).
-///
-/// The driver must export `int ide_probe(void)`, `int ide_read(int, int)`,
-/// `int ide_write(int)` and a `u16 io_buf[256]` global; both the C and
-/// CDevil corpus drivers do.
-pub fn boot_ide(
-    program: &Program,
-    io: &mut IoSpace,
-    ide: DeviceId,
-    files: &[FsFile],
-    fuel: u64,
-) -> BootReport {
-    boot_ide_compiled(&program.to_bytecode(), io, ide, files, fuel)
-}
-
-/// [`boot_ide`] over an already-lowered program — the campaign hot path.
-pub fn boot_ide_compiled(
-    compiled: &CompiledProgram,
-    io: &mut IoSpace,
-    ide: DeviceId,
-    files: &[FsFile],
-    fuel: u64,
-) -> BootReport {
-    scenario::run_compiled(&IdeBootScenario::attached(files, ide), compiled, io, fuel)
-}
-
-/// [`boot_ide`] through the tree-walking interpreter — the differential
-/// oracle the VM boot path is validated against. Not used by campaigns.
-pub fn boot_ide_interp(
-    program: &Program,
-    io: &mut IoSpace,
-    ide: DeviceId,
-    files: &[FsFile],
-    fuel: u64,
-) -> BootReport {
-    scenario::run_interp(&IdeBootScenario::attached(files, ide), program, io, fuel)
-}
-
-/// Full mutant pipeline, rebuild-per-mutant flavour: compile, build a
-/// fresh machine, boot, and refine `Boot` into `DeadCode` via line
-/// coverage. `dead_site` is the line of the mutation.
-///
-/// Campaigns evaluating many mutants should use [`CampaignMachine`], which
-/// builds the machine once and snapshot-restores it per mutant; this
-/// function remains as the one-shot path (and as the reference the
-/// differential campaign test compares the reset engine against).
-pub fn run_mutant(
-    file_name: &str,
-    source: &str,
-    includes: &[(&str, &str)],
-    dead_site: Option<u32>,
-    files: &[FsFile],
-    fuel: u64,
-) -> (Outcome, Detail) {
-    scenario::run_mutant_in(
-        IdeBootScenario::new(files),
-        file_name,
-        source,
-        includes,
-        dead_site,
-        fuel,
-    )
-}
-
-/// A reusable boot machine for mutation campaigns: the IDE specialisation
-/// of the generic [`ScenarioMachine`], kept under its historical name.
-///
-/// Builds the standard experiment machine **once** ([`standard_ide_machine`]
-/// plus `mkfs`), captures its pristine state as a snapshot, and then
-/// evaluates each mutant as *restore → compile → boot → classify* — the
-/// per-mutant reset is a journal-assisted memcpy instead of a machine
-/// reconstruction. Use one `CampaignMachine` per worker thread, e.g. as
-/// the workspace of a `devil_mutagen::Campaign`:
-///
-/// ```ignore
-/// let files = fs::standard_files();
-/// let outcomes = Campaign::new(
-///     || CampaignMachine::new(&files, DEFAULT_FUEL),
-///     |machine, mutant| machine.run(file, &mutant.source, &[], Some(mutant.line)).0,
-/// )
-/// .run(&mutants);
-/// ```
-pub type CampaignMachine = ScenarioMachine<IdeBootScenario<'static>>;
-
-impl CampaignMachine {
-    /// Build the standard IDE machine with a DevilFS image of `files` and
-    /// capture its pristine snapshot.
-    pub fn new(files: &[FsFile], fuel: u64) -> Self {
-        ScenarioMachine::with_scenario(IdeBootScenario::new(files.to_vec()), fuel)
-    }
-
-    /// The boot image the machine was built with.
-    pub fn files(&self) -> &[FsFile] {
-        self.scenario().files()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The `ide-boot` scenario on this machine, run with a small driver.
+
     use super::*;
+    use crate::scenario::{
+        classify_run_error, run_compiled, run_mutant_in, Detail, Drive, Outcome, Scenario,
+        ScenarioEngine, ScenarioMachine, ScenarioReport,
+    };
+    use crate::scenarios::IdeBootScenario;
     use devil_minic::interp::RunError;
+    use devil_minic::Program;
 
     /// A deliberately small but correct PIO driver used to validate the
     /// harness itself; the experiment corpus lives in `devil-drivers`.
@@ -263,12 +140,26 @@ int ide_write(int lba)
         devil_minic::compile("mini.c", MINI_DRIVER).expect("mini driver compiles")
     }
 
+    fn ide_boot() -> IdeBootScenario<'static> {
+        IdeBootScenario::new(fs::standard_files())
+    }
+
+    /// Boot `program` on a machine the `ide-boot` scenario built, so the
+    /// ground-truth fsck sees its disk.
+    fn boot(program: &Program, fuel: u64) -> ScenarioReport {
+        let mut scenario = ide_boot();
+        let mut io = scenario.build();
+        run_compiled(&scenario, &program.to_bytecode(), &mut io, fuel)
+    }
+
+    /// The rebuild-per-mutant pipeline on the mini driver's file name.
+    fn rebuild_and_run(source: &str, dead_site: Option<u32>) -> (Outcome, Detail) {
+        run_mutant_in(ide_boot(), "mini.c", source, &[], dead_site, DEFAULT_FUEL)
+    }
+
     #[test]
     fn clean_driver_boots() {
-        let files = fs::standard_files();
-        let (mut io, ide) = standard_ide_machine(&files);
-        let program = compiled();
-        let report = boot_ide(&program, &mut io, ide, &files, DEFAULT_FUEL);
+        let report = boot(&compiled(), DEFAULT_FUEL);
         assert_eq!(report.outcome, Outcome::Boot, "{}", report.detail);
         assert!(report.console.iter().any(|l| l.contains("drive identified")));
         assert!(!report.coverage.is_empty());
@@ -276,17 +167,30 @@ int ide_write(int lba)
 
     #[test]
     fn missing_disk_halts() {
-        let files = fs::standard_files();
-        // A machine with no IDE controller at all: reads float.
-        let mut io = IoSpace::new();
-        let id = {
-            // Map the controller elsewhere so the probe misses it.
-            let mut disk = IdeDisk::small();
-            fs::mkfs(&mut disk, &files);
-            io.map(0x9000, 9, Box::new(IdeController::new(disk))).unwrap()
-        };
-        let program = compiled();
-        let report = boot_ide(&program, &mut io, id, &files, DEFAULT_FUEL);
+        /// The boot workload on a machine with no IDE controller at
+        /// [`IDE_BASE`]: it is mapped elsewhere, so the probe misses it
+        /// and reads float.
+        struct ControllerElsewhere(IdeBootScenario<'static>);
+        impl Scenario for ControllerElsewhere {
+            fn name(&self) -> &'static str {
+                "ide-boot-controller-elsewhere"
+            }
+            fn build(&mut self) -> IoSpace {
+                let mut disk = IdeDisk::small();
+                fs::mkfs(&mut disk, &fs::standard_files());
+                let mut io = IoSpace::new();
+                io.map(0x9000, 9, Box::new(IdeController::new(disk))).unwrap();
+                io
+            }
+            fn drive(&self, engine: &mut dyn ScenarioEngine) -> Drive {
+                self.0.drive(engine)
+            }
+            // The driver cannot reach the disk, so there is nothing to fsck.
+            fn inspect(&self, _io: &mut IoSpace, _damage: &mut Vec<String>) {}
+        }
+        let mut scenario = ControllerElsewhere(ide_boot());
+        let mut io = scenario.build();
+        let report = run_compiled(&scenario, &compiled().to_bytecode(), &mut io, DEFAULT_FUEL);
         // Floating status reads look permanently busy -> probe timeout.
         assert_eq!(report.outcome, Outcome::Halt, "{}", report.detail);
         assert!(report.detail.contains("unable to mount root"), "{}", report.detail);
@@ -297,9 +201,7 @@ int ide_write(int lba)
         // Mutate CMD_READ 0x20 -> 0x21 is still valid; use 0x2f (aborted).
         let bad = MINI_DRIVER.replace("#define CMD_READ     0x20", "#define CMD_READ     0x2f");
         let program = devil_minic::compile("mini.c", &bad).unwrap();
-        let files = fs::standard_files();
-        let (mut io, ide) = standard_ide_machine(&files);
-        let report = boot_ide(&program, &mut io, ide, &files, DEFAULT_FUEL);
+        let report = boot(&program, DEFAULT_FUEL);
         // The drive aborts the unknown command; the driver sees ERR and
         // returns an I/O error -> mount fails -> halt.
         assert_eq!(report.outcome, Outcome::Halt, "{}", report.detail);
@@ -316,9 +218,7 @@ int ide_write(int lba)
         // the busy window, sees no DRQ... make it truly hang instead:
         let bad = bad.replace("for (t = 0; t < 20000; t++) {", "for (t = 0; t >= 0; t++) {");
         let program = devil_minic::compile("mini.c", &bad).unwrap();
-        let files = fs::standard_files();
-        let (mut io, ide) = standard_ide_machine(&files);
-        let report = boot_ide(&program, &mut io, ide, &files, 200_000);
+        let report = boot(&program, 200_000);
         assert!(
             matches!(report.outcome, Outcome::InfiniteLoop | Outcome::Halt),
             "{:?}: {}",
@@ -336,35 +236,36 @@ int ide_write(int lba)
         );
         assert_ne!(bad, MINI_DRIVER, "replacement must hit");
         let program = devil_minic::compile("mini.c", &bad).unwrap();
-        let files = fs::standard_files();
-        let (mut io, ide) = standard_ide_machine(&files);
-        let report = boot_ide(&program, &mut io, ide, &files, DEFAULT_FUEL);
+        let report = boot(&program, DEFAULT_FUEL);
         assert_eq!(report.outcome, Outcome::DamagedBoot, "{}", report.detail);
     }
 
     #[test]
-    fn run_mutant_classifies_compile_errors() {
-        let (outcome, _) = run_mutant(
-            "mini.c",
-            "int ide_probe(void) { return undeclared; }",
-            &[],
-            None,
-            &fs::standard_files(),
-            DEFAULT_FUEL,
+    fn lost_partition_table_is_seen_only_by_fsck() {
+        // Every write first lands on sector 0 — the paper's lost
+        // partition table. The mount read the MBR before the write test,
+        // and the read-back checks only the log sector, so the boot looks
+        // fine; only the ground-truth fsck of the platter sees the damage.
+        let bad = MINI_DRIVER.replace(
+            "int ide_write(int lba)\n{\n    int s;\n",
+            "int ide_write(int lba)\n{\n    int s;\n    if (lba != 0) ide_write(0);\n",
         );
+        assert_ne!(bad, MINI_DRIVER, "replacement must hit");
+        let program = devil_minic::compile("mini.c", &bad).unwrap();
+        let report = boot(&program, DEFAULT_FUEL);
+        assert_eq!(report.outcome, Outcome::DamagedBoot, "{}", report.detail);
+        assert_eq!(report.detail, "partition table damaged");
+    }
+
+    #[test]
+    fn run_mutant_classifies_compile_errors() {
+        let (outcome, _) = rebuild_and_run("int ide_probe(void) { return undeclared; }", None);
         assert_eq!(outcome, Outcome::CompileCheck);
     }
 
     #[test]
     fn run_mutant_full_pipeline_boots() {
-        let (outcome, detail) = run_mutant(
-            "mini.c",
-            MINI_DRIVER,
-            &[],
-            None,
-            &fs::standard_files(),
-            DEFAULT_FUEL,
-        );
+        let (outcome, detail) = rebuild_and_run(MINI_DRIVER, None);
         assert_eq!(outcome, Outcome::Boot, "{detail}");
     }
 
@@ -380,21 +281,13 @@ int ide_write(int lba)
             .position(|l| l.contains("0x9999"))
             .unwrap() as u32
             + 1;
-        let (outcome, _) = run_mutant(
-            "mini.c",
-            &with_dead,
-            &[],
-            Some(line_of_dead),
-            &fs::standard_files(),
-            DEFAULT_FUEL,
-        );
+        let (outcome, _) = rebuild_and_run(&with_dead, Some(line_of_dead));
         assert_eq!(outcome, Outcome::DeadCode);
     }
 
     #[test]
     fn campaign_machine_matches_rebuild_per_mutant() {
-        let files = fs::standard_files();
-        let mut machine = CampaignMachine::new(&files, DEFAULT_FUEL);
+        let mut machine = ScenarioMachine::with_scenario(ide_boot(), DEFAULT_FUEL);
         // A clean run, a damaging run, then a clean run again — the reset
         // must erase the damage the middle mutant did to the disk.
         let wild = MINI_DRIVER.replace(
@@ -403,7 +296,7 @@ int ide_write(int lba)
         );
         let broken = "int ide_probe(void) { return undeclared; }";
         for source in [MINI_DRIVER, &wild, MINI_DRIVER, broken, MINI_DRIVER] {
-            let fresh = run_mutant("mini.c", source, &[], None, &files, DEFAULT_FUEL);
+            let fresh = rebuild_and_run(source, None);
             let reset = machine.run("mini.c", source, &[], None);
             assert_eq!(fresh, reset, "reset and rebuild paths must agree");
         }
@@ -420,8 +313,7 @@ int ide_write(int lba)
             .position(|l| l.contains("0x9999"))
             .unwrap() as u32
             + 1;
-        let files = fs::standard_files();
-        let mut machine = CampaignMachine::new(&files, DEFAULT_FUEL);
+        let mut machine = ScenarioMachine::with_scenario(ide_boot(), DEFAULT_FUEL);
         let (outcome, _) = machine.run("mini.c", &with_dead, &[], Some(line_of_dead));
         assert_eq!(outcome, Outcome::DeadCode);
     }
@@ -482,8 +374,7 @@ int ide_write(int lba)
         // The common classifications must not allocate a detail per
         // mutant: a clean boot, a dead-code refinement and a fuel
         // exhaustion all return borrowed strings.
-        let files = fs::standard_files();
-        let (_, detail) = run_mutant("mini.c", MINI_DRIVER, &[], None, &files, DEFAULT_FUEL);
+        let (_, detail) = rebuild_and_run(MINI_DRIVER, None);
         assert!(matches!(detail, Detail::Borrowed(_)), "clean boot detail is borrowed");
         let (o, detail) = classify_run_error(&RunError::OutOfFuel);
         assert_eq!(o, Outcome::InfiniteLoop);

@@ -15,15 +15,17 @@
 //!   activity (build machine → drive workload → inspect ground truth), a
 //!   [`scenario::ScenarioMachine`] snapshot-restores that machine per
 //!   mutant, and every run executes on the minic bytecode VM with the
-//!   tree-walking interpreter as its differential oracle;
-//! * [`scenarios`] holds the bundled activities: the paper's IDE boot,
-//!   an IDE read/write stress, a busmouse event stream, and an NE2000
-//!   packet TX/RX stress across the receive-ring wrap;
-//! * [`boot`] is the IDE-boot specialisation (probe → mount →
-//!   integrity → write test → fsck) plus the outcome taxonomy
-//!   ([`boot::Outcome`]): run-time check, dead code, boot, crash,
-//!   infinite loop, halt, damaged boot (§4.2's cases 1–7), and the
-//!   compile-time check of Table 3/4's first row.
+//!   tree-walking interpreter as its differential oracle. Every run
+//!   classifies into one outcome taxonomy ([`scenario::Outcome`]):
+//!   run-time check, dead code, boot, crash, infinite loop, halt, damaged
+//!   boot (§4.2's cases 1–7), and the compile-time check of Table 3/4's
+//!   first row;
+//! * [`scenarios`] holds the bundled activities: the paper's IDE boot
+//!   (probe → mount → integrity → write test → fsck), an IDE read/write
+//!   stress, a busmouse event stream, and an NE2000 packet TX/RX stress
+//!   across the receive-ring wrap;
+//! * [`boot`] holds the standard experiment machine the IDE scenarios
+//!   build and the default fuel of one run.
 //!
 //! ## Adding a scenario
 //!
@@ -50,7 +52,8 @@ pub mod kapi;
 pub mod scenario;
 pub mod scenarios;
 
-pub use boot::{boot_ide, BootReport, CampaignMachine, Detail, Outcome};
 pub use fs::{fsck, mkfs, FsckReport, SECTORS_PER_FILE};
 pub use kapi::MachineHost;
-pub use scenario::{FaultScenario, Scenario, ScenarioEngine, ScenarioMachine, ScenarioReport};
+pub use scenario::{
+    Detail, FaultScenario, Outcome, Scenario, ScenarioEngine, ScenarioMachine, ScenarioReport,
+};

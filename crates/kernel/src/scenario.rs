@@ -20,14 +20,20 @@
 //!   `devil_hwsim::snap`. One `ScenarioMachine` per campaign worker is
 //!   the intended shape (see `devil_mutagen::Campaign`).
 //!
-//! Every run classifies into the same paper taxonomy
-//! ([`Outcome`](crate::boot::Outcome), §4.2 cases 1–7): a `panic` with a
-//! Devil assertion is a run-time check, an unhandled fault a crash, fuel
-//! exhaustion an infinite loop, a fatal workload failure a halt, verified
-//! wrong results or ground-truth damage a damaged boot, and a spotless
-//! run a (latent) boot. The IDE boot harness in [`crate::boot`] is the
-//! first scenario ported onto this engine; the bundled non-boot scenarios
-//! live in [`crate::scenarios`].
+//! Every run classifies into the same paper taxonomy ([`Outcome`], §4.2
+//! cases 1–7): a `panic` with a Devil assertion is a run-time check, an
+//! unhandled fault a crash, fuel exhaustion an infinite loop, a fatal
+//! workload failure a halt, verified wrong results or ground-truth damage
+//! a damaged boot, and a spotless run a (latent) boot. The bundled
+//! scenarios, the paper's IDE boot first among them, live in
+//! [`crate::scenarios`].
+//!
+//! A run's machine is always the one its scenario built: a
+//! [`ScenarioMachine`] builds it once and restores it per mutant,
+//! [`run_mutant_in`] builds a fresh one, and a caller of [`run_compiled`]
+//! or [`run_interp`] passes the machine [`Scenario::build`] returned.
+//! Over any other machine a scenario cannot find the devices its
+//! ground-truth inspection reads.
 //!
 //! # Writing a scenario
 //!
@@ -182,8 +188,7 @@ impl fmt::Display for Outcome {
     }
 }
 
-/// Everything observed during one scenario run (a boot being the original
-/// scenario — [`crate::boot::BootReport`] is this type).
+/// Everything observed during one scenario run.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     /// The classified outcome (never `CompileCheck`/`DeadCode` here; those
@@ -287,8 +292,7 @@ impl ScenarioEngine for Interpreter<'_, MachineHost<'_>> {
 #[derive(Debug)]
 pub enum Fatal {
     /// The engine stopped the driver: panic, fault, fuel exhaustion, or a
-    /// missing entry point. Classified by
-    /// [`classify_run_error`](crate::boot::classify_run_error).
+    /// missing entry point. Classified by [`classify_run_error`].
     Run(RunError),
     /// The kernel halted with a panic message (the paper's case 6).
     Halt(Detail),
@@ -520,7 +524,8 @@ fn finish<S: Scenario + ?Sized>(
 }
 
 /// Run one compiled (bytecode) driver under a scenario — the campaign hot
-/// path. The machine must already be built (and typically just restored).
+/// path. `io` must be the machine `scenario` built (typically just
+/// restored).
 pub fn run_compiled<S: Scenario + ?Sized>(
     scenario: &S,
     compiled: &CompiledProgram,
@@ -553,27 +558,15 @@ pub fn run_compiled_bounded<S: Scenario + ?Sized>(
 
 /// Run one driver under a scenario through the tree-walking interpreter —
 /// the differential oracle the VM path is validated against. Not used by
-/// campaigns.
+/// campaigns. `io` must be the machine `scenario` built.
 pub fn run_interp<S: Scenario + ?Sized>(
     scenario: &S,
     program: &Program,
     io: &mut IoSpace,
     fuel: u64,
 ) -> ScenarioReport {
-    run_interp_bounded(scenario, program, io, fuel, None)
-}
-
-/// [`run_interp`] with an optional wall-clock [`Deadline`] — the oracle
-/// counterpart of [`run_compiled_bounded`].
-pub fn run_interp_bounded<S: Scenario + ?Sized>(
-    scenario: &S,
-    program: &Program,
-    io: &mut IoSpace,
-    fuel: u64,
-    deadline: Option<Deadline>,
-) -> ScenarioReport {
     let mut host = MachineHost::new(io);
-    let mut interp = Interpreter::new(program, &mut host, fuel).with_deadline(deadline);
+    let mut interp = Interpreter::new(program, &mut host, fuel);
     let drive = scenario.drive(&mut interp);
     let coverage = interp.take_coverage();
     drop(interp);
@@ -645,9 +638,6 @@ pub fn run_mutant_in<S: Scenario>(
 /// )
 /// .run(&mutants);
 /// ```
-///
-/// The IDE-boot specialisation keeps its historical name:
-/// [`CampaignMachine`](crate::boot::CampaignMachine).
 #[derive(Debug)]
 pub struct ScenarioMachine<S: Scenario> {
     scenario: S,
@@ -726,7 +716,7 @@ impl<S: Scenario> ScenarioMachine<S> {
 
     /// [`ScenarioMachine::run_compiled`] with an optional wall-clock
     /// deadline.
-    pub fn run_compiled_bounded(
+    fn run_compiled_bounded(
         &mut self,
         compiled: &CompiledProgram,
         deadline: Option<Deadline>,

@@ -1,10 +1,33 @@
-//! The IDE boot scenario — the paper's §4.2 experiment, ported onto the
-//! scenario engine as its first implementation.
+//! The IDE boot scenario — the paper's §4.2 experiment.
 //!
-//! The workload is unchanged from the original hard-wired harness (see
-//! [`crate::boot`] for the step-by-step description); this module also
-//! exports the building blocks (`probe`, `mount`, `verify_files`,
-//! `write_read_back`) that heavier IDE workloads such as
+//! A boot drives the driver under test exactly like the kernel's block
+//! layer would, on the standard experiment machine
+//! ([`crate::boot::standard_ide_machine`]):
+//!
+//! 1. `ide_probe()` — reset/identify the drive; a failure means the kernel
+//!    cannot find its root disk and panics (*Halt*).
+//! 2. Mount: read the MBR and the DevilFS superblock through
+//!    `ide_read(lba, 1)`; invalid structures panic the mount (*Halt*).
+//! 3. Integrity: read every file and verify its checksum; mismatches are
+//!    *visible damage*.
+//! 4. Write test: write a pattern to the log file via `ide_write(lba)` and
+//!    read it back; a mismatch is damage.
+//! 5. Ground truth: [`crate::fs::fsck`] inspects the platter directly — a
+//!    driver that wrote where it should not (the paper lost a partition
+//!    table this way) is caught even when the boot "looked" fine.
+//!
+//! The driver must export `int ide_probe(void)`, `int ide_read(int, int)`,
+//! `int ide_write(int)` and a global `u16 io_buf[256]` — one sector,
+//! mirroring the request buffer of the original driver; both the C and
+//! CDevil corpus drivers do.
+//!
+//! Outcomes map onto the paper's cases 1–7: run-time check (a
+//! `Devil assertion failed` panic), dead code, boot, crash, infinite loop,
+//! halt, damaged boot, plus compile-time check for mutants that never
+//! build.
+//!
+//! This module also exports the building blocks (`probe`, `mount`,
+//! `verify_files`, `write_read_back`) that heavier IDE workloads such as
 //! [`super::IdeStressScenario`] compose.
 
 use crate::boot::standard_ide_machine;
@@ -28,18 +51,6 @@ impl<'a> IdeBootScenario<'a> {
     /// image of `files`.
     pub fn new(files: impl Into<Cow<'a, [FsFile]>>) -> Self {
         IdeBootScenario { files: files.into(), ide: None }
-    }
-
-    /// Wrap an *already built* machine's IDE device — the adapter behind
-    /// the free-standing [`crate::boot::boot_ide`] family, which receives
-    /// the machine from the caller instead of building it.
-    pub fn attached(files: &'a [FsFile], ide: DeviceId) -> Self {
-        IdeBootScenario { files: Cow::Borrowed(files), ide: Some(ide) }
-    }
-
-    /// The boot image the scenario builds with.
-    pub fn files(&self) -> &[FsFile] {
-        &self.files
     }
 }
 

@@ -8,7 +8,7 @@
 //! | [`MouseStreamScenario`] | Logitech busmouse | synthetic motion-packet stream with per-packet delta/button verification |
 //! | [`Ne2000StressScenario`] | NE2000 | PROM probe, ring setup, TX frame checks, RX ring traversal across the wrap point |
 //!
-//! Every scenario classifies into the same [`Outcome`](crate::boot::Outcome)
+//! Every scenario classifies into the same [`Outcome`](crate::scenario::Outcome)
 //! taxonomy and is runnable through `mutagen::Campaign` via
 //! [`ScenarioMachine`](crate::scenario::ScenarioMachine); the driver corpus
 //! that pairs with each scenario lives in `devil_drivers::corpus`.

@@ -4,15 +4,16 @@
 //! deterministic number of steps. But fuel says nothing about *wall time* —
 //! a campaign job with a huge budget (or an expensive per-step workload)
 //! can hold a worker for seconds while the queue behind it ages. A
-//! [`Deadline`] is the wall-clock complement: a fixed instant the engines
-//! probe **cooperatively** at fuel-burn boundaries (amortised: one
+//! [`Deadline`] is the wall-clock complement: a fixed instant the bytecode
+//! VM probes **cooperatively** at fuel-burn boundaries (amortised: one
 //! `Instant::now()` per [`DEADLINE_CHECK_INTERVAL`] burns, so the ~ns/burn
 //! dispatch loop is unaffected) and at the block-I/O / delay builtins (the
 //! only single ops that consume unbounded fuel in one dispatch).
 //!
 //! Crucially the probe never touches fuel or coverage accounting, so runs
 //! that finish inside their deadline are bit-identical to unbounded runs —
-//! the VM-vs-interpreter differential contract is untouched. An expired
+//! and to the tree-walking interpreter, which takes no deadline, so the
+//! VM-vs-interpreter differential contract is untouched. An expired
 //! deadline surfaces as [`RunError::DeadlineExpired`], which the kernel
 //! layer classifies as its own terminal outcome rather than folding into
 //! the fuel-exhaustion (`InfiniteLoop`) bucket.

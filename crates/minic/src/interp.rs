@@ -16,7 +16,6 @@
 
 use crate::ast::*;
 use crate::coverage::Coverage;
-use crate::deadline::{Deadline, DEADLINE_CHECK_INTERVAL};
 use crate::types::CType;
 use crate::value::{wrap_int, ObjId, Place, Value};
 use crate::Program;
@@ -139,9 +138,10 @@ pub enum RunError {
     /// The fuel budget ran out: the program is (as good as) hung.
     OutOfFuel,
     /// The run's wall-clock [`Deadline`](crate::deadline::Deadline)
-    /// passed before it finished. Unlike [`RunError::OutOfFuel`] this is a
-    /// statement about real time, not executed work: the harness gave up
-    /// waiting, it did not observe a hang.
+    /// passed before it finished (only the bytecode VM takes a deadline).
+    /// Unlike [`RunError::OutOfFuel`] this is a statement about real time,
+    /// not executed work: the harness gave up waiting, it did not observe
+    /// a hang.
     DeadlineExpired,
     /// The entry function does not exist (harness error).
     NoSuchFunction(String),
@@ -196,9 +196,6 @@ pub struct Interpreter<'a, H: Host> {
     program: &'a Program,
     host: &'a mut H,
     fuel: u64,
-    deadline: Option<Deadline>,
-    /// Burns until the next wall-clock probe (`u32::MAX` when unbounded).
-    deadline_ticks: u32,
     objects: Vec<Option<Vec<Value>>>,
     free: Vec<usize>,
     globals: HashMap<String, ObjId>,
@@ -217,8 +214,6 @@ impl<'a, H: Host> Interpreter<'a, H> {
             program,
             host,
             fuel,
-            deadline: None,
-            deadline_ticks: u32::MAX,
             objects: Vec::new(),
             free: Vec::new(),
             globals: HashMap::new(),
@@ -233,19 +228,6 @@ impl<'a, H: Host> Interpreter<'a, H> {
     /// Remaining fuel.
     pub fn fuel_left(&self) -> u64 {
         self.fuel
-    }
-
-    /// Bound the run by a wall-clock deadline (in addition to fuel). The
-    /// deadline is probed cooperatively — amortised over fuel burns and at
-    /// the block-I/O/delay builtins — and never touches fuel or coverage
-    /// accounting, so runs that finish in time are bit-identical to
-    /// unbounded runs.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Option<Deadline>) -> Self {
-        self.deadline = deadline;
-        self.deadline_ticks =
-            if deadline.is_some() { DEADLINE_CHECK_INTERVAL } else { u32::MAX };
-        self
     }
 
     /// Mutable access to the host environment — for harnesses that inject
@@ -428,37 +410,7 @@ impl<'a, H: Host> Interpreter<'a, H> {
             return Err(RunError::OutOfFuel);
         }
         self.fuel -= 1;
-        self.deadline_ticks -= 1;
-        if self.deadline_ticks == 0 {
-            return self.deadline_probe();
-        }
         Ok(())
-    }
-
-    /// Amortised wall-clock probe: called once per
-    /// [`DEADLINE_CHECK_INTERVAL`] burns, reloads the countdown.
-    #[cold]
-    fn deadline_probe(&mut self) -> Result<(), RunError> {
-        match self.deadline {
-            Some(d) if d.expired() => Err(RunError::DeadlineExpired),
-            Some(_) => {
-                self.deadline_ticks = DEADLINE_CHECK_INTERVAL;
-                Ok(())
-            }
-            None => {
-                self.deadline_ticks = u32::MAX;
-                Ok(())
-            }
-        }
-    }
-
-    /// Direct wall-clock check at dispatch boundaries that consume
-    /// unbounded fuel in one step (block I/O, delays).
-    fn deadline_dispatch_check(&self) -> Result<(), RunError> {
-        match self.deadline {
-            Some(d) if d.expired() => Err(RunError::DeadlineExpired),
-            _ => Ok(()),
-        }
     }
 
     fn lookup_var(&self, name: &str) -> Option<ObjId> {
@@ -1246,7 +1198,6 @@ impl<'a, H: Host> Interpreter<'a, H> {
                 Value::Int(0)
             }
             "insw" | "insb" => {
-                self.deadline_dispatch_check()?;
                 let port = int_arg(0) as u16;
                 let count = int_arg(2).max(0) as usize;
                 let (size, mask) = if name == "insb" { (1, 0xFF) } else { (2, 0xFFFF) };
@@ -1268,7 +1219,6 @@ impl<'a, H: Host> Interpreter<'a, H> {
                 Value::Int(0)
             }
             "outsw" | "outsb" => {
-                self.deadline_dispatch_check()?;
                 let port = int_arg(0) as u16;
                 let count = int_arg(2).max(0) as usize;
                 let (size, mask) = if name == "outsb" { (1, 0xFF) } else { (2, 0xFFFF) };
@@ -1303,7 +1253,6 @@ impl<'a, H: Host> Interpreter<'a, H> {
                 return Err(RunError::Panic { message, file, line: local });
             }
             "udelay" | "mdelay" => {
-                self.deadline_dispatch_check()?;
                 let n = int_arg(0).max(0) as u64;
                 let usec = if name == "mdelay" { n * 1000 } else { n };
                 self.host.delay(usec);

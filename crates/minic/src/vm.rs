@@ -188,10 +188,11 @@ impl<'a, H: Host> Vm<'a, H> {
         self.fuel
     }
 
-    /// Bound the run by a wall-clock deadline (in addition to fuel) —
-    /// identical semantics to the interpreter's `with_deadline`: probed
-    /// cooperatively, never touches fuel or coverage, so in-time runs stay
-    /// bit-identical to unbounded runs.
+    /// Bound the run by a wall-clock deadline (in addition to fuel). The
+    /// deadline is probed cooperatively — amortised over fuel burns and at
+    /// the block-I/O/delay builtins — and never touches fuel or coverage
+    /// accounting, so runs that finish in time are bit-identical to
+    /// unbounded runs (and to the interpreter, which has no deadline).
     #[must_use]
     pub fn with_deadline(mut self, deadline: Option<Deadline>) -> Self {
         self.deadline = deadline;

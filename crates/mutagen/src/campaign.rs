@@ -18,7 +18,7 @@
 //! * every mutant is classified with `classify(&mut workspace, mutant)`,
 //!   which is expected to *reset* the workspace (snapshot restore) rather
 //!   than reconstruct it — see `devil_hwsim::snap` and the kernel crate's
-//!   `CampaignMachine` for the concrete reset-per-mutant lifecycle.
+//!   `ScenarioMachine` for the concrete reset-per-mutant lifecycle.
 //!
 //! Everything is dependency-free: sampling uses a splitmix64-seeded
 //! Fisher–Yates shuffle, and there is **one worker pool**, built on
@@ -141,7 +141,7 @@ pub fn effective_threads(threads: usize) -> usize {
 /// (`devil_minic::pp::IncludeCache`), a lowered baseline program, shared
 /// spec interning tables — should be built **once, outside the campaign**,
 /// and borrowed by every worker through closure capture, rather than
-/// rebuilt per workspace. The kernel crate's `CampaignMachine::run_cached`
+/// rebuilt per workspace. The kernel crate's `ScenarioMachine::run_cached`
 /// is the canonical example: one header lexing pass serves every worker's
 /// thousands of mutant compiles.
 ///

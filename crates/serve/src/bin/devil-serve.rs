@@ -45,6 +45,15 @@ fn parse_u64(flag: &str, v: &str) -> u64 {
     })
 }
 
+fn parse_u32(flag: &str, v: &str) -> u32 {
+    v.parse().unwrap_or_else(|_| {
+        fail(&format!(
+            "{flag} expects an unsigned integer up to {}, got `{v}`",
+            u32::MAX
+        ))
+    })
+}
+
 fn parse_f64(flag: &str, v: &str) -> f64 {
     match v.parse::<f64>() {
         Ok(n) if n > 0.0 && n.is_finite() => n,
@@ -110,13 +119,13 @@ fn parse_args(args: &[String]) -> Args {
         } else if let Some(v) = arg.strip_prefix("--report-every=") {
             out.report_every = Some(Duration::from_secs_f64(parse_f64("--report-every", v)));
         } else if let Some(v) = arg.strip_prefix("--deadline-ms=") {
-            out.deadline_ms = parse_u64("--deadline-ms", v) as u32;
+            out.deadline_ms = parse_u32("--deadline-ms", v);
         } else if let Some(v) = arg.strip_prefix("--drain-grace=") {
             // 0 disables the force-shed deadline: queued work runs out.
             let secs = parse_u64("--drain-grace", v);
             out.drain_grace = (secs != 0).then(|| Duration::from_secs(secs));
         } else if let Some(v) = arg.strip_prefix("--quarantine-limit=") {
-            out.quarantine_limit = parse_u64("--quarantine-limit", v) as u32;
+            out.quarantine_limit = parse_u32("--quarantine-limit", v);
         } else if let Some(v) = arg.strip_prefix("--ledger=") {
             out.ledger = Some(std::path::PathBuf::from(v));
         } else if let Some(v) = arg.strip_prefix("--verify-fraction=") {

@@ -7,8 +7,11 @@
 //! ```
 
 use devil::drivers::ide;
-use devil::kernel::boot::{boot_ide, standard_ide_machine, DEFAULT_FUEL};
+use devil::kernel::boot::DEFAULT_FUEL;
 use devil::kernel::fs;
+use devil::kernel::scenario::run_compiled;
+use devil::kernel::scenarios::IdeBootScenario;
+use devil::kernel::Scenario;
 
 fn boot(label: &str, file: &str, source: &str, includes: &[(String, String)]) {
     let incs: Vec<(&str, &str)> =
@@ -16,9 +19,9 @@ fn boot(label: &str, file: &str, source: &str, includes: &[(String, String)]) {
     match devil::minic::compile_with_includes(file, source, &incs) {
         Err(e) => println!("{label}: COMPILE ERROR: {e}"),
         Ok(program) => {
-            let files = fs::standard_files();
-            let (mut io, ide_dev) = standard_ide_machine(&files);
-            let report = boot_ide(&program, &mut io, ide_dev, &files, DEFAULT_FUEL);
+            let mut scenario = IdeBootScenario::new(fs::standard_files());
+            let mut io = scenario.build();
+            let report = run_compiled(&scenario, &program.to_bytecode(), &mut io, DEFAULT_FUEL);
             println!("{label}: {} — {}", report.outcome, report.detail);
             for line in &report.console {
                 println!("{label}:   console: {line}");

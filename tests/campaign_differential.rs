@@ -4,10 +4,10 @@
 //! Samples the bundled busmouse and IDE (PIIX4) driver mutant sets, runs
 //! every sampled mutant through
 //!
-//! * the **rebuild** path — `kernel::boot::run_mutant`, which constructs a
-//!   fresh machine per mutant, and
+//! * the **rebuild** path — `kernel::scenario::run_mutant_in` on the
+//!   `ide-boot` scenario, which constructs a fresh machine per mutant, and
 //! * the **reset** path — a `mutagen::Campaign` of per-worker
-//!   `CampaignMachine`s that snapshot-restore one machine per mutant,
+//!   `ScenarioMachine`s that snapshot-restore one machine per mutant,
 //!
 //! and asserts the outcome vectors are identical — then pins both against
 //! the golden file under `tests/golden/`, so a semantic regression in
@@ -20,8 +20,10 @@
 //! ```
 
 use devil::drivers::{busmouse, ide};
-use devil::kernel::boot::{run_mutant, CampaignMachine, Outcome, DEFAULT_FUEL};
+use devil::kernel::boot::DEFAULT_FUEL;
 use devil::kernel::fs;
+use devil::kernel::scenario::{run_mutant_in, Outcome, ScenarioMachine};
+use devil::kernel::scenarios::IdeBootScenario;
 use devil::mutagen::c::{CMutationModel, CStyle};
 use devil::mutagen::{run_parallel, sample, Campaign, Mutant};
 use std::fmt::Write as _;
@@ -101,12 +103,13 @@ fn reset_engine_matches_rebuild_per_mutant() {
 
         // Old path: a fresh machine per mutant.
         let rebuild: Vec<Outcome> = run_parallel(&mutants, THREADS, |m| {
-            run_mutant(set.file, &m.source, &incs, Some(m.line), &files, DEFAULT_FUEL).0
+            let scenario = IdeBootScenario::new(&files[..]);
+            run_mutant_in(scenario, set.file, &m.source, &incs, Some(m.line), DEFAULT_FUEL).0
         });
         // New path: one machine per worker, snapshot-restored per mutant.
         let reset: Vec<Outcome> = Campaign::new(
-            || CampaignMachine::new(&files, DEFAULT_FUEL),
-            |machine: &mut CampaignMachine, m: &Mutant| {
+            || ScenarioMachine::with_scenario(IdeBootScenario::new(&files[..]), DEFAULT_FUEL),
+            |machine: &mut ScenarioMachine<IdeBootScenario>, m: &Mutant| {
                 machine.run(set.file, &m.source, &incs, Some(m.line)).0
             },
         )

@@ -12,8 +12,8 @@
 //! campaign classify only the rest.
 
 use devil::drivers::corpus::{find_variant, spec_revision};
-use devil::kernel::boot::{Outcome, DEFAULT_FUEL};
-use devil::kernel::scenario::ScenarioMachine;
+use devil::kernel::boot::DEFAULT_FUEL;
+use devil::kernel::scenario::{Outcome, ScenarioMachine};
 use devil::mutagen::c::CMutationModel;
 use devil::mutagen::{sample, source_fingerprint, Campaign, Ledger, LedgerKey, Mutant};
 use std::time::{Duration, Instant};

@@ -2,22 +2,28 @@
 //! what kind of mutant lands in each row of Tables 3/4.
 
 use devil::drivers::ide;
-use devil::kernel::boot::{run_mutant, Detail, Outcome, DEFAULT_FUEL};
+use devil::kernel::boot::DEFAULT_FUEL;
 use devil::kernel::fs;
+use devil::kernel::scenario::{run_mutant_in, Detail, Outcome};
+use devil::kernel::scenarios::IdeBootScenario;
+
+/// The rebuild-per-mutant pipeline under the `ide-boot` scenario.
+fn classify_in(
+    file: &str,
+    source: &str,
+    includes: &[(&str, &str)],
+    dead_site: Option<u32>,
+) -> (Outcome, Detail) {
+    let scenario = IdeBootScenario::new(fs::standard_files());
+    run_mutant_in(scenario, file, source, includes, dead_site, DEFAULT_FUEL)
+}
 
 fn classify(source: &str) -> (Outcome, Detail) {
-    run_mutant(ide::IDE_C_FILE, source, &[], None, &fs::standard_files(), DEFAULT_FUEL)
+    classify_in(ide::IDE_C_FILE, source, &[], None)
 }
 
 fn classify_with_line(source: &str, line: u32) -> (Outcome, Detail) {
-    run_mutant(
-        ide::IDE_C_FILE,
-        source,
-        &[],
-        Some(line),
-        &fs::standard_files(),
-        DEFAULT_FUEL,
-    )
+    classify_in(ide::IDE_C_FILE, source, &[], Some(line))
 }
 
 #[test]
@@ -126,14 +132,7 @@ fn runtime_check_row_needs_devil() {
     let incs = ide::cdevil_includes();
     let incs_ref: Vec<(&str, &str)> =
         incs.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-    let (o, d) = run_mutant(
-        ide::IDE_CDEVIL_FILE,
-        &bad,
-        &incs_ref,
-        None,
-        &fs::standard_files(),
-        DEFAULT_FUEL,
-    );
+    let (o, d) = classify_in(ide::IDE_CDEVIL_FILE, &bad, &incs_ref, None);
     assert_eq!(o, Outcome::RuntimeCheck, "{d}");
     assert!(d.contains("Devil assertion failed"), "{d}");
 }

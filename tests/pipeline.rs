@@ -3,10 +3,19 @@
 
 use devil::core::codegen::{generate, CodegenMode};
 use devil::drivers::{ide, specs};
-use devil::kernel::boot::{boot_ide, run_mutant, standard_ide_machine, Outcome, DEFAULT_FUEL};
+use devil::kernel::boot::DEFAULT_FUEL;
 use devil::kernel::fs;
+use devil::kernel::scenario::{run_compiled, run_mutant_in, Detail, Outcome};
+use devil::kernel::scenarios::IdeBootScenario;
+use devil::kernel::Scenario;
 use devil::mutagen::c::{CMutationModel, CStyle};
 use devil::mutagen::devil::DevilMutationModel;
+
+/// The rebuild-per-mutant pipeline under the `ide-boot` scenario.
+fn classify(file: &str, source: &str, includes: &[(&str, &str)]) -> (Outcome, Detail) {
+    let scenario = IdeBootScenario::new(fs::standard_files());
+    run_mutant_in(scenario, file, source, includes, None, DEFAULT_FUEL)
+}
 
 #[test]
 fn every_bundled_spec_round_trips_through_codegen_and_minic() {
@@ -23,7 +32,6 @@ fn every_bundled_spec_round_trips_through_codegen_and_minic() {
 
 #[test]
 fn both_ide_drivers_boot_identically_clean() {
-    let files = fs::standard_files();
     for (file, src, includes) in [
         (ide::IDE_C_FILE, ide::IDE_C_DRIVER.to_string(), vec![]),
         (
@@ -35,8 +43,9 @@ fn both_ide_drivers_boot_identically_clean() {
         let incs: Vec<(&str, &str)> =
             includes.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
         let program = devil::minic::compile_with_includes(file, &src, &incs).unwrap();
-        let (mut io, dev) = standard_ide_machine(&files);
-        let report = boot_ide(&program, &mut io, dev, &files, DEFAULT_FUEL);
+        let mut scenario = IdeBootScenario::new(fs::standard_files());
+        let mut io = scenario.build();
+        let report = run_compiled(&scenario, &program.to_bytecode(), &mut io, DEFAULT_FUEL);
         assert_eq!(report.outcome, Outcome::Boot, "{file}: {}", report.detail);
     }
 }
@@ -74,15 +83,7 @@ fn classic_type_confusion_compile_time_in_cdevil_run_time_in_dil_eq() {
     let bad = ide::IDE_CDEVIL_DRIVER
         .replace("if (!dil_eq(get_Drive(), MASTER))", "if (!dil_eq(get_Drive(), IDENTIFY))");
     assert_ne!(bad, ide::IDE_CDEVIL_DRIVER);
-    let files = fs::standard_files();
-    let (outcome, detail) = run_mutant(
-        ide::IDE_CDEVIL_FILE,
-        &bad,
-        &incs_ref,
-        None,
-        &files,
-        DEFAULT_FUEL,
-    );
+    let (outcome, detail) = classify(ide::IDE_CDEVIL_FILE, &bad, &incs_ref);
     assert_eq!(outcome, Outcome::RuntimeCheck, "{detail}");
 }
 
@@ -93,8 +94,7 @@ fn plain_c_misses_what_devil_catches() {
     // mount; the compiler said nothing).
     let bad = ide::IDE_C_DRIVER.replace("outb(0xe0 | sel, HD_CURRENT);", "outb(0xf0 | sel, HD_CURRENT);");
     assert_ne!(bad, ide::IDE_C_DRIVER);
-    let files = fs::standard_files();
-    let (outcome, _) = run_mutant(ide::IDE_C_FILE, &bad, &[], None, &files, DEFAULT_FUEL);
+    let (outcome, _) = classify(ide::IDE_C_FILE, &bad, &[]);
     assert!(
         !outcome.is_detected(),
         "plain C must not detect the raw constant typo, got {outcome}"

@@ -121,16 +121,20 @@ proptest! {
     /// and coverage every time, regardless of seed-like inputs.
     #[test]
     fn clean_boot_is_deterministic(_x in any::<u8>()) {
-        use devil::kernel::boot::{boot_ide, standard_ide_machine, DEFAULT_FUEL};
-        let files = devil::kernel::fs::standard_files();
+        use devil::kernel::boot::DEFAULT_FUEL;
+        use devil::kernel::scenario::run_compiled;
+        use devil::kernel::scenarios::IdeBootScenario;
+        use devil::kernel::Scenario;
         let program = devil::minic::compile(
             devil::drivers::ide::IDE_C_FILE,
             devil::drivers::ide::IDE_C_DRIVER,
-        ).unwrap();
-        let (mut io, dev) = standard_ide_machine(&files);
-        let a = boot_ide(&program, &mut io, dev, &files, DEFAULT_FUEL);
-        let (mut io2, dev2) = standard_ide_machine(&files);
-        let b = boot_ide(&program, &mut io2, dev2, &files, DEFAULT_FUEL);
+        ).unwrap().to_bytecode();
+        let boot = || {
+            let mut scenario = IdeBootScenario::new(devil::kernel::fs::standard_files());
+            let mut io = scenario.build();
+            run_compiled(&scenario, &program, &mut io, DEFAULT_FUEL)
+        };
+        let (a, b) = (boot(), boot());
         prop_assert_eq!(a.outcome, b.outcome);
         prop_assert_eq!(a.console, b.console);
         prop_assert_eq!(a.coverage, b.coverage);

@@ -13,30 +13,47 @@
 //! fails here before it can silently skew campaign tables.
 
 use devil::drivers::{busmouse, ide};
-use devil::kernel::boot::{
-    boot_ide, boot_ide_interp, standard_ide_machine, BootReport, Outcome, DEFAULT_FUEL,
-};
+use devil::kernel::boot::DEFAULT_FUEL;
 use devil::kernel::fs;
+use devil::kernel::scenario::{run_compiled, run_interp, Outcome, ScenarioReport};
+use devil::kernel::scenarios::IdeBootScenario;
+use devil::kernel::Scenario;
+use devil::minic::{CompiledProgram, Program};
 use devil::mutagen::c::{CMutationModel, CStyle};
 use devil::mutagen::{run_parallel, sample, Mutant};
 
 /// Compare every observable of two boot reports.
-fn assert_reports_equal(vm: &BootReport, interp: &BootReport, what: &str) {
+fn assert_reports_equal(vm: &ScenarioReport, interp: &ScenarioReport, what: &str) {
     assert_eq!(vm.outcome, interp.outcome, "{what}: outcome diverged");
     assert_eq!(vm.detail, interp.detail, "{what}: detail diverged");
     assert_eq!(vm.console, interp.console, "{what}: console diverged");
     assert_eq!(vm.coverage, interp.coverage, "{what}: coverage diverged");
 }
 
+/// Boot a lowered driver under the `ide-boot` scenario, on a fresh
+/// machine the scenario built.
+fn boot_vm(compiled: &CompiledProgram, fuel: u64) -> ScenarioReport {
+    let mut scenario = IdeBootScenario::new(fs::standard_files());
+    let mut io = scenario.build();
+    run_compiled(&scenario, compiled, &mut io, fuel)
+}
+
+/// [`boot_vm`] through the tree-walking oracle.
+fn boot_interp(program: &Program, fuel: u64) -> ScenarioReport {
+    let mut scenario = IdeBootScenario::new(fs::standard_files());
+    let mut io = scenario.build();
+    run_interp(&scenario, program, &mut io, fuel)
+}
+
 /// Boot one driver through both engines on fresh machines.
-fn boot_both(file: &str, source: &str, includes: &[(&str, &str)], fuel: u64) -> Option<(BootReport, BootReport)> {
+fn boot_both(
+    file: &str,
+    source: &str,
+    includes: &[(&str, &str)],
+    fuel: u64,
+) -> Option<(ScenarioReport, ScenarioReport)> {
     let program = devil::minic::compile_with_includes(file, source, includes).ok()?;
-    let files = fs::standard_files();
-    let (mut io_vm, ide_vm) = standard_ide_machine(&files);
-    let vm = boot_ide(&program, &mut io_vm, ide_vm, &files, fuel);
-    let (mut io_tw, ide_tw) = standard_ide_machine(&files);
-    let tw = boot_ide_interp(&program, &mut io_tw, ide_tw, &files, fuel);
-    Some((vm, tw))
+    Some((boot_vm(&program.to_bytecode(), fuel), boot_interp(&program, fuel)))
 }
 
 /// One clean-boot case: file name, source, include set.
@@ -79,7 +96,6 @@ fn clean_boots_are_engine_identical() {
 /// single classification.
 #[test]
 fn unfused_bytecode_boots_identically() {
-    use devil::kernel::boot::boot_ide_compiled;
     let ide_includes = ide::cdevil_includes();
     let cases: Vec<BootCase> = vec![
         (ide::IDE_C_FILE, ide::IDE_C_DRIVER, vec![]),
@@ -96,15 +112,11 @@ fn unfused_bytecode_boots_identically() {
         let fused = program.to_bytecode();
         assert_eq!(unfused.fused_op_count(), 0);
         assert!(fused.fused_op_count() > 0, "{file}: driver loops must fuse");
-        let files = fs::standard_files();
         for fuel in [DEFAULT_FUEL, 20_000] {
-            let (mut io_a, dev_a) = standard_ide_machine(&files);
-            let a = boot_ide_compiled(&unfused, &mut io_a, dev_a, &files, fuel);
-            let (mut io_b, dev_b) = standard_ide_machine(&files);
-            let b = boot_ide_compiled(&fused, &mut io_b, dev_b, &files, fuel);
+            let a = boot_vm(&unfused, fuel);
+            let b = boot_vm(&fused, fuel);
             assert_reports_equal(&a, &b, &format!("{file} unfused-vs-fused, fuel {fuel}"));
-            let (mut io_tw, dev_tw) = standard_ide_machine(&files);
-            let tw = boot_ide_interp(&program, &mut io_tw, dev_tw, &files, fuel);
+            let tw = boot_interp(&program, fuel);
             assert_reports_equal(&a, &tw, &format!("{file} unfused-vs-oracle, fuel {fuel}"));
         }
     }
