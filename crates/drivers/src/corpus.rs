@@ -249,20 +249,25 @@ mod tests {
 
     #[test]
     fn every_clean_driver_passes_its_scenario() {
+        // At half the budget too: a clean run that needs more than half
+        // of `DEFAULT_FUEL` fails here instead of turning the campaigns'
+        // verdicts into silent InfiniteLoops.
         for case in scenario_catalog() {
             for v in &case.drivers {
                 let incs: Vec<(&str, &str)> =
                     v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-                let scenario = build_scenario(case.scenario).unwrap();
-                let (outcome, detail) =
-                    run_mutant_in(scenario, v.file, v.source, &incs, None, DEFAULT_FUEL);
-                assert_eq!(
-                    outcome,
-                    Outcome::Boot,
-                    "{}/{}: clean driver must pass clean: {detail}",
-                    case.scenario,
-                    v.label
-                );
+                for fuel in [DEFAULT_FUEL, DEFAULT_FUEL / 2] {
+                    let scenario = build_scenario(case.scenario).unwrap();
+                    let (outcome, detail) =
+                        run_mutant_in(scenario, v.file, v.source, &incs, None, fuel);
+                    assert_eq!(
+                        outcome,
+                        Outcome::Boot,
+                        "{}/{} at fuel {fuel}: clean driver must pass clean: {detail}",
+                        case.scenario,
+                        v.label
+                    );
+                }
             }
         }
     }

@@ -765,6 +765,7 @@ impl<S: Scenario> ScenarioMachine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::ide_boot::tests::{rebuild_and_run, MINI_DRIVER};
 
     #[test]
     fn outcome_codes_round_trip_in_table_order() {
@@ -806,5 +807,68 @@ mod tests {
             devil_hwsim::FaultPlan::named("mixed", 0xBEEF).unwrap(),
         );
         assert!(mixed.build().faults().is_some(), "real plan must install");
+    }
+
+    #[test]
+    fn outcome_display_and_order() {
+        assert_eq!(Outcome::table_order().len(), 10);
+        assert_eq!(Outcome::RuntimeCheck.to_string(), "Run-time check");
+        assert_eq!(Outcome::EngineError.to_string(), "Engine error");
+        assert_eq!(Outcome::Deadline.to_string(), "Deadline");
+        assert!(Outcome::CompileCheck.is_detected());
+        assert!(Outcome::RuntimeCheck.is_detected());
+        assert!(!Outcome::Boot.is_detected());
+        assert!(!Outcome::EngineError.is_detected());
+        assert!(!Outcome::Deadline.is_detected());
+    }
+
+    #[test]
+    fn outcome_table_order_is_complete_and_unique() {
+        // Completeness gate: adding an `Outcome` variant without teaching
+        // `table_order` about it fails this match (and therefore the
+        // build), not just the table rendering.
+        fn index_of(o: Outcome) -> usize {
+            match o {
+                Outcome::CompileCheck => 0,
+                Outcome::RuntimeCheck => 1,
+                Outcome::Crash => 2,
+                Outcome::InfiniteLoop => 3,
+                Outcome::Halt => 4,
+                Outcome::DamagedBoot => 5,
+                Outcome::Boot => 6,
+                Outcome::DeadCode => 7,
+                Outcome::EngineError => 8,
+                Outcome::Deadline => 9,
+            }
+        }
+        let mut seen = [0usize; 10];
+        for o in Outcome::table_order() {
+            seen[index_of(o)] += 1;
+        }
+        assert_eq!(seen, [1; 10], "every variant exactly once in table_order");
+    }
+
+    #[test]
+    fn devil_assertion_panic_classifies_as_runtime_check() {
+        let e = RunError::Panic {
+            message: "Devil assertion failed in file drv.c line 12".into(),
+            file: "drv.c".into(),
+            line: 12,
+        };
+        assert_eq!(classify_run_error(&e).0, Outcome::RuntimeCheck);
+        let e = RunError::Panic { message: "hd: controller stuck".into(), file: "d".into(), line: 1 };
+        assert_eq!(classify_run_error(&e).0, Outcome::Halt);
+    }
+
+    #[test]
+    fn fixed_verdicts_borrow_their_detail_strings() {
+        // The common classifications must not allocate a detail per
+        // mutant: a clean boot, a dead-code refinement and a fuel
+        // exhaustion all return borrowed strings.
+        let (_, detail) = rebuild_and_run(MINI_DRIVER, None);
+        assert!(matches!(detail, Detail::Borrowed(_)), "clean boot detail is borrowed");
+        let (o, detail) = classify_run_error(&RunError::OutOfFuel);
+        assert_eq!(o, Outcome::InfiniteLoop);
+        assert!(matches!(detail, Detail::Borrowed(_)), "fuel detail is borrowed");
     }
 }

@@ -13,7 +13,7 @@
 //! [`ScenarioMachine`](crate::scenario::ScenarioMachine); the driver corpus
 //! that pairs with each scenario lives in `devil_drivers::corpus`.
 
-mod ide_boot;
+pub(crate) mod ide_boot;
 mod ide_stress;
 mod mouse_stream;
 mod ne2000_stress;

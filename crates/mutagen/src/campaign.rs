@@ -201,7 +201,7 @@ where
 }
 
 /// Best-effort text of a panic payload, for outcome details and logs.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<String>()
         .map(String::as_str)

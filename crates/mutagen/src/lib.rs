@@ -35,7 +35,8 @@ pub mod queue;
 pub mod site;
 
 pub use campaign::{
-    effective_threads, run_parallel, sample, Campaign, Recover, Supervise, Unsupervised,
+    effective_threads, panic_text, run_parallel, sample, Campaign, Recover, Supervise,
+    Unsupervised,
 };
 pub use ledger::{source_fingerprint, Admission, Ledger, LedgerCounters, LedgerKey, Ticket};
 pub use quarantine::Quarantine;

@@ -100,6 +100,5 @@ pub use hist::Histogram;
 pub use load::{parse_mix, run_load, LoadConfig, LoadReport, MixEntry};
 pub use proto::{QuarantinedPair, Request, Response, ServiceStats, SubmitMutant};
 pub use server::{
-    serve, serve_tcp, serve_with, ConnBreaker, DrainHandle, Duplex, InProcServer,
-    ServeConfig,
+    serve_tcp, serve_with, ConnBreaker, DrainHandle, Duplex, InProcServer, ServeConfig,
 };

@@ -10,6 +10,7 @@
 //! direction, which the peer observes as EOF exactly like a TCP
 //! half-close.
 
+use crate::server::{ConnBreaker, Duplex};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
@@ -106,14 +107,12 @@ pub struct PipeBreaker {
     outbound: Arc<Channel>,
 }
 
-impl PipeBreaker {
-    /// Close the direction this endpoint reads from.
-    pub fn break_read(&self) {
+impl ConnBreaker for PipeBreaker {
+    fn break_read(&self) {
         self.inbound.close();
     }
 
-    /// Close both directions.
-    pub fn break_both(&self) {
+    fn break_both(&self) {
         self.inbound.close();
         self.outbound.close();
     }
@@ -131,15 +130,18 @@ impl PipeEnd {
     pub fn split(self) -> (PipeReader, PipeWriter) {
         (self.reader, self.writer)
     }
+}
 
-    /// Split into read/write halves plus a [`PipeBreaker`] that can sever
-    /// either direction from a third thread.
-    pub fn split_breakable(self) -> (PipeReader, PipeWriter, PipeBreaker) {
+impl Duplex for PipeEnd {
+    type Reader = PipeReader;
+    type Writer = PipeWriter;
+    type Breaker = PipeBreaker;
+    fn split(self) -> io::Result<(PipeReader, PipeWriter, PipeBreaker)> {
         let breaker = PipeBreaker {
             inbound: Arc::clone(&self.reader.0),
             outbound: Arc::clone(&self.writer.0),
         };
-        (self.reader, self.writer, breaker)
+        Ok((self.reader, self.writer, breaker))
     }
 }
 
@@ -217,7 +219,7 @@ mod tests {
     #[test]
     fn breaker_unblocks_a_parked_reader() {
         let (a, b) = pipe();
-        let (mut b_read, _b_write, breaker) = b.split_breakable();
+        let (mut b_read, _b_write, breaker) = Duplex::split(b).unwrap();
         let t = std::thread::spawn(move || {
             let mut out = Vec::new();
             b_read.read_to_end(&mut out).map(|_| out)

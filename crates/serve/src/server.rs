@@ -1,33 +1,37 @@
-//! The campaign server: admission, sharding, classification, streaming.
+//! The campaign server: admission, classification, streaming.
 //!
 //! A long-running service built from the pieces the batch engine already
-//! proved out, rearranged around a queue instead of a slice:
+//! proved out, rearranged around a queue instead of a slice. Its threads
+//! share one private `Service` (routes, job queue, quarantine, ledger,
+//! counters, connection breakers); [`serve_with`] opens it and runs its
+//! pieces in one `thread::scope`:
 //!
-//! * **connections** — each accepted stream gets a reader thread
-//!   (decode, validate, admit) and a writer thread (stream responses
-//!   back in completion order);
-//! * **admission** — a validated submission first goes through the
-//!   outcome ledger's memo stage ([`Ledger::admit`], when the server
-//!   runs with a ledger), which answers a recorded mutant on the spot;
-//!   the rest go through one bounded [`JobQueue`], and a full queue
-//!   sheds the request immediately with a [`Response::Shed`] instead of
-//!   stalling the intake path, so the client always learns its
-//!   request's fate at once;
-//! * **workers** — a [`Campaign`] in its queue-fed form
-//!   (`Campaign::run_queue`): one workspace per worker, holding one
-//!   snapshot-reset [`ScenarioMachine`] per *workload* (scenario ×
-//!   fault plan × seed) built lazily on first use, with one shared
-//!   pre-lexed [`IncludeCache`] per driver file serving every worker.
-//!   At start each CDevil catalog driver is compiled once through its
-//!   cache, so the cache's front-end checkpoint holds the driver's
-//!   compiled header prefix and every catalog mutant compiles only what
-//!   follows it (`STATS` counts the compiles that resumed and those that
-//!   ran in full);
-//! * **delivery** — each job carries the sender of its connection's
-//!   response channel, so outcomes stream back to whoever asked,
-//!   whatever worker classified them, and its ledger ticket, which
-//!   [`Ledger::settle`] turns into a recorded, verified or diverged
-//!   entry.
+//! * **open** — resume the outcome ledger, replay its strikes into the
+//!   quarantine, and build one shared pre-lexed [`IncludeCache`] per
+//!   driver file, warmed so every CDevil catalog mutant compiles only
+//!   what follows the driver's header prefix (`STATS` counts the
+//!   compiles that resumed and those that ran in full);
+//! * **accept** — a reader and a writer thread per connection; replies
+//!   stream back in completion order;
+//! * **read and admit** — a valid submission first goes through the
+//!   ledger's memo stage ([`Ledger::admit`]), which answers a recorded
+//!   mutant on the spot, and the rest through one bounded [`JobQueue`]:
+//!   a full queue sheds at once with a [`Response::Shed`], so the client
+//!   always learns its request's fate;
+//! * **work** — a [`Campaign`] fed by that queue (`Campaign::run_queue`),
+//!   one workspace per worker holding one snapshot-reset
+//!   [`ScenarioMachine`] per workload (scenario × fault plan × seed),
+//!   built lazily. It classifies each job, turns a classify panic into a
+//!   quarantine strike, and delivers the reply through the job's
+//!   connection sender, settling its ledger ticket ([`Ledger::settle`]);
+//! * **supervise** — carries out a drain (below);
+//! * **stats** — the counters `STATS` reads live.
+//!
+//! Every wait in the lifecycle is on an event: a [`JobQueue`] pop (the
+//! workers on jobs, the acceptor on connections) or the condvar behind
+//! [`DrainHandle`], which also records when the acceptor and the workers
+//! are done and how many writers are live. Only [`serve_tcp`]'s accept
+//! back-off polls: std cannot interrupt a blocking `accept`.
 //!
 //! The outcomes are produced by exactly the same `run_cached` per-mutant
 //! unit, worker pool and memo stage as the batch `Campaign` path — pinned
@@ -72,20 +76,24 @@ use devil_kernel::scenario::{Deadline, Scenario, ScenarioMachine};
 use devil_kernel::Outcome;
 use devil_minic::pp::IncludeCache;
 use devil_mutagen::{
-    effective_threads, source_fingerprint, Admission, Campaign, JobQueue, Ledger, LedgerKey,
-    Quarantine, Ticket,
+    effective_threads, panic_text, source_fingerprint, Admission, Campaign, JobQueue, Ledger,
+    LedgerKey, Quarantine, Ticket,
 };
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// How long the drain supervisor waits for writer threads to flush their
 /// last replies before severing connections outright.
 const WRITER_FLUSH_GRACE: Duration = Duration::from_secs(5);
+
+/// The lifecycle and breaker locks guard only updates that cannot panic.
+const POISONED: &str = "a server thread panicked holding a lifecycle lock";
 
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
@@ -207,82 +215,32 @@ impl Duplex for TcpStream {
     }
 }
 
-impl ConnBreaker for crate::pipe::PipeBreaker {
-    fn break_read(&self) {
-        crate::pipe::PipeBreaker::break_read(self);
-    }
-    fn break_both(&self) {
-        crate::pipe::PipeBreaker::break_both(self);
-    }
-}
-
-impl Duplex for crate::pipe::PipeEnd {
-    type Reader = crate::pipe::PipeReader;
-    type Writer = crate::pipe::PipeWriter;
-    type Breaker = crate::pipe::PipeBreaker;
-    fn split(self) -> io::Result<(Self::Reader, Self::Writer, Self::Breaker)> {
-        Ok(crate::pipe::PipeEnd::split_breakable(self))
-    }
-}
-
-/// The drain state machine shared between readers (who trigger and
-/// observe it), the supervisor (who executes it) and the worker pool
-/// (whose completion releases it).
+/// The service lifecycle behind a [`DrainHandle`]: readers trigger and
+/// observe a drain, the acceptor, the workers and the writers report
+/// their progress, and the drain supervisor waits on it. Every change
+/// notifies.
 #[derive(Debug, Default)]
 struct DrainControl {
     state: Mutex<DrainState>,
     wake: Condvar,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct DrainState {
     requested: bool,
     deadline: Option<Instant>,
-    finished: bool,
-}
-
-impl DrainControl {
-    fn request(&self, grace: Option<Duration>) {
-        let mut st = self.state.lock().unwrap();
-        // First request wins: a later, laxer grace must not extend a
-        // drain already under way.
-        if !st.requested {
-            st.requested = true;
-            st.deadline = grace.map(|g| Instant::now() + g);
-        }
-        drop(st);
-        self.wake.notify_all();
-    }
-
-    fn is_draining(&self) -> bool {
-        self.state.lock().unwrap().requested
-    }
-
-    /// The server wound down naturally; release a supervisor still
-    /// waiting for a drain that will never come.
-    fn finish(&self) {
-        self.state.lock().unwrap().finished = true;
-        self.wake.notify_all();
-    }
-
-    /// Block until a drain is requested (`Some(force-shed deadline)`) or
-    /// the server winds down naturally (`None`).
-    fn wait_trigger(&self) -> Option<Option<Instant>> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.requested {
-                return Some(st.deadline);
-            }
-            if st.finished {
-                return None;
-            }
-            st = self.wake.wait(st).unwrap();
-        }
-    }
+    /// The acceptor has registered every connection it will serve.
+    acceptor_done: bool,
+    /// The job queue is closed and drained, and every worker has exited.
+    workers_done: bool,
+    /// Writer threads still streaming replies.
+    writers: usize,
 }
 
 /// External drain trigger for a running [`serve_with`] call: cloneable,
-/// so a signal-watcher thread can hold one while the server blocks.
+/// so a signal-watcher thread can hold one while the server blocks. One
+/// handle serves one server: it also carries that server's lifecycle, so
+/// a handle is not reused once its server has returned.
 #[derive(Debug, Clone, Default)]
 pub struct DrainHandle {
     ctl: Arc<DrainControl>,
@@ -299,62 +257,44 @@ impl DrainHandle {
     /// lets the backlog run to completion), then hang up every
     /// connection once all replies are flushed.
     pub fn drain(&self, grace: Option<Duration>) {
-        self.ctl.request(grace);
+        self.update(|st| {
+            // First request wins: a later, laxer grace must not extend a
+            // drain already under way.
+            if !st.requested {
+                st.requested = true;
+                st.deadline = grace.map(|g| Instant::now() + g);
+            }
+        });
     }
 
     /// Whether a drain has been requested.
     pub fn is_draining(&self) -> bool {
-        self.ctl.is_draining()
+        self.ctl.state.lock().expect(POISONED).requested
+    }
+
+    /// Apply `change` to the lifecycle state and wake every waiter.
+    fn update(&self, change: impl FnOnce(&mut DrainState)) {
+        change(&mut self.ctl.state.lock().expect(POISONED));
+        self.ctl.wake.notify_all();
+    }
+
+    /// Block until `done` holds, or until `until` passes; returns the
+    /// state at that moment.
+    fn wait(&self, until: Option<Instant>, done: impl Fn(&DrainState) -> bool) -> DrainState {
+        let st = self.ctl.state.lock().expect(POISONED);
+        let st = match until {
+            None => self.ctl.wake.wait_while(st, |st| !done(st)).expect(POISONED),
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                self.ctl.wake.wait_timeout_while(st, left, |st| !done(st)).expect(POISONED).0
+            }
+        };
+        *st
     }
 }
 
-/// The registered connection breakers, with the drain phases latched so
-/// a connection accepted *while* the cutoff runs is severed on arrival
-/// instead of slipping through and parking a reader forever.
-#[derive(Default)]
-struct BreakerSet {
-    inner: Mutex<BreakerState>,
-}
-
-#[derive(Default)]
-struct BreakerState {
-    breakers: Vec<Box<dyn ConnBreaker>>,
-    severed: bool,
-    cut: bool,
-}
-
-impl BreakerSet {
-    fn register(&self, breaker: Box<dyn ConnBreaker>) {
-        let mut st = self.inner.lock().unwrap();
-        if st.cut {
-            breaker.break_both();
-        } else if st.severed {
-            breaker.break_read();
-        }
-        st.breakers.push(breaker);
-    }
-
-    fn sever_reads(&self) {
-        let mut st = self.inner.lock().unwrap();
-        st.severed = true;
-        for b in &st.breakers {
-            b.break_read();
-        }
-    }
-
-    fn cut_all(&self) {
-        let mut st = self.inner.lock().unwrap();
-        st.severed = true;
-        st.cut = true;
-        for b in &st.breakers {
-            b.break_both();
-        }
-    }
-}
-
-/// Request-routing tables, built once per server from the driver catalog:
-/// the known scenario names, and one shared pre-lexed include cache per
-/// driver file.
+/// Request routing, built once per server from the driver catalog: one
+/// shared pre-lexed include cache per driver file.
 struct Routes {
     caches: HashMap<&'static str, Arc<IncludeCache>>,
 }
@@ -462,83 +402,330 @@ fn build_machine(req: &SubmitMutant, fuel: u64) -> ScenarioMachine<Box<dyn Scena
     ScenarioMachine::with_scenario(scenario.expect("scenario validated at admission"), fuel)
 }
 
-/// Serve connections arriving on `incoming` until the channel closes and
-/// the last connection hangs up; returns the final counter snapshot.
-/// Equivalent to [`serve_with`] with a drain handle nobody pulls.
-pub fn serve<S: Duplex>(config: &ServeConfig, incoming: mpsc::Receiver<S>) -> ServiceStats {
-    serve_with(config, incoming, &DrainHandle::new())
+/// What the service's threads share; each piece is one method, run on
+/// its own thread of [`serve_with`]'s scope.
+struct Service<'a> {
+    config: &'a ServeConfig,
+    workers: usize,
+    routes: Routes,
+    jobs: JobQueue<Job>,
+    quarantine: Quarantine<JobKey>,
+    ledger: Option<Ledger>,
+    /// Every accepted connection's breaker. The acceptor registers each
+    /// one before it reports done, and the supervisor severs only after
+    /// that, so none arrives after the cutoff.
+    breakers: Mutex<Vec<Box<dyn ConnBreaker>>>,
+    completed: AtomicU64,
+    expired: AtomicU64,
+    forced_shed: AtomicU64,
+    drain: &'a DrainHandle,
 }
 
-/// Serve connections arriving on `incoming` until the channel closes and
+/// Serve connections popped from `conns` until the queue is closed and
 /// the last connection hangs up, or until `drain` is pulled (externally
-/// or by a protocol `DRAIN` request); returns the final counter
-/// snapshot.
+/// or by a protocol `DRAIN` request, which also closes `conns`); returns
+/// the final counter snapshot.
 ///
 /// This is the transport-agnostic core: the `devil-serve` binary feeds it
 /// TCP accepts, tests and benches feed it in-process pipe ends. Blocks
-/// the calling thread for the life of the service.
+/// the calling thread for the life of the service. One `drain` handle
+/// serves one call.
 pub fn serve_with<S: Duplex>(
     config: &ServeConfig,
-    incoming: mpsc::Receiver<S>,
+    conns: &JobQueue<S>,
     drain: &DrainHandle,
 ) -> ServiceStats {
-    let routes = Routes::build();
-    let queue: JobQueue<Job> = JobQueue::bounded(config.queue_cap);
-    let quarantine: Quarantine<JobKey> = Quarantine::new();
-    let breakers = BreakerSet::default();
-    let completed = AtomicU64::new(0);
-    let expired = AtomicU64::new(0);
-    let forced_shed = AtomicU64::new(0);
-    let workers_done = AtomicBool::new(false);
-    let acceptor_done = AtomicBool::new(false);
-    let writers_alive = AtomicUsize::new(0);
-    let workers = effective_threads(config.threads);
-    let fuel = config.fuel;
-    let quarantine_limit = config.quarantine_limit;
-    let verify_fraction = config.verify_fraction;
-    let drain_ctl: &DrainControl = &drain.ctl;
-
-    // The durable side of the service: resume (or create) the outcome
-    // ledger, then replay its strike records into the in-memory
-    // quarantine so a restarted server refuses known-poison mutants
-    // before the first worker panic. An unopenable path is a config
-    // error and fails loudly; a *corrupt* ledger file never does —
-    // `Ledger::resume` truncates a torn tail and carries on.
-    let ledger: Option<Ledger> = config.ledger.as_ref().map(|path| {
-        let rev = spec_revision(config.fuel);
-        Ledger::resume(path, rev).unwrap_or_else(|e| {
-            panic!("cannot open ledger {}: {e}", path.display())
-        })
+    let service = Service::open(config, drain);
+    std::thread::scope(|scope| {
+        let service = &service;
+        scope.spawn(move || service.accept(scope, conns));
+        scope.spawn(move || service.supervise(conns));
+        service.work();
     });
-    if let Some(l) = ledger.as_ref() {
-        for ((file, fp), strikes) in l.strike_counts() {
-            quarantine.load((file, fp), strikes);
+    service.stats()
+}
+
+impl<'a> Service<'a> {
+    /// Open: build the routes, then the durable side — resume (or create)
+    /// the outcome ledger, then replay its strike records into the
+    /// in-memory quarantine so a restarted server refuses known-poison
+    /// mutants before the first worker panic. An unopenable path is a
+    /// config error and fails loudly; a *corrupt* ledger file never does
+    /// — `Ledger::resume` truncates a torn tail and carries on.
+    fn open(config: &'a ServeConfig, drain: &'a DrainHandle) -> Service<'a> {
+        let routes = Routes::build();
+        let quarantine = Quarantine::new();
+        let ledger = config.ledger.as_ref().map(|path| {
+            let rev = spec_revision(config.fuel);
+            Ledger::resume(path, rev).unwrap_or_else(|e| {
+                panic!("cannot open ledger {}: {e}", path.display())
+            })
+        });
+        if let Some(l) = ledger.as_ref() {
+            for ((file, fp), strikes) in l.strike_counts() {
+                quarantine.load((file, fp), strikes);
+            }
+        }
+        Service {
+            config,
+            workers: effective_threads(config.threads),
+            routes,
+            jobs: JobQueue::bounded(config.queue_cap),
+            quarantine,
+            ledger,
+            breakers: Mutex::default(),
+            completed: AtomicU64::new(0),
+            expired: AtomicU64::new(0),
+            forced_shed: AtomicU64::new(0),
+            drain,
         }
     }
 
-    let stats_now = |queue: &JobQueue<Job>| {
-        let q = queue.stats();
-        let lc = ledger.as_ref().map(Ledger::counters).unwrap_or_default();
-        let (compiles_resumed, compiles_full) = routes.front_end_counts();
-        let mut offenders = quarantine.counts();
+    /// Accept: give each connection popped from `conns` a writer and a
+    /// reader thread, until a drain or the transport closes the queue —
+    /// connections already waiting in it are still served, so every
+    /// frame they wrote gets an explicit reply (`DRAINING` for
+    /// submissions). Once no more work can arrive — the last reader has
+    /// hung up — close the job queue so the workers drain and exit.
+    fn accept<'s, S: Duplex>(&'s self, scope: &'s Scope<'s, '_>, conns: &JobQueue<S>) {
+        let mut readers = Vec::new();
+        while let Some(stream) = conns.pop() {
+            let Ok((r, w, breaker)) = stream.split() else { continue };
+            self.breakers.lock().expect(POISONED).push(Box::new(breaker));
+            let (tx, rx) = mpsc::channel::<Vec<u8>>();
+            self.drain.update(|st| st.writers += 1);
+            scope.spawn(move || self.write(w, rx));
+            readers.push(scope.spawn(move || self.read(r, tx)));
+        }
+        self.drain.update(|st| st.acceptor_done = true);
+        for r in readers {
+            let _ = r.join();
+        }
+        self.jobs.close();
+    }
+
+    /// Write: stream pre-encoded frames until every sender — the reader
+    /// and any in-flight jobs — is gone.
+    fn write(&self, w: impl Write, rx: mpsc::Receiver<Vec<u8>>) {
+        let mut w = BufWriter::new(w);
+        for frame in rx.iter() {
+            if write_frame(&mut w, &frame).is_err() {
+                break;
+            }
+            let _ = w.flush();
+        }
+        self.drain.update(|st| st.writers -= 1);
+    }
+
+    /// Read: answer `STATS` and `DRAIN` in place and put each submission
+    /// through admission, until the peer hangs up, sends an undecodable
+    /// frame, or the drain severs the read side.
+    fn read(&self, mut r: impl Read, tx: mpsc::Sender<Vec<u8>>) {
+        while let Ok(Some(payload)) = read_frame(&mut r) {
+            let Ok(req) = Request::decode(&payload) else { break };
+            let rep = match req {
+                Request::Stats { req_id } => Response::Stats { req_id, stats: self.stats() },
+                Request::Drain { req_id, grace_ms } => {
+                    // grace 0 means no force-shed deadline: the backlog
+                    // runs to completion.
+                    let grace =
+                        (grace_ms != 0).then(|| Duration::from_millis(u64::from(grace_ms)));
+                    self.drain.drain(grace);
+                    Response::Draining { req_id }
+                }
+                Request::Submit(s) => match self.admit(s, &tx) {
+                    Some(rep) => rep,
+                    None => continue,
+                },
+            };
+            let _ = tx.send(rep.encode());
+        }
+    }
+
+    /// Admit one submission: turn it away (draining, bad routing,
+    /// quarantined), answer it from the ledger, or queue it as a job that
+    /// replies through `tx` — shed at once when the queue is full.
+    /// Returns the reply to send now, or `None` once the job is queued.
+    fn admit(&self, s: SubmitMutant, tx: &mpsc::Sender<Vec<u8>>) -> Option<Response> {
+        let req_id = s.req_id;
+        if self.drain.is_draining() {
+            return Some(Response::Draining { req_id });
+        }
+        if let Err(message) = self.routes.validate(&s) {
+            return Some(Response::Err { req_id, message });
+        }
+        let key = job_key(&s);
+        if self.quarantine.is_quarantined(&key, self.config.quarantine_limit) {
+            let message = format!(
+                "quarantined after {} engine failure(s) for this (file, source) pair",
+                self.quarantine.strikes(&key)
+            );
+            return Some(Response::Err { req_id, message });
+        }
+        // Memoized admission: a ledger hit is answered here, O(1),
+        // without entering the job queue; a job that runs carries its
+        // ticket to delivery.
+        let mut memo = None;
+        if let Some(l) = self.ledger.as_ref() {
+            let key = LedgerKey::new(
+                &s.file,
+                &s.source,
+                &s.scenario,
+                &s.plan,
+                s.plan_seed,
+                s.dead_line,
+                l.spec_rev(),
+            );
+            let decode = |code, detail: &str| {
+                Some(Response::Outcome {
+                    req_id,
+                    outcome: Outcome::from_code(code)?,
+                    detail: detail.to_string(),
+                })
+            };
+            match l.admit(key, self.config.verify_fraction, decode) {
+                Admission::Hit(rep) => {
+                    self.completed.fetch_add(1, Ordering::Relaxed);
+                    return Some(rep);
+                }
+                Admission::Run(ticket) => memo = Some(ticket),
+            }
+        }
+        let expires_at = (s.deadline_ms != 0)
+            .then(|| Instant::now() + Duration::from_millis(u64::from(s.deadline_ms)));
+        let job = Job { req: s, expires_at, resp: tx.clone(), memo };
+        self.jobs.push(job).err().map(|_| Response::Shed { req_id })
+    }
+
+    /// Work: the queue-fed campaign under supervision — a classify panic
+    /// becomes an EngineError reply plus a quarantine strike, never a
+    /// dead service. Runs on the calling thread until the job queue is
+    /// closed and drained, then reports the workers done.
+    fn work(&self) {
+        Campaign::new(HashMap::new, |ws: &mut Workspace, job: &Job| self.classify(ws, job))
+            .supervised(|job: &Job, panic_message: &str| self.strike(job, panic_message))
+            .with_threads(self.workers)
+            .run_queue(&self.jobs, |job: Job, rep: Response| self.deliver(job, rep));
+        self.drain.update(|st| st.workers_done = true);
+    }
+
+    /// Classify one job on the worker's machine for its workload — or
+    /// shed it without paying for a run if it expired while queued.
+    fn classify(&self, ws: &mut Workspace, job: &Job) -> Response {
+        // Unit tests drive supervision through a classify that panics on
+        // a marker.
+        #[cfg(test)]
+        tests::panic_on_chaos_marker(&job.req.source);
+        if job.expires_at.is_some_and(|at| Instant::now() >= at) {
+            return Response::Expired { req_id: job.req.req_id };
+        }
+        let key = (job.req.scenario.clone(), job.req.plan.clone(), job.req.plan_seed);
+        let machine = ws.entry(key).or_insert_with(|| build_machine(&job.req, self.config.fuel));
+        let dead = (job.req.dead_line != 0).then_some(job.req.dead_line);
+        let (outcome, detail) = machine.run_cached(
+            &job.req.file,
+            &job.req.source,
+            self.routes.cache_for(&job.req.file),
+            dead,
+            job.expires_at.map(Deadline::at),
+        );
+        Response::Outcome { req_id: job.req.req_id, outcome, detail: detail.into_owned() }
+    }
+
+    /// Strike: a classify panic becomes an EngineError reply and one
+    /// quarantine strike for the job's `(file, source)` pair.
+    fn strike(&self, job: &Job, panic_message: &str) -> Response {
+        let key = job_key(&job.req);
+        // Persist the strike before counting it in memory: a crash
+        // between the two loses an in-memory count, never a durable
+        // one, so a restarted server can only be *stricter*.
+        if let Some(l) = self.ledger.as_ref() {
+            let _ = l.record_strike(&key.0, key.1);
+        }
+        self.quarantine.record(key);
+        Response::Outcome {
+            req_id: job.req.req_id,
+            outcome: Outcome::EngineError,
+            detail: format!("classify panicked: {panic_message}"),
+        }
+    }
+
+    /// Deliver: count the reply, settle the job's ledger ticket, and send
+    /// the reply to the job's connection.
+    fn deliver(&self, job: Job, rep: Response) {
+        let expired = matches!(rep, Response::Expired { .. });
+        let counter = if expired { &self.expired } else { &self.completed };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let (Response::Outcome { outcome, detail, .. }, Some(l), Some(ticket)) =
+            (&rep, self.ledger.as_ref(), job.memo.as_ref())
+        {
+            // EngineError and Deadline are environmental, not properties
+            // of the mutant: never memoized.
+            let fresh = outcome.is_deterministic().then(|| (outcome.code(), detail.as_str()));
+            l.settle(ticket, fresh);
+        }
+        let _ = job.resp.send(rep.encode());
+    }
+
+    /// Supervise the drain: parked until a drain is requested (or the
+    /// workers wind down naturally). On drain: stop taking connections
+    /// and jobs, let the workers finish the backlog — force-shedding
+    /// whatever is still queued once the drain deadline passes — then,
+    /// once the acceptor has registered every connection it will serve,
+    /// sever the read sides so idle readers wind down, give the writers a
+    /// flush grace, and cut whatever is left.
+    fn supervise<S>(&self, conns: &JobQueue<S>) {
+        let st = self.drain.wait(None, |st| st.requested || st.workers_done);
+        if !st.requested {
+            return;
+        }
+        conns.close();
+        self.jobs.close();
+        if !self.drain.wait(st.deadline, |st| st.workers_done).workers_done {
+            // The grace lapsed. The job queue is closed, so nothing can
+            // enter it after this sweep.
+            while let Some(job) = self.jobs.try_pop() {
+                self.forced_shed.fetch_add(1, Ordering::SeqCst);
+                let _ = job.resp.send(Response::Shed { req_id: job.req.req_id }.encode());
+            }
+        }
+        // Every job now has its reply sent (or in a writer's channel),
+        // and every connection is registered. EOF the readers; the
+        // writers flush and exit as their senders drop.
+        self.drain.wait(None, |st| st.workers_done && st.acceptor_done);
+        self.sever(|b| b.break_read());
+        let cutoff = Instant::now() + WRITER_FLUSH_GRACE;
+        self.drain.wait(Some(cutoff), |st| st.writers == 0);
+        self.sever(|b| b.break_both());
+    }
+
+    fn sever(&self, cut: impl Fn(&dyn ConnBreaker)) {
+        for b in self.breakers.lock().expect(POISONED).iter() {
+            cut(b.as_ref());
+        }
+    }
+
+    /// Stats: a snapshot of the counters, as `STATS` reports them.
+    fn stats(&self) -> ServiceStats {
+        let q = self.jobs.stats();
+        let lc = self.ledger.as_ref().map(Ledger::counters).unwrap_or_default();
+        let (compiles_resumed, compiles_full) = self.routes.front_end_counts();
+        let limit = self.config.quarantine_limit;
+        let mut offenders = self.quarantine.counts();
         offenders.sort();
         let quarantined = offenders
             .into_iter()
-            .filter(|&(_, strikes)| quarantine_limit != 0 && strikes >= quarantine_limit)
-            .map(|((file, fingerprint), strikes)| QuarantinedPair {
-                file,
-                fingerprint,
-                strikes,
-            })
+            .filter(|&(_, strikes)| limit != 0 && strikes >= limit)
+            .map(|((file, fingerprint), strikes)| QuarantinedPair { file, fingerprint, strikes })
             .collect();
         ServiceStats {
             accepted: q.accepted,
-            completed: completed.load(Ordering::Relaxed),
-            shed: q.shed + forced_shed.load(Ordering::Relaxed),
-            expired: expired.load(Ordering::Relaxed),
+            completed: self.completed.load(Ordering::Relaxed),
+            shed: q.shed + self.forced_shed.load(Ordering::Relaxed),
+            expired: self.expired.load(Ordering::Relaxed),
             depth: q.depth as u64,
             max_depth: q.max_depth as u64,
-            workers: workers as u64,
+            workers: self.workers as u64,
             ledger_hits: lc.hits,
             ledger_misses: lc.misses,
             ledger_verified: lc.verified,
@@ -547,285 +734,16 @@ pub fn serve_with<S: Duplex>(
             compiles_full,
             quarantined,
         }
-    };
-
-    std::thread::scope(|scope| {
-        let queue = &queue;
-        let routes = &routes;
-        let quarantine = &quarantine;
-        let breakers = &breakers;
-        let completed = &completed;
-        let expired = &expired;
-        let forced_shed = &forced_shed;
-        let ledger = &ledger;
-        let workers_done = &workers_done;
-        let acceptor_done = &acceptor_done;
-        let writers_alive = &writers_alive;
-        let stats_now = &stats_now;
-
-        // Acceptor: one reader + one writer thread per connection,
-        // polling so a drain interrupts the wait. When no more work can
-        // arrive — the incoming channel closed and every reader hung up,
-        // or a drain began — close the queue so the workers drain and
-        // exit. A drain does NOT abandon connections already sitting in
-        // the backlog: they are swept and served so every frame they
-        // wrote gets an explicit reply (`DRAINING` for submissions) —
-        // the supervisor waits for `acceptor_done` before it severs, so
-        // the sweep always lands ahead of the cutoff.
-        scope.spawn(move || {
-            let mut readers = Vec::new();
-            let handle = |stream: S, readers: &mut Vec<_>| {
-                let Ok((mut r, w, breaker)) = stream.split() else { return };
-                breakers.register(Box::new(breaker));
-                let (tx, rx) = mpsc::channel::<Vec<u8>>();
-                // Writer: stream pre-encoded frames until every sender —
-                // the reader and any in-flight jobs — is gone.
-                writers_alive.fetch_add(1, Ordering::SeqCst);
-                scope.spawn(move || {
-                    let mut w = BufWriter::new(w);
-                    for frame in rx.iter() {
-                        if write_frame(&mut w, &frame).is_err() {
-                            break;
-                        }
-                        let _ = w.flush();
-                    }
-                    writers_alive.fetch_sub(1, Ordering::SeqCst);
-                });
-                readers.push(scope.spawn(move || {
-                    while let Ok(Some(payload)) = read_frame(&mut r) {
-                        let Ok(req) = Request::decode(&payload) else { break };
-                        match req {
-                            Request::Stats { req_id } => {
-                                let rep = Response::Stats {
-                                    req_id,
-                                    stats: stats_now(queue),
-                                };
-                                let _ = tx.send(rep.encode());
-                            }
-                            Request::Drain { req_id, grace_ms } => {
-                                // grace 0 means no force-shed deadline:
-                                // the backlog runs to completion.
-                                let grace = (grace_ms != 0)
-                                    .then(|| Duration::from_millis(u64::from(grace_ms)));
-                                drain_ctl.request(grace);
-                                let rep = Response::Draining { req_id };
-                                let _ = tx.send(rep.encode());
-                            }
-                            Request::Submit(s) => {
-                                if drain_ctl.is_draining() {
-                                    let rep = Response::Draining { req_id: s.req_id };
-                                    let _ = tx.send(rep.encode());
-                                    continue;
-                                }
-                                if let Err(message) = routes.validate(&s) {
-                                    let rep =
-                                        Response::Err { req_id: s.req_id, message };
-                                    let _ = tx.send(rep.encode());
-                                    continue;
-                                }
-                                let key = job_key(&s);
-                                if quarantine.is_quarantined(&key, quarantine_limit) {
-                                    let rep = Response::Err {
-                                        req_id: s.req_id,
-                                        message: format!(
-                                            "quarantined after {} engine failure(s) \
-                                             for this (file, source) pair",
-                                            quarantine.strikes(&key)
-                                        ),
-                                    };
-                                    let _ = tx.send(rep.encode());
-                                    continue;
-                                }
-                                // Memoized admission: a ledger hit is
-                                // answered here, O(1), without entering
-                                // the job queue; a job that runs carries
-                                // its ticket to delivery.
-                                let mut memo = None;
-                                if let Some(l) = ledger.as_ref() {
-                                    let key = LedgerKey::new(
-                                        &s.file,
-                                        &s.source,
-                                        &s.scenario,
-                                        &s.plan,
-                                        s.plan_seed,
-                                        s.dead_line,
-                                        l.spec_rev(),
-                                    );
-                                    let decode = |code, detail: &str| {
-                                        Some(Response::Outcome {
-                                            req_id: s.req_id,
-                                            outcome: Outcome::from_code(code)?,
-                                            detail: detail.to_string(),
-                                        })
-                                    };
-                                    match l.admit(key, verify_fraction, decode) {
-                                        Admission::Hit(rep) => {
-                                            completed.fetch_add(1, Ordering::Relaxed);
-                                            let _ = tx.send(rep.encode());
-                                            continue;
-                                        }
-                                        Admission::Run(ticket) => memo = Some(ticket),
-                                    }
-                                }
-                                let expires_at = (s.deadline_ms != 0).then(|| {
-                                    Instant::now()
-                                        + Duration::from_millis(u64::from(s.deadline_ms))
-                                });
-                                let job = Job { req: s, expires_at, resp: tx.clone(), memo };
-                                if let Err(job) = queue.push(job) {
-                                    let rep = Response::Shed { req_id: job.req.req_id };
-                                    let _ = job.resp.send(rep.encode());
-                                }
-                            }
-                        }
-                    }
-                }));
-            };
-            loop {
-                if drain_ctl.is_draining() {
-                    // Sweep the backlog: connections that arrived before
-                    // the drain still get every frame answered.
-                    while let Ok(stream) = incoming.try_recv() {
-                        handle(stream, &mut readers);
-                    }
-                    break;
-                }
-                match incoming.recv_timeout(Duration::from_millis(25)) {
-                    Ok(stream) => handle(stream, &mut readers),
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            acceptor_done.store(true, Ordering::SeqCst);
-            for r in readers {
-                let _ = r.join();
-            }
-            queue.close();
-        });
-
-        // Drain supervisor: parked until a drain request (or natural
-        // wind-down). On drain: stop admissions at the queue, let the
-        // workers finish the backlog — force-shedding whatever is still
-        // queued once the drain deadline passes — then sever the read
-        // sides so idle readers wind down, give writers a flush grace,
-        // and cut whatever is left.
-        scope.spawn(move || {
-            let Some(deadline) = drain_ctl.wait_trigger() else {
-                return;
-            };
-            queue.close();
-            while !workers_done.load(Ordering::SeqCst) {
-                if deadline.is_some_and(|at| Instant::now() >= at) {
-                    while let Some(job) = queue.try_pop() {
-                        forced_shed.fetch_add(1, Ordering::SeqCst);
-                        let rep = Response::Shed { req_id: job.req.req_id };
-                        let _ = job.resp.send(rep.encode());
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Wait for the acceptor's backlog sweep so late connections
-            // are registered (and their writers counted) before the
-            // cutoff — otherwise their turn-away replies could be lost.
-            while !acceptor_done.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Every job now has its reply sent (or in a writer's
-            // channel). EOF the readers; the writers flush and exit as
-            // their senders drop.
-            breakers.sever_reads();
-            let cutoff = Instant::now() + WRITER_FLUSH_GRACE;
-            while writers_alive.load(Ordering::SeqCst) > 0 && Instant::now() < cutoff {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            breakers.cut_all();
-        });
-
-        // Workers: the queue-fed campaign under supervision — a classify
-        // panic becomes an EngineError reply plus a quarantine strike,
-        // never a dead service.
-        Campaign::new(
-            HashMap::new,
-            move |ws: &mut Workspace, job: &Job| {
-                // Unit tests drive supervision through a classify that
-                // panics on a marker.
-                #[cfg(test)]
-                tests::panic_on_chaos_marker(&job.req.source);
-                if job.expires_at.is_some_and(|at| Instant::now() >= at) {
-                    // Expired while queued: shed without paying for a run.
-                    return Response::Expired { req_id: job.req.req_id };
-                }
-                let key = (
-                    job.req.scenario.clone(),
-                    job.req.plan.clone(),
-                    job.req.plan_seed,
-                );
-                let machine =
-                    ws.entry(key).or_insert_with(|| build_machine(&job.req, fuel));
-                let dead = (job.req.dead_line != 0).then_some(job.req.dead_line);
-                let (outcome, detail) = machine.run_cached(
-                    &job.req.file,
-                    &job.req.source,
-                    routes.cache_for(&job.req.file),
-                    dead,
-                    job.expires_at.map(Deadline::at),
-                );
-                Response::Outcome {
-                    req_id: job.req.req_id,
-                    outcome,
-                    detail: detail.into_owned(),
-                }
-            },
-        )
-        .supervised(move |job: &Job, panic_message: &str| {
-            let key = job_key(&job.req);
-            // Persist the strike before counting it in memory: a crash
-            // between the two loses an in-memory count, never a durable
-            // one, so a restarted server can only be *stricter*.
-            if let Some(l) = ledger.as_ref() {
-                let _ = l.record_strike(&key.0, key.1);
-            }
-            quarantine.record(key);
-            Response::Outcome {
-                req_id: job.req.req_id,
-                outcome: Outcome::EngineError,
-                detail: format!("classify panicked: {panic_message}"),
-            }
-        })
-        .with_threads(workers)
-        .run_queue(queue, |job: Job, rep: Response| {
-            match &rep {
-                Response::Expired { .. } => {
-                    expired.fetch_add(1, Ordering::Relaxed);
-                }
-                Response::Outcome { outcome, detail, .. } => {
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    if let (Some(l), Some(ticket)) = (ledger.as_ref(), job.memo.as_ref()) {
-                        // EngineError and Deadline are environmental,
-                        // not properties of the mutant: never memoized.
-                        let fresh =
-                            outcome.is_deterministic().then(|| (outcome.code(), detail.as_str()));
-                        l.settle(ticket, fresh);
-                    }
-                }
-                _ => {
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let _ = job.resp.send(rep.encode());
-        });
-        workers_done.store(true, Ordering::SeqCst);
-        drain_ctl.finish();
-    });
-
-    stats_now(&queue)
+    }
 }
 
 /// A server running on its own thread, handing out in-process
 /// connections — the hermetic harness tests, benches and `selftest` use.
 #[derive(Debug)]
 pub struct InProcServer {
-    conn_tx: mpsc::Sender<crate::pipe::PipeEnd>,
+    /// The server thread holds the only strong reference, so the queue —
+    /// with any connection still in it — goes when the server does.
+    conns: Weak<JobQueue<crate::pipe::PipeEnd>>,
     drain: DrainHandle,
     join: std::thread::JoinHandle<ServiceStats>,
 }
@@ -833,17 +751,21 @@ pub struct InProcServer {
 impl InProcServer {
     /// Start a server with `config` on a background thread.
     pub fn start(config: ServeConfig) -> InProcServer {
-        let (conn_tx, conn_rx) = mpsc::channel();
+        // Unbounded: a connection is never shed, only refused once a
+        // drain has closed the queue.
+        let conns = Arc::new(JobQueue::bounded(usize::MAX));
         let drain = DrainHandle::new();
-        let handle = drain.clone();
-        let join = std::thread::spawn(move || serve_with(&config, conn_rx, &handle));
-        InProcServer { conn_tx, drain, join }
+        let (weak, handle) = (Arc::downgrade(&conns), drain.clone());
+        let join = std::thread::spawn(move || serve_with(&config, &conns, &handle));
+        InProcServer { conns: weak, drain, join }
     }
 
-    /// Open a new in-process connection to the server.
+    /// Open a new in-process connection to the server. A connection
+    /// opened after a drain began is hung up at once (its reads see EOF).
     pub fn connect(&self) -> crate::pipe::PipeEnd {
         let (client, server) = crate::pipe::pipe();
-        self.conn_tx.send(server).expect("server accepting");
+        let conns = self.conns.upgrade().expect("server accepting");
+        let _ = conns.push(server);
         client
     }
 
@@ -860,15 +782,12 @@ impl InProcServer {
     /// A crash of the server thread surfaces as `Err` with the panic
     /// message, not as a panic of the caller.
     pub fn shutdown(self) -> Result<ServiceStats, String> {
-        drop(self.conn_tx);
-        self.join.join().map_err(|payload| {
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&'static str>().copied())
-                .unwrap_or("non-string panic payload");
-            format!("server thread panicked: {message}")
-        })
+        if let Some(conns) = self.conns.upgrade() {
+            conns.close();
+        }
+        self.join
+            .join()
+            .map_err(|payload| format!("server thread panicked: {}", panic_text(payload.as_ref())))
     }
 }
 
@@ -882,20 +801,16 @@ pub fn serve_tcp(
     listener: std::net::TcpListener,
     drain: &DrainHandle,
 ) -> ServiceStats {
-    let (conn_tx, conn_rx) = mpsc::channel();
+    let conns = &JobQueue::bounded(usize::MAX);
     std::thread::scope(|scope| {
-        let accept_drain = drain.clone();
         scope.spawn(move || {
             let _ = listener.set_nonblocking(true);
-            loop {
-                if accept_drain.is_draining() {
-                    break;
-                }
+            while !drain.is_draining() {
                 match listener.accept() {
                     Ok((s, _)) => {
                         let _ = s.set_nodelay(true);
                         let _ = s.set_nonblocking(false);
-                        if conn_tx.send(s).is_err() {
+                        if conns.push(s).is_err() {
                             break;
                         }
                     }
@@ -905,8 +820,9 @@ pub fn serve_tcp(
                     Err(_) => break,
                 }
             }
+            conns.close();
         });
-        serve_with(config, conn_rx, drain)
+        serve_with(config, conns, drain)
     })
 }
 
@@ -1299,6 +1215,53 @@ mod tests {
         let stats = server.shutdown().expect("drained server exits cleanly");
         assert_eq!(stats.accepted, 2);
         assert_eq!(stats.completed, 2);
+    }
+
+    #[test]
+    fn drain_grace_lapsing_mid_backlog_sheds_the_rest() {
+        let server = InProcServer::start(ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        });
+        let (mut r, mut w) = server.connect().split();
+        let v = find_variant("mouse-stream", "busmouse_c").unwrap();
+        // Sixteen spinners, each burning its whole fuel, queue behind one
+        // worker; the drain's 10ms grace lapses while they are still
+        // queued, so the supervisor's timed wait ends in a force-shed.
+        let spinner = busy_loop_driver(v.source);
+        let total = 16u64;
+        for id in 0..total {
+            write_frame(&mut w, &submit(id, "mouse-stream", "", v.file, &spinner).encode())
+                .unwrap();
+        }
+        write_frame(&mut w, &Request::Drain { req_id: 90, grace_ms: 10 }.encode()).unwrap();
+        // The client keeps its write half open: the server hangs up on
+        // its own once everything is answered.
+        let (mut looped, mut shed) = (0u64, 0u64);
+        let mut seen = std::collections::HashSet::new();
+        let mut draining = false;
+        while let Some(payload) = read_frame(&mut r).unwrap() {
+            match Response::decode(&payload).unwrap() {
+                Response::Outcome { req_id, outcome, .. } => {
+                    assert_eq!(outcome, Outcome::InfiniteLoop);
+                    assert!(seen.insert(req_id), "duplicate reply for {req_id}");
+                    looped += 1;
+                }
+                Response::Shed { req_id } => {
+                    assert!(seen.insert(req_id), "duplicate reply for {req_id}");
+                    shed += 1;
+                }
+                Response::Draining { req_id: 90 } => draining = true,
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        drop(w);
+        assert!(draining, "the drain is acknowledged");
+        assert_eq!(looped + shed, total, "every submission answered exactly once");
+        assert!(shed >= 1, "a 10ms grace cannot cover sixteen spinners on one worker");
+        let stats = server.shutdown().expect("drained server exits cleanly");
+        assert_eq!(stats.accepted, total);
+        assert_eq!((stats.completed, stats.shed), (looped, shed));
     }
 
     fn tmp_ledger(name: &str) -> std::path::PathBuf {
