@@ -37,7 +37,6 @@ fn drive(threads: usize, queue_cap: usize, freq: f64, total: u64) -> LoadReport 
         seed: 42,
         report_every: None,
         deadline_ms: 0,
-        drain_wait: None,
     };
     let report = run_load(server.connect(), &config).expect("load run completes");
     let stats = server.shutdown().expect("server exits cleanly");

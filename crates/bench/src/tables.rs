@@ -1,13 +1,14 @@
-//! Campaign runners, table renderers and the command line shared by the
-//! bench binaries and the `mutation_campaign` example.
+//! Campaign runners, table renderers and the command line of the `devil`
+//! binary and the `mutation_campaign` example.
 //!
 //! Since the scenario engine landed, the Table 3/4 campaigns run through
 //! the catalog (`devil_drivers::corpus`): [`scenario_campaign`] evaluates
 //! any `(scenario, driver)` pairing with the snapshot-reset
 //! `ScenarioMachine` engine (one machine per worker, dirty-journal
-//! restores per mutant), so `table3`/`table4` can emit a paper-style
-//! table for every `corpus::scenario_names()` entry, not just the IDE
-//! boot. Every campaign CLI parses its flags with [`CampaignArgs`].
+//! restores per mutant), so `devil table3`/`devil table4` can emit a
+//! paper-style table for every `corpus::scenario_names()` entry, not just
+//! the IDE boot. Every subcommand and the example parse their flags with
+//! [`CampaignArgs`].
 
 use devil_drivers::corpus::{
     build_faulted, build_scenario, scenario_catalog, scenario_names, DriverVariant,
@@ -21,8 +22,10 @@ use devil_minic::ResumeStats;
 use devil_mutagen::c::{CMutationModel, CStyle};
 use devil_mutagen::devil::DevilMutationModel;
 use devil_mutagen::{run_parallel, sample, Campaign, Ledger, LedgerKey, Mutant};
+use devil_serve::{parse_mix, LoadConfig, ServeConfig};
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Default seed for the 25% sample, matching the paper's methodology of
 /// randomly testing a quarter of the generated mutants.
@@ -41,28 +44,40 @@ pub fn parse_seed(v: &str) -> Result<u64, String> {
 
 // ------------------------------------------------------------ Command line
 
-/// The command line of every campaign CLI (`table3`, `table4`, `repro`
-/// and the `mutation_campaign` example): one parser, one spelling per
-/// flag, one set of usage errors. Each CLI names the flags it takes.
+/// The command line of every `devil` subcommand and of the
+/// `mutation_campaign` example: one parser, one spelling per flag, one
+/// set of usage errors. Each caller names the flags it takes.
 ///
 /// | flag | effect |
 /// |---|---|
 /// | `--scenario=NAME` | catalog scenario (`corpus::scenario_names()`; default `ide-boot`) |
 /// | `--all` | classify every mutant (fraction 1) |
 /// | `--fraction=F` | sampling fraction, in 0..=1 |
-/// | `--seed=N` | sampling seed |
-/// | `--threads=N` | worker threads; 0 uses every core |
+/// | `--seed=N` | sampling seed of a campaign, or of a load run's mutant pools and picks |
+/// | `--threads=N` | worker threads of a campaign or of the service; 0 uses every core |
 /// | `--fault-plan=NAME` | run on flaky hardware under a bundled plan (`FaultPlan::plan_names()`) |
 /// | `--fault-seed=N` | the fault plan's PRNG seed |
-/// | `--ledger=PATH` | checkpoint every outcome to a crash-safe ledger as it is produced |
+/// | `--ledger=PATH` | a campaign checkpoints every outcome to this crash-safe ledger; the service resumes it at start |
 /// | `--resume` | replay the ledger's records first, classify only the rest (needs `--ledger`) |
 /// | `--weak-types` | compile against production stubs (ablation) |
 /// | `--no-asserts` | compile against assertion-free stubs (ablation) |
+/// | `--addr=HOST:PORT` | where the service listens, or is reached |
+/// | `--queue-cap=N` | the service's admission-queue capacity (at least 1) |
+/// | `--quarantine-limit=N` | engine failures before the service refuses a driver source; 0 never refuses |
+/// | `--drain-grace=SECS` | force-shed what is still queued this long into a drain; 0 lets the backlog run out |
+/// | `--verify-fraction=F` | share of ledger hits the service re-runs to audit the ledger, in 0..=1 |
+/// | `--mix=SPEC` | the load run's workload mix (grammar in `devil_serve::load`) |
+/// | `--freq=N` | offered submissions per second, positive |
+/// | `--total=N` | submissions to offer |
+/// | `--report-every=SECS` | print a progress line this often, positive |
+/// | `--deadline-ms=N` | per-submission deadline; 0 submits without one |
 ///
 /// Seeds are decimal or `0x`/`0X` hex. `--fault-plan` alone runs at seed
 /// `DEFAULT_FAULT_SEED`, and `--fault-seed` alone under the `mixed` plan.
 /// Without `--resume` the ledger file starts fresh; with it, a campaign
 /// killed partway (even `kill -9`) finishes with a bit-identical result.
+/// The service and load flags default to `ServeConfig::default()` and
+/// `LoadConfig::default()`.
 #[derive(Debug, Clone)]
 pub struct CampaignArgs {
     /// The catalog scenario to campaign under.
@@ -73,24 +88,36 @@ pub struct CampaignArgs {
     pub ledger: Option<PathBuf>,
     /// Replay the ledger's surviving records before classifying.
     pub resume: bool,
+    /// Where the service listens, or is reached.
+    pub addr: Option<String>,
+    /// The service's settings, `--threads` and `--ledger` among them.
+    pub serve: ServeConfig,
+    /// The load run's settings, `--seed` among them.
+    pub load: LoadConfig,
 }
 
 impl CampaignArgs {
-    /// Parse `args` (without the program name) over `defaults`, taking
-    /// only the flags in `accepted` (spelled as before any `=`). `Err`
-    /// holds the usage error to print.
+    /// Parse `args` (the flags alone) over `defaults`, taking only the
+    /// flags in `accepted` (spelled as before any `=`). `Err` holds the
+    /// usage error to print, with [`usage_error`].
     pub fn parse(
         args: impl IntoIterator<Item = String>,
         defaults: CampaignOptions,
         accepted: &[&str],
     ) -> Result<CampaignArgs, String> {
+        const UP_TO_U32: &str = "an unsigned integer up to 4294967295";
         let mut parsed = CampaignArgs {
             scenario: "ide-boot".into(),
             opts: defaults,
             ledger: None,
             resume: false,
+            addr: None,
+            serve: ServeConfig::default(),
+            load: LoadConfig::default(),
         };
         let (mut plan, mut fault_seed) = (None, None);
+        let unit = |v: &str| v.parse().ok().filter(|f: &f64| (0.0..=1.0).contains(f));
+        let positive = |v: &str| v.parse().ok().filter(|n: &f64| *n > 0.0 && n.is_finite());
         for arg in args {
             let (flag, value) = match arg.split_once('=') {
                 Some((flag, value)) => (flag, Some(value)),
@@ -100,6 +127,9 @@ impl CampaignArgs {
                 return Err(format!("unknown argument `{arg}`"));
             }
             let seed = |v| parse_seed(v).map_err(|e| format!("{flag}: {e}"));
+            let expected = |what: &str| {
+                format!("{flag}: expected {what}, got `{}`", value.unwrap_or_default())
+            };
             match (flag, value) {
                 ("--all", None) => parsed.opts.fraction = 1.0,
                 ("--resume", None) => parsed.resume = true,
@@ -111,20 +141,55 @@ impl CampaignArgs {
                 (_, None) => return Err(format!("`{flag}` needs a value: `{flag}=...`")),
                 ("--scenario", Some(v)) => parsed.scenario = v.to_string(),
                 ("--fraction", Some(v)) => {
-                    let fraction = v.parse().ok().filter(|f| (0.0..=1.0).contains(f));
-                    parsed.opts.fraction = fraction.ok_or_else(|| {
-                        format!("--fraction: expected a number in 0..=1, got `{v}`")
-                    })?;
+                    parsed.opts.fraction = unit(v).ok_or_else(|| expected("a number in 0..=1"))?;
                 }
-                ("--seed", Some(v)) => parsed.opts.seed = seed(v)?,
+                ("--seed", Some(v)) => {
+                    let s = seed(v)?;
+                    (parsed.opts.seed, parsed.load.seed) = (s, s);
+                }
                 ("--threads", Some(v)) => {
-                    parsed.opts.threads = v
-                        .parse()
-                        .map_err(|_| format!("--threads: expected a thread count, got `{v}`"))?;
+                    let n = v.parse().map_err(|_| expected("a thread count"))?;
+                    (parsed.opts.threads, parsed.serve.threads) = (n, n);
                 }
                 ("--fault-plan", Some(v)) => plan = Some(v.to_string()),
                 ("--fault-seed", Some(v)) => fault_seed = Some(seed(v)?),
-                ("--ledger", Some(v)) => parsed.ledger = Some(PathBuf::from(v)),
+                ("--ledger", Some(v)) => {
+                    parsed.ledger = Some(PathBuf::from(v));
+                    parsed.serve.ledger = parsed.ledger.clone();
+                }
+                ("--addr", Some(v)) => parsed.addr = Some(v.to_string()),
+                ("--queue-cap", Some(v)) => {
+                    let cap: usize = v.parse().map_err(|_| expected("a queue capacity"))?;
+                    parsed.serve.queue_cap = cap.max(1);
+                }
+                ("--quarantine-limit", Some(v)) => {
+                    parsed.serve.quarantine_limit = v.parse().map_err(|_| expected(UP_TO_U32))?;
+                }
+                ("--drain-grace", Some(v)) => {
+                    let secs = v.parse().map_err(|_| expected("whole seconds"))?;
+                    parsed.serve.drain_grace = (secs != 0).then(|| Duration::from_secs(secs));
+                }
+                ("--verify-fraction", Some(v)) => {
+                    parsed.serve.verify_fraction =
+                        unit(v).ok_or_else(|| expected("a number in 0..=1"))?;
+                }
+                ("--mix", Some(v)) => {
+                    parsed.load.mix = parse_mix(v).map_err(|e| format!("{flag}: {e}"))?;
+                }
+                ("--freq", Some(v)) => {
+                    parsed.load.freq = positive(v).ok_or_else(|| expected("a positive number"))?;
+                }
+                ("--total", Some(v)) => {
+                    parsed.load.total = v.parse().map_err(|_| expected("a submission count"))?;
+                }
+                ("--report-every", Some(v)) => {
+                    let every = positive(v).and_then(|s| Duration::try_from_secs_f64(s).ok());
+                    let every = every.ok_or_else(|| expected("positive seconds up to 1.8e19"))?;
+                    parsed.load.report_every = Some(every);
+                }
+                ("--deadline-ms", Some(v)) => {
+                    parsed.load.deadline_ms = v.parse().map_err(|_| expected(UP_TO_U32))?;
+                }
                 _ => return Err(format!("unknown argument `{arg}`")),
             }
         }
@@ -148,15 +213,6 @@ impl CampaignArgs {
         Ok(parsed)
     }
 
-    /// [`CampaignArgs::parse`] over the process arguments; a usage error
-    /// is printed and ends the process with status 2.
-    pub fn from_env(defaults: CampaignOptions, accepted: &[&str]) -> CampaignArgs {
-        CampaignArgs::parse(std::env::args().skip(1), defaults, accepted).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    }
-
     /// The `--ledger` file opened for the campaign on `v`, the `nth`
     /// driver of this run, stamped with [`campaign_spec_revision`]: the
     /// first driver starts the file fresh unless `--resume` (which
@@ -173,10 +229,16 @@ impl CampaignArgs {
             Ledger::create(path, rev)
         };
         Some(opened.unwrap_or_else(|e| {
-            eprintln!("cannot open ledger {}: {e}", path.display());
-            std::process::exit(2);
+            usage_error(&format!("cannot open ledger {}: {e}", path.display()))
         }))
     }
+}
+
+/// Print a usage error and end the process with status 2, the status of
+/// every command-line mistake.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 // ---------------------------------------------------------------- Table 2
@@ -463,11 +525,11 @@ pub fn scenario_variants(scenario: &str, style: CStyle) -> Vec<DriverVariant> {
         .collect()
 }
 
-/// The body of `table3` and `table4`: print the table heading (`title`,
-/// then the scenario, sampling, ablation and fault plan), the paper's
-/// figures (`paper`) when the run is the paper's setup, and one outcome
-/// table per `style` driver the catalog pairs with the scenario, each
-/// after its ledger counts when `--ledger` is given.
+/// The body of `devil table3` and `devil table4`: print the table
+/// heading (`title`, then the scenario, sampling, ablation and fault
+/// plan), the paper's figures (`paper`) when the run is the paper's
+/// setup, and one outcome table per `style` driver the catalog pairs with
+/// the scenario, each after its ledger counts when `--ledger` is given.
 pub fn print_tables(args: &CampaignArgs, title: &str, style: CStyle, paper: &str) {
     let (scenario, opts) = (&args.scenario, &args.opts);
     let ablation = match opts.stub_flavor {
@@ -766,7 +828,7 @@ mod tests {
     #[test]
     fn tiny_campaign_produces_sane_rows() {
         // A very small sample to keep the test fast; the real numbers come
-        // from the bench binaries in release mode.
+        // from `devil table3` in release mode.
         let opts = CampaignOptions {
             fraction: 0.01,
             seed: 7,
@@ -807,6 +869,16 @@ mod tests {
         "--resume",
         "--weak-types",
         "--no-asserts",
+        "--addr",
+        "--queue-cap",
+        "--quarantine-limit",
+        "--drain-grace",
+        "--verify-fraction",
+        "--mix",
+        "--freq",
+        "--total",
+        "--report-every",
+        "--deadline-ms",
     ];
 
     fn parse(args: &[&str], accepted: &[&str]) -> Result<CampaignArgs, String> {
@@ -859,6 +931,44 @@ mod tests {
     }
 
     #[test]
+    fn service_flags_parse_into_the_serve_and_load_configs() {
+        let a = parse(&[], EVERY_FLAG).unwrap();
+        let serve = ServeConfig::default();
+        assert_eq!((a.serve.queue_cap, a.serve.drain_grace), (serve.queue_cap, serve.drain_grace));
+        assert_eq!((a.load.freq, a.load.total, a.load.seed, a.load.mix.len()), (50.0, 250, 42, 2));
+        let a = parse(
+            &[
+                "--addr=127.0.0.1:9",
+                "--threads=3",
+                "--queue-cap=0",
+                "--quarantine-limit=4294967295",
+                "--drain-grace=0",
+                "--ledger=svc.bin",
+                "--verify-fraction=0.5",
+                "--mix=mouse-stream/busmouse_c:0.5:3",
+                "--freq=2.5",
+                "--total=7",
+                "--seed=0x2A",
+                "--report-every=0.25",
+                "--deadline-ms=9",
+            ],
+            EVERY_FLAG,
+        )
+        .unwrap();
+        assert_eq!(a.addr.as_deref(), Some("127.0.0.1:9"));
+        assert_eq!((a.serve.threads, a.serve.queue_cap, a.serve.quarantine_limit), (3, 1, u32::MAX));
+        assert_eq!(a.serve.drain_grace, None, "a 0 grace never force-sheds");
+        assert_eq!(a.serve.ledger, Some(PathBuf::from("svc.bin")));
+        assert_eq!(a.serve.verify_fraction, 0.5);
+        assert_eq!((a.load.mix[0].driver.as_str(), a.load.mix[0].weight), ("busmouse_c", 3));
+        assert_eq!((a.load.freq, a.load.total, a.load.seed, a.load.deadline_ms), (2.5, 7, 0x2A, 9));
+        assert_eq!(a.load.report_every, Some(Duration::from_millis(250)));
+        assert_eq!((a.opts.threads, a.opts.seed), (3, 0x2A), "one value for both front doors");
+        let a = parse(&["--drain-grace=18446744073709551615"], EVERY_FLAG).unwrap();
+        assert_eq!(a.serve.drain_grace, Some(Duration::from_secs(u64::MAX)));
+    }
+
+    #[test]
     fn one_fault_flag_implies_the_others_default() {
         let a = parse(&["--fault-plan=flaky-status"], EVERY_FLAG).unwrap();
         let plan = a.opts.fault_plan.unwrap();
@@ -894,6 +1004,23 @@ mod tests {
         let e = err(&["--fault-plan=no-such"], EVERY_FLAG);
         assert!(e.starts_with("unknown fault plan `no-such`"), "{e}");
         assert_eq!(err(&["--resume"], EVERY_FLAG), "--resume requires --ledger=PATH");
+        for bad in [
+            "--deadline-ms=4294967296",
+            "--quarantine-limit=-1",
+            "--queue-cap=many",
+            "--drain-grace=1.5",
+            "--verify-fraction=NaN",
+            "--freq=0",
+            "--freq=inf",
+            "--total=-1",
+            "--report-every=0",
+            "--report-every=1e300",
+            "--mix=no-such",
+        ] {
+            let flag = bad.split('=').next().unwrap();
+            let e = err(&[bad], EVERY_FLAG);
+            assert!(e.starts_with(&format!("{flag}: ")), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub enum CodegenMode {
     Debug,
     /// Ablation mode: struct-encoded types (full compile-time checking)
     /// but with every run-time assertion stripped — used to measure what
-    /// the type encoding alone buys (`table4 --no-asserts`).
+    /// the type encoding alone buys (`devil table4 --no-asserts`).
     DebugNoAsserts,
 }
 

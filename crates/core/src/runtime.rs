@@ -18,7 +18,7 @@
 //! is cheap enough to leave enabled in production drivers. To honour that,
 //! [`DeviceInstance::new`] *compiles* the bound specification once:
 //!
-//! * every register gets a [`RegPlan`] — its resolved port address and
+//! * every register gets a `RegPlan` — its resolved port address and
 //!   width (base + offset folded together) and its mask pre-split into
 //!   `relevant` / `fixed_ones` / `fixed_zeros` bit words;
 //! * variable and register names are interned into index tables sorted by
@@ -559,7 +559,7 @@ impl<'s> DeviceInstance<'s> {
     /// Read a register through its read port, honouring pre-actions and
     /// debug-mode fixed-bit assertions — the `reg_get_<r>` stub.
     ///
-    /// Operates on the compiled [`RegPlan`]: no clones, no allocation on
+    /// Operates on the compiled `RegPlan`: no clones, no allocation on
     /// success.
     ///
     /// # Errors
@@ -600,7 +600,7 @@ impl<'s> DeviceInstance<'s> {
     /// Write a whole register through its write port (mask applied) — the
     /// `reg_set_<r>` stub.
     ///
-    /// Operates on the compiled [`RegPlan`]: no clones, no allocation on
+    /// Operates on the compiled `RegPlan`: no clones, no allocation on
     /// success.
     ///
     /// # Errors

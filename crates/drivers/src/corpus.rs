@@ -4,10 +4,10 @@
 //! driver-agnostic; this module supplies the pairing the experiments
 //! actually run — for every scenario name, the drivers that implement its
 //! entry-point contract (and the mutation style each is mutated with).
-//! The campaign CLIs (`table3`/`table4` and `examples/mutation_campaign.rs`,
-//! all taking `--scenario=<name>`), the per-scenario golden differential
-//! tests and the `scenarios` bench all resolve workloads through this one
-//! table.
+//! The campaign CLIs (`devil table3`/`devil table4` and the
+//! `mutation_campaign` example, all taking `--scenario=<name>`), the
+//! per-scenario golden differential tests and the `scenarios` bench all
+//! resolve workloads through this one table.
 
 use crate::{busmouse, ide, ne2000};
 use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};

@@ -292,8 +292,8 @@ pub fn ide_debug_header() -> String {
     wrap_header(stubs)
 }
 
-/// Generate the assertion-stripped debug header (`table4 --no-asserts`):
-/// struct-encoded types, no run-time checks.
+/// Generate the assertion-stripped debug header (`devil table4
+/// --no-asserts`): struct-encoded types, no run-time checks.
 ///
 /// # Panics
 ///

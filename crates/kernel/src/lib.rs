@@ -38,7 +38,7 @@
 //! to create it, after eyeballing that the printed outcome distribution
 //! makes sense. From then on the scenario is runnable from the campaign
 //! CLIs (`cargo run --release --example mutation_campaign --
-//! --scenario=<name>`, and `table3`/`table4`), covered by the
+//! --scenario=<name>`, and `devil table3`/`devil table4`), covered by the
 //! VM-vs-interpreter differential tests, and benchable via `cargo bench
 //! --bench scenarios`.
 

@@ -44,7 +44,7 @@ pub struct MouseStreamScenario {
 }
 
 impl MouseStreamScenario {
-    /// A scenario that will map a quiescent busmouse at [`MOUSE_BASE`].
+    /// A scenario that will map a quiescent busmouse at `MOUSE_BASE`.
     pub fn new() -> Self {
         MouseStreamScenario::default()
     }

@@ -64,7 +64,7 @@ pub struct Ne2000StressScenario {
 }
 
 impl Ne2000StressScenario {
-    /// A scenario that will map a stopped NE2000 at [`NE2000_BASE`].
+    /// A scenario that will map a stopped NE2000 at `NE2000_BASE`.
     pub fn new() -> Self {
         Ne2000StressScenario::default()
     }

@@ -19,14 +19,14 @@
 //! * emits exactly one burn per AST node, in tree-walk evaluation order
 //!   (a node's burn precedes its children's, mirroring
 //!   `Interpreter::eval`); leaf ops self-burn, interior nodes get a
-//!   leading [`Op::Line`];
+//!   leading `Op::Line`;
 //! * resolves every identifier to a numeric slot at lowering time, but
 //!   keeps the *runtime* object model (object ids, scope release order,
 //!   free-list reuse) byte-compatible so synthetic pointer addresses and
 //!   `UseAfterScope` faults agree;
 //! * folds constant subtrees only when they cannot fault, and records the
 //!   burn sequence the folded subtree would have produced so fuel and
-//!   coverage accounting are unchanged ([`Op::Const`]/[`Op::ConstN`]).
+//!   coverage accounting are unchanged (`Op::Const`/`Op::ConstN`).
 //!
 //! The tree-walker stays alive as the differential oracle; the
 //! `vm_differential` integration test and the minic proptests pin the
@@ -47,9 +47,9 @@
 //!   `inb`/`inw`/`inl` with a constant port), and
 //! * the for-loop step+back-jump pair (`i++` + `Jump`).
 //!
-//! Each fused op is described by a [`FusedOp`] in a side table
-//! ([`CompiledProgram`]`::fused`), keeping [`Op`] itself small; the
-//! branchless flavour ([`FuseBr::None`]) also folds interior
+//! Each fused op is described by a `FusedOp` in a side table
+//! ([`CompiledProgram`]`::fused`), keeping `Op` itself small; the
+//! branchless flavour (`FuseEnd::Push`) also folds interior
 //! `Line*;Load;BinConst` runs of straight-line code. The pass preserves
 //! the equivalence contract **exactly**: every fused op replays the burn
 //! sequence of the ops it replaces, in order, interleaved with the same
@@ -599,7 +599,7 @@ impl CompiledProgram {
 }
 
 /// Run the superinstruction peephole pass over a lowered program in
-/// place — see the module docs and [`crate::fuse`]. Idempotent.
+/// place — see the module docs and `crate::fuse`. Idempotent.
 pub use crate::fuse::fuse;
 
 impl Program {

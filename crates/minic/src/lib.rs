@@ -28,7 +28,7 @@
 //! cache cuts its main file after the last `#include` line and, if that
 //! prefix compiles on its own, records a checkpoint (if it does not, the
 //! cache never records one; a long-lived cache should be warmed with the
-//! clean driver, as `devil-serve` does): the preprocessor's
+//! clean driver, as the classification service does): the preprocessor's
 //! macro table and file list, the parser's items, struct table and
 //! typedefs, and the checker's pass-1 environment with the prefix's
 //! initialisers and bodies already checked. Every later compile whose

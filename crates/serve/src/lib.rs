@@ -73,9 +73,10 @@
 //! | `ERR`     | never admitted: bad routing fields, or the `(file, source)` pair is quarantined after repeated engine failures |
 //! | `DRAINING`| submitted after a drain began; resubmit elsewhere |
 //!
-//! A drain (`DRAIN` request, [`DrainHandle::drain`], or the binary's
-//! SIGTERM handler) stops admissions, finishes the queued work within
-//! the drain grace, then hangs up only after every reply has flushed.
+//! A drain (`DRAIN` request, [`DrainHandle::drain`], or the SIGTERM
+//! handler of `devil serve`) stops admissions, finishes the queued work
+//! within the drain grace, then hangs up only after every reply has
+//! flushed.
 //!
 //! # Pieces
 //!

@@ -162,13 +162,27 @@ pub struct LoadConfig {
     /// Per-submission wall-clock deadline in milliseconds, carried in
     /// each SUBMIT frame; 0 submits without a deadline.
     pub deadline_ms: u32,
-    /// Explicit budget for the final drain wait (all offered, none
-    /// outstanding); `None` derives it: the per-job deadline plus
-    /// scheduling slack when one is set, a generous fallback otherwise.
-    pub drain_wait: Option<Duration>,
 }
 
-/// Fallback drain budget when no per-job deadline bounds the tail.
+impl Default for LoadConfig {
+    /// A bare `devil load` or `devil selftest`: 250 submissions at 50/s
+    /// over the IDE boot and the faulted mouse stream, silent, with no
+    /// per-submission deadline.
+    fn default() -> Self {
+        LoadConfig {
+            freq: 50.0,
+            total: 250,
+            mix: parse_mix("ide-boot,mouse-stream+faults")
+                .expect("the default mix names catalog scenarios"),
+            seed: 42,
+            report_every: None,
+            deadline_ms: 0,
+        }
+    }
+}
+
+/// Drain budget (the wait for the last replies once every submission is
+/// offered) when no per-job deadline bounds the tail.
 const DRAIN_WAIT_FALLBACK: Duration = Duration::from_secs(600);
 
 /// Scheduling/delivery slack added on top of the per-job deadline when
@@ -477,13 +491,11 @@ pub fn run_load<S: Duplex>(conn: S, config: &LoadConfig) -> io::Result<LoadRepor
             // resolve (outcome, expired or shed) within that budget of
             // its admission — so the drain wait needs only the deadline
             // plus delivery slack, not an arbitrary court of patience.
-            let wait = config.drain_wait.unwrap_or_else(|| {
-                if config.deadline_ms > 0 {
-                    Duration::from_millis(u64::from(config.deadline_ms)) + DRAIN_WAIT_SLACK
-                } else {
-                    DRAIN_WAIT_FALLBACK
-                }
-            });
+            let wait = if config.deadline_ms > 0 {
+                Duration::from_millis(u64::from(config.deadline_ms)) + DRAIN_WAIT_SLACK
+            } else {
+                DRAIN_WAIT_FALLBACK
+            };
             drain_rx.recv_timeout(wait).map_err(|_| {
                 let stuck: Vec<u64> = send_ns
                     .iter()
@@ -597,7 +609,6 @@ mod tests {
             seed: 7,
             report_every: None,
             deadline_ms: 0,
-            drain_wait: None,
         };
         let pools = build_pools(&config).unwrap();
         let weight_total: u64 = pools.iter().map(|p| u64::from(p.entry.weight)).sum();

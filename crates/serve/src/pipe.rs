@@ -2,13 +2,12 @@
 //! endpoints with TCP-like semantics, no OS networking required.
 //!
 //! The campaign service speaks its protocol over any byte stream. For
-//! tests, benches and the `selftest` mode of the binary, an in-process
-//! pipe keeps the whole round trip hermetic: no ports, no firewalls, no
-//! sandbox holes — the transport is two `Mutex<VecDeque<u8>>` ring
-//! buffers with `Condvar` wakeups. Each [`PipeEnd`] reads from one
-//! buffer and writes to the other; dropping a writer closes its
-//! direction, which the peer observes as EOF exactly like a TCP
-//! half-close.
+//! tests, benches and `devil selftest`, an in-process pipe keeps the
+//! whole round trip hermetic: no ports, no firewalls, no sandbox holes —
+//! the transport is two `Mutex<VecDeque<u8>>` ring buffers with
+//! `Condvar` wakeups. Each [`PipeEnd`] reads from one buffer and writes
+//! to the other; dropping a writer closes its direction, which the peer
+//! observes as EOF exactly like a TCP half-close.
 
 use crate::server::{ConnBreaker, Duplex};
 use std::collections::VecDeque;

@@ -59,7 +59,7 @@
 //!   touch fuel or coverage accounting, so in-time runs stay
 //!   bit-identical with the batch path.
 //! * **graceful drain** — a `DRAIN` request (or [`DrainHandle::drain`],
-//!   which the binary wires to SIGTERM/SIGINT) stops admissions, lets
+//!   which `devil serve` wires to SIGTERM/SIGINT) stops admissions, lets
 //!   queued work finish, force-sheds whatever is still queued once the
 //!   drain deadline passes, and severs connections only after every
 //!   pending reply has been flushed: zero lost replies.
@@ -110,8 +110,8 @@ pub struct ServeConfig {
     /// refused at admission; 0 disables quarantining.
     pub quarantine_limit: u32,
     /// Default force-shed deadline for transport-level drains (the
-    /// binary's SIGTERM path); protocol `DRAIN` requests carry their
-    /// own. `None` lets the backlog run to completion.
+    /// SIGTERM path of `devil serve`); protocol `DRAIN` requests carry
+    /// their own. `None` lets the backlog run to completion.
     pub drain_grace: Option<Duration>,
     /// Path of the crash-safe outcome ledger
     /// ([`devil_mutagen::Ledger`]). `None` runs the service without
@@ -253,16 +253,18 @@ impl DrainHandle {
     }
 
     /// Request a graceful drain: stop admitting, let queued work finish,
-    /// force-shed whatever is still queued once `grace` elapses (`None`
-    /// lets the backlog run to completion), then hang up every
-    /// connection once all replies are flushed.
+    /// force-shed whatever is still queued once `grace` elapses (`None`,
+    /// or a grace too long for an `Instant` to hold, lets the backlog run
+    /// to completion), then hang up every connection once all replies are
+    /// flushed.
     pub fn drain(&self, grace: Option<Duration>) {
+        let deadline = grace.and_then(|g| Instant::now().checked_add(g));
         self.update(|st| {
             // First request wins: a later, laxer grace must not extend a
             // drain already under way.
             if !st.requested {
                 st.requested = true;
-                st.deadline = grace.map(|g| Instant::now() + g);
+                st.deadline = deadline;
             }
         });
     }
@@ -426,10 +428,10 @@ struct Service<'a> {
 /// or by a protocol `DRAIN` request, which also closes `conns`); returns
 /// the final counter snapshot.
 ///
-/// This is the transport-agnostic core: the `devil-serve` binary feeds it
-/// TCP accepts, tests and benches feed it in-process pipe ends. Blocks
-/// the calling thread for the life of the service. One `drain` handle
-/// serves one call.
+/// This is the transport-agnostic core: `devil serve` feeds it TCP
+/// accepts, tests and benches feed it in-process pipe ends. Blocks the
+/// calling thread for the life of the service. One `drain` handle serves
+/// one call.
 pub fn serve_with<S: Duplex>(
     config: &ServeConfig,
     conns: &JobQueue<S>,
@@ -793,9 +795,9 @@ impl InProcServer {
 
 /// Serve TCP connections accepted on `listener` until `drain` is pulled
 /// or an accept fails hard; returns the final counters. The
-/// transport-bound wrapper of [`serve_with`] used by the `devil-serve`
-/// binary — the listener runs nonblocking so a drain request interrupts
-/// the accept wait within ~25ms.
+/// transport-bound wrapper of [`serve_with`] used by `devil serve` — the
+/// listener runs nonblocking so a drain request interrupts the accept
+/// wait within ~25ms.
 pub fn serve_tcp(
     config: &ServeConfig,
     listener: std::net::TcpListener,
@@ -1215,6 +1217,25 @@ mod tests {
         let stats = server.shutdown().expect("drained server exits cleanly");
         assert_eq!(stats.accepted, 2);
         assert_eq!(stats.completed, 2);
+    }
+
+    #[test]
+    fn drain_grace_past_the_instant_range_drains_without_a_deadline() {
+        let server = InProcServer::start(ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        });
+        let (mut r, mut w) = server.connect().split();
+        let v = find_variant("mouse-stream", "busmouse_c").unwrap();
+        write_frame(&mut w, &submit(1, "mouse-stream", "", v.file, v.source).encode()).unwrap();
+        let reply = read_frame(&mut r).unwrap().expect("the submission is answered");
+        assert!(matches!(Response::decode(&reply).unwrap(), Response::Outcome { req_id: 1, .. }));
+        // `Instant::now() + Duration::MAX` overflows: the grace must read
+        // as no force-shed deadline rather than panic under the lock.
+        server.drain(Some(Duration::MAX));
+        assert!(read_frame(&mut r).unwrap().is_none(), "the drained server hangs up");
+        let stats = server.shutdown().expect("drained server exits cleanly");
+        assert_eq!((stats.completed, stats.shed), (1, 0));
     }
 
     #[test]

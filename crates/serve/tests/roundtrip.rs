@@ -137,7 +137,6 @@ fn open_loop_mixed_load_drains_with_consistent_accounting() {
         seed: 7,
         report_every: None,
         deadline_ms: 0,
-        drain_wait: None,
     };
     let report = run_load(server.connect(), &config).unwrap();
     let stats = server.shutdown().expect("server exits cleanly");
@@ -183,7 +182,6 @@ fn saturated_queue_sheds_instead_of_buffering() {
         seed: 11,
         report_every: None,
         deadline_ms: 0,
-        drain_wait: None,
     };
     let report = run_load(server.connect(), &config).unwrap();
     let stats = server.shutdown().expect("server exits cleanly");
@@ -211,7 +209,6 @@ fn queued_submissions_expire_under_saturation_with_balanced_books() {
         seed: 13,
         report_every: None,
         deadline_ms: 5,
-        drain_wait: None,
     };
     let report = run_load(server.connect(), &config).unwrap();
     let stats = server.shutdown().expect("server exits cleanly");

@@ -9,7 +9,7 @@
 //!         [--fault-seed=N] [--ledger=PATH] [--resume]]
 //! ```
 //!
-//! The flags are those of the campaign binaries, parsed by the same
+//! The flags are those of `devil table3`, parsed by the same
 //! `devil_bench::tables::CampaignArgs`, and every driver the catalog pairs
 //! with the scenario (default `ide-boot`) is campaigned by the same
 //! `devil_bench::tables::scenario_campaign`, on every available core
@@ -20,13 +20,17 @@
 //! checkpoint of the driver's prefix, and why the others ran in full.
 
 use devil::drivers::corpus::find_case;
-use devil_bench::tables::{render_outcome_table, scenario_campaign, CampaignArgs, CampaignOptions};
+use devil_bench::tables::{
+    render_outcome_table, scenario_campaign, usage_error, CampaignArgs, CampaignOptions,
+};
 
 fn main() {
-    let args = CampaignArgs::from_env(
+    let args = CampaignArgs::parse(
+        std::env::args().skip(1),
         CampaignOptions { fraction: 0.05, seed: 42, ..CampaignOptions::default() },
         &["--scenario", "--threads", "--fault-plan", "--fault-seed", "--ledger", "--resume"],
-    );
+    )
+    .unwrap_or_else(|e| usage_error(&e));
     let (scenario, opts) = (args.scenario.as_str(), &args.opts);
     let case = find_case(scenario).expect("CampaignArgs accepts catalog scenarios only");
     let hardware = match &opts.fault_plan {
