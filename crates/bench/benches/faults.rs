@@ -28,7 +28,7 @@
 //! other benches via `criterion::update_json_section`).
 
 use criterion::{criterion_group, Criterion};
-use devil_drivers::corpus::{build_faulted, build_scenario, scenario_catalog};
+use devil_drivers::corpus::{build_faulted, build_scenario, find_case};
 use devil_hwsim::{FaultPlan, IoSpace, DEFAULT_FAULT_SEED};
 use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::scenario::{Drive, Outcome, Scenario, ScenarioEngine, ScenarioMachine};
@@ -63,11 +63,7 @@ impl Scenario for SeamScenario {
 }
 
 fn clean_ide_driver() -> CompiledProgram {
-    let case = scenario_catalog()
-        .into_iter()
-        .find(|c| c.scenario == SCENARIO)
-        .expect("ide-boot is in the catalog");
-    let v = &case.drivers[0];
+    let v = &find_case(SCENARIO).expect("ide-boot is in the catalog").drivers[0];
     let incs: Vec<(&str, &str)> =
         v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
     devil_minic::compile_with_includes(v.file, v.source, &incs)

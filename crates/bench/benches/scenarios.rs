@@ -14,7 +14,7 @@
 //! `criterion::update_json_section`).
 
 use criterion::{criterion_group, Criterion};
-use devil_drivers::corpus::{build_scenario, scenario_catalog};
+use devil_drivers::corpus::scenario_catalog;
 use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::scenario::{Outcome, ScenarioMachine};
 use devil_minic::pp::IncludeCache;
@@ -29,10 +29,7 @@ fn bench_scenarios(c: &mut Criterion) {
             let program = devil_minic::compile_with_includes(v.file, v.source, &incs)
                 .expect("bundled drivers compile");
             let compiled = program.to_bytecode();
-            let mut machine = ScenarioMachine::with_scenario(
-                build_scenario(case.scenario).expect("catalog scenario builds"),
-                DEFAULT_FUEL,
-            );
+            let mut machine = ScenarioMachine::with_scenario(case.build(None), DEFAULT_FUEL);
             g.bench_function(format!("{}_{}", case.scenario, v.label), |b| {
                 b.iter(|| {
                     let report = machine.run_compiled(&compiled);
@@ -53,10 +50,7 @@ fn bench_scenarios(c: &mut Criterion) {
         let incs: Vec<(&str, &str)> =
             v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
         let cache = IncludeCache::new(&incs);
-        let mut machine = ScenarioMachine::with_scenario(
-            build_scenario(case.scenario).expect("catalog scenario builds"),
-            DEFAULT_FUEL,
-        );
+        let mut machine = ScenarioMachine::with_scenario(case.build(None), DEFAULT_FUEL);
         g.bench_function(format!("{}_{}", case.scenario, v.label), |b| {
             b.iter(|| {
                 let (outcome, detail) = machine.run_cached(v.file, v.source, &cache, None, None);

@@ -1,25 +1,26 @@
 //! Campaign runners, table renderers and the command line of the `devil`
 //! binary and the `mutation_campaign` example.
 //!
-//! Since the scenario engine landed, the Table 3/4 campaigns run through
-//! the catalog (`devil_drivers::corpus`): [`scenario_campaign`] evaluates
-//! any `(scenario, driver)` pairing with the snapshot-reset
-//! `ScenarioMachine` engine (one machine per worker, dirty-journal
-//! restores per mutant), so `devil table3`/`devil table4` can emit a
-//! paper-style table for every `corpus::scenario_names()` entry, not just
-//! the IDE boot. Every subcommand and the example parse their flags with
+//! The Table 3/4 campaigns run through the scenario catalog
+//! (`devil_drivers::corpus`), which is built once per process and
+//! borrowed by every lookup here: [`scenario_campaign`] evaluates any
+//! `(scenario, driver)` pairing with the snapshot-reset `ScenarioMachine`
+//! engine (one machine per worker, dirty-journal restores per mutant), so
+//! `devil table3`/`devil table4` can emit a paper-style table for every
+//! `corpus::scenario_names()` entry, not just the IDE boot. A campaign
+//! samples the catalog driver's own mutant population
+//! (`DriverVariant::mutants`) whatever stub flavour it compiles against.
+//! Every subcommand and the example parse their flags with
 //! [`CampaignArgs`].
 
-use devil_drivers::corpus::{
-    build_faulted, build_scenario, scenario_catalog, scenario_names, DriverVariant,
-};
+use devil_drivers::corpus::{find_case, scenario_catalog, scenario_names, DriverVariant};
 use devil_drivers::{ide, specs};
 use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
 use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::scenario::{Outcome, ScenarioMachine};
 use devil_minic::pp::IncludeCache;
 use devil_minic::ResumeStats;
-use devil_mutagen::c::{CMutationModel, CStyle};
+use devil_mutagen::c::CStyle;
 use devil_mutagen::devil::DevilMutationModel;
 use devil_mutagen::{run_parallel, sample, Campaign, Ledger, LedgerKey, Mutant};
 use devil_serve::{parse_mix, LoadConfig, ServeConfig};
@@ -193,7 +194,7 @@ impl CampaignArgs {
                 _ => return Err(format!("unknown argument `{arg}`")),
             }
         }
-        if !scenario_names().contains(&parsed.scenario.as_str()) {
+        if find_case(&parsed.scenario).is_none() {
             return Err(format!(
                 "unknown scenario `{}`; try one of {:?}",
                 parsed.scenario,
@@ -395,24 +396,19 @@ impl OutcomeTable {
     }
 }
 
-/// The include set a catalog variant compiles against, with the Table 4
-/// ablation flavours applied to the IDE CDevil glue (the only variant
-/// whose header is regenerated per flavour; everything else keeps its
-/// catalog headers).
+/// The include set a catalog variant compiles against: its catalog
+/// headers (the debug stubs), except that the Table 4 ablation flavours
+/// regenerate the IDE CDevil glue's header, the only one they swap.
 fn variant_headers(v: &DriverVariant, flavor: StubFlavor) -> Vec<(String, String)> {
-    if v.file == ide::IDE_CDEVIL_FILE {
-        match flavor {
-            StubFlavor::Debug => ide::cdevil_includes(),
-            StubFlavor::DebugNoAsserts => {
-                vec![(ide::IDE_HEADER_NAME.to_string(), ide::ide_no_assert_header())]
-            }
-            StubFlavor::Production => {
-                vec![(ide::IDE_HEADER_NAME.to_string(), ide::ide_production_header())]
-            }
-        }
-    } else {
-        v.headers.clone()
+    if flavor == StubFlavor::Debug || v.file != ide::IDE_CDEVIL_FILE {
+        return v.headers.clone();
     }
+    let header = if flavor == StubFlavor::Production {
+        ide::ide_production_header()
+    } else {
+        ide::ide_no_assert_header()
+    };
+    vec![(ide::IDE_HEADER_NAME.to_string(), header)]
 }
 
 /// The spec-revision fingerprint a ledgered campaign stamps its entries
@@ -433,7 +429,8 @@ pub fn campaign_spec_revision(v: &DriverVariant, opts: &CampaignOptions) -> u64 
     devil_kernel::fingerprint::spec_revision(pairs, opts.fuel)
 }
 
-/// Run one `(scenario, driver)` campaign through the snapshot-reset
+/// Run one `(scenario, driver)` campaign, `scenario` a catalog base name
+/// and the hardware's fault plan in `opts`, through the snapshot-reset
 /// engine: one `ScenarioMachine` per worker thread, each mutant evaluated
 /// as restore → compile → drive → classify. Every worker compiles through
 /// one campaign-wide [`IncludeCache`], so the headers are lexed, and the
@@ -456,9 +453,7 @@ pub fn scenario_campaign(
     // stubs for the IDE glue): the §5 ablations swap only what the
     // mutants compile against, so every flavour samples the same seeded
     // mutant population and the tables stay comparable across flavours.
-    let model_texts: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
-    let model = CMutationModel::new(v.source, &model_texts, v.style);
-    let all_mutants = model.mutants();
+    let all_mutants = v.mutants();
     let generated = all_mutants.len();
     let mutants = sample(all_mutants, opts.fraction, opts.seed);
     let headers = variant_headers(v, opts.stub_flavor);
@@ -467,14 +462,9 @@ pub fn scenario_campaign(
     let cache = IncludeCache::new(&inc_refs);
     let fuel = opts.fuel;
     let fault_plan = opts.fault_plan.as_ref();
+    let case = find_case(scenario).expect("a catalog scenario");
     let campaign = Campaign::new(
-        || {
-            let built = match fault_plan {
-                Some(plan) => build_faulted(scenario, plan.clone()),
-                None => build_scenario(scenario),
-            };
-            ScenarioMachine::with_scenario(built.expect("catalog scenario builds"), fuel)
-        },
+        || ScenarioMachine::with_scenario(case.build(fault_plan.cloned()), fuel),
         |machine: &mut ScenarioMachine<_>, m: &Mutant| {
             machine.run_cached(v.file, &m.source, &cache, Some(m.line), None).0
         },
@@ -517,12 +507,8 @@ pub fn scenario_campaign(
 /// The catalog variants of `scenario` on one side of the Table 3/4 split:
 /// plain-C drivers for Table 3, CDevil glue drivers for Table 4.
 pub fn scenario_variants(scenario: &str, style: CStyle) -> Vec<DriverVariant> {
-    scenario_catalog()
-        .into_iter()
-        .filter(|c| c.scenario == scenario)
-        .flat_map(|c| c.drivers)
-        .filter(|v| v.style == style)
-        .collect()
+    let Some(case) = find_case(scenario) else { return Vec::new() };
+    case.drivers.iter().filter(|v| v.style == style).cloned().collect()
 }
 
 /// The body of `devil table3` and `devil table4`: print the table
@@ -633,7 +619,6 @@ pub fn fault_attribution(
             let incs: Vec<(&str, &str)> =
                 v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
             for plan in plans {
-                let scenario = case.scenario;
                 let (file, source, incs) = (v.file, v.source, &incs);
                 let outcomes: Vec<Outcome> = Campaign::new(
                     || {
@@ -643,11 +628,9 @@ pub fn fault_attribution(
                     },
                     |compiled: &mut devil_minic::CompiledProgram, seed: &u64| {
                         let p = FaultPlan::named(plan, *seed).expect("bundled plan name");
-                        let mut machine = ScenarioMachine::with_scenario(
-                            build_faulted(scenario, p).expect("catalog scenario builds"),
-                            fuel,
-                        );
-                        machine.run_compiled(compiled).outcome
+                        ScenarioMachine::with_scenario(case.build(Some(p)), fuel)
+                            .run_compiled(compiled)
+                            .outcome
                     },
                 )
                 .with_threads(threads)
@@ -815,12 +798,8 @@ mod tests {
 
     #[test]
     fn driver_mutant_sets_are_nonempty_and_distinct() {
-        let mutants = |v: DriverVariant| {
-            let headers: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
-            CMutationModel::new(v.source, &headers, v.style).mutants()
-        };
-        let c = mutants(ide_boot_variant(CStyle::PlainC));
-        let d = mutants(ide_boot_variant(CStyle::CDevil));
+        let c = ide_boot_variant(CStyle::PlainC).mutants();
+        let d = ide_boot_variant(CStyle::CDevil).mutants();
         assert!(c.len() > 500, "C mutants: {}", c.len());
         assert!(d.len() > 500, "CDevil mutants: {}", d.len());
     }
@@ -999,8 +978,16 @@ mod tests {
         let e = err(&["--seed=0xzz"], EVERY_FLAG);
         assert!(e.starts_with("--seed: ") && e.contains("0x/0X hex literal"), "{e}");
         assert!(err(&["--fault-seed=ten"], EVERY_FLAG).starts_with("--fault-seed: "));
-        let e = err(&["--scenario=no-such"], EVERY_FLAG);
-        assert!(e.starts_with("unknown scenario `no-such`"), "{e}");
+        // The catalog's names, in table order; `+faults` is no `--scenario`.
+        for name in ["no-such", "ide-boot+faults"] {
+            assert_eq!(
+                err(&[&format!("--scenario={name}")], EVERY_FLAG),
+                format!(
+                    "unknown scenario `{name}`; try one of \
+                     [\"ide-boot\", \"ide-stress\", \"mouse-stream\", \"ne2000-stress\"]"
+                )
+            );
+        }
         let e = err(&["--fault-plan=no-such"], EVERY_FLAG);
         assert!(e.starts_with("unknown fault plan `no-such`"), "{e}");
         assert_eq!(err(&["--resume"], EVERY_FLAG), "--resume requires --ledger=PATH");

@@ -1,13 +1,16 @@
 //! The scenario catalog: which driver corpus runs under which workload.
 //!
 //! The scenario engine (`devil_kernel::scenario`) is deliberately
-//! driver-agnostic; this module supplies the pairing the experiments
-//! actually run — for every scenario name, the drivers that implement its
-//! entry-point contract (and the mutation style each is mutated with).
-//! The campaign CLIs (`devil table3`/`devil table4` and the
-//! `mutation_campaign` example, all taking `--scenario=<name>`), the
-//! per-scenario golden differential tests and the `scenarios` bench all
-//! resolve workloads through this one table.
+//! driver-agnostic. This module's one table names each scenario once,
+//! with its constructor and the drivers that implement its entry-point
+//! contract (and the mutation style each is mutated with). The table is
+//! built on first use, which generates the CDevil stub headers, and every
+//! lookup borrows it for the rest of the process: the campaign CLIs, the
+//! service and its load client, the golden differential tests and the
+//! `scenarios` bench. [`parse_scenario`] is the one reader of the
+//! `<name>+faults` suffix (the same workload and corpus on flaky
+//! hardware), for [`build_scenario`] and `devil_serve::parse_mix` alike;
+//! every other lookup takes base names only.
 
 use crate::{busmouse, ide, ne2000};
 use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
@@ -16,9 +19,12 @@ use devil_kernel::scenario::{FaultScenario, Scenario};
 use devil_kernel::scenarios::{
     IdeBootScenario, IdeStressScenario, MouseStreamScenario, Ne2000StressScenario,
 };
-use devil_mutagen::c::CStyle;
+use devil_mutagen::c::{CMutationModel, CStyle};
+use devil_mutagen::Mutant;
+use std::sync::LazyLock;
 
 /// One driver that runs under a scenario.
+#[derive(Clone)]
 pub struct DriverVariant {
     /// Stable label (golden files, table headings).
     pub label: &'static str,
@@ -36,38 +42,158 @@ pub struct DriverVariant {
     pub golden_fraction: f64,
 }
 
-/// One scenario and its driver corpus.
+impl DriverVariant {
+    /// Every mutant of this driver, in generation order: a
+    /// `CMutationModel` over its source and its own catalog headers.
+    pub fn mutants(&self) -> Vec<Mutant> {
+        let headers: Vec<&str> = self.headers.iter().map(|(_, text)| text.as_str()).collect();
+        CMutationModel::new(self.source, &headers, self.style).mutants()
+    }
+}
+
+/// One scenario, its constructor and its driver corpus.
 pub struct ScenarioCase {
-    /// The scenario name ([`build_scenario`] accepts it).
+    /// The scenario's name, which is also its `Scenario::name()`.
     pub scenario: &'static str,
     /// The drivers exporting this scenario's entry-point contract.
     pub drivers: Vec<DriverVariant>,
+    /// Constructs the scenario on fault-free hardware.
+    new: fn() -> Box<dyn Scenario + Send>,
 }
 
-/// Construct a scenario by name. Names are the kebab-case
-/// `Scenario::name()` values listed by [`scenario_names`], and every one
-/// of them also exists as a `<name>+faults` variant: the same workload on
-/// deterministically flaky hardware, under the [`default_fault_plan`].
-/// For a different plan or seed use [`build_faulted`].
+impl ScenarioCase {
+    /// Construct the scenario, on hardware made flaky by `plan` when one
+    /// is given: the `<name>+faults` variant.
+    pub fn build(&self, plan: Option<FaultPlan>) -> Box<dyn Scenario + Send> {
+        let base = (self.new)();
+        match plan {
+            Some(plan) => Box::new(FaultScenario::new(base, plan)),
+            None => base,
+        }
+    }
+}
+
+/// The catalog, built on first use.
+static CATALOG: LazyLock<Vec<ScenarioCase>> = LazyLock::new(|| {
+    // The IDE pair serves every scenario that speaks the
+    // `ide_probe`/`ide_read`/`ide_write` contract.
+    let ide = vec![
+        DriverVariant {
+            label: "ide_piix4_c",
+            file: ide::IDE_C_FILE,
+            source: ide::IDE_C_DRIVER,
+            headers: Vec::new(),
+            style: CStyle::PlainC,
+            golden_fraction: 0.008,
+        },
+        DriverVariant {
+            label: "ide_piix4_cdevil",
+            file: ide::IDE_CDEVIL_FILE,
+            source: ide::IDE_CDEVIL_DRIVER,
+            headers: ide::cdevil_includes(),
+            style: CStyle::CDevil,
+            golden_fraction: 0.008,
+        },
+    ];
+    vec![
+        ScenarioCase {
+            scenario: "ide-boot",
+            drivers: ide.clone(),
+            new: || Box::new(IdeBootScenario::new(fs::standard_files())),
+        },
+        ScenarioCase {
+            scenario: "ide-stress",
+            drivers: ide,
+            new: || Box::new(IdeStressScenario::new(fs::standard_files())),
+        },
+        ScenarioCase {
+            scenario: "mouse-stream",
+            drivers: vec![
+                DriverVariant {
+                    label: "busmouse_c",
+                    file: busmouse::BM_C_FILE,
+                    source: busmouse::BM_C_DRIVER,
+                    headers: Vec::new(),
+                    style: CStyle::PlainC,
+                    golden_fraction: 0.10,
+                },
+                DriverVariant {
+                    label: "busmouse_cdevil",
+                    file: busmouse::BM_CDEVIL_FILE,
+                    source: busmouse::BM_CDEVIL_DRIVER,
+                    headers: busmouse::bm_includes(),
+                    style: CStyle::CDevil,
+                    golden_fraction: 0.10,
+                },
+            ],
+            new: || Box::new(MouseStreamScenario::new()),
+        },
+        ScenarioCase {
+            scenario: "ne2000-stress",
+            drivers: vec![DriverVariant {
+                label: "ne2000_c",
+                file: ne2000::NE2000_C_FILE,
+                source: ne2000::NE2000_C_DRIVER,
+                headers: Vec::new(),
+                style: CStyle::PlainC,
+                golden_fraction: 0.05,
+            }],
+            new: || Box::new(Ne2000StressScenario::new()),
+        },
+    ]
+});
+
+/// The full pairing of scenarios and driver corpora, in table order.
+pub fn scenario_catalog() -> &'static [ScenarioCase] {
+    &CATALOG
+}
+
+/// Every scenario name in the catalog, in table order.
+pub fn scenario_names() -> Vec<&'static str> {
+    CATALOG.iter().map(|c| c.scenario).collect()
+}
+
+/// The catalog entry for one scenario by its base name (no `+faults`),
+/// or `None` for names not in the catalog.
+pub fn find_case(scenario: &str) -> Option<&'static ScenarioCase> {
+    CATALOG.iter().find(|c| c.scenario == scenario)
+}
+
+/// Look up one driver of a scenario's corpus by its stable label — the
+/// request-routing path of the campaign service, which keys workloads by
+/// `(scenario, driver label)`.
+pub fn find_variant(scenario: &str, label: &str) -> Option<&'static DriverVariant> {
+    find_case(scenario)?
+        .drivers
+        .iter()
+        .find(|v| v.label == label)
+}
+
+/// Resolve a scenario name: a catalog name runs on fault-free hardware,
+/// and `<name>+faults` runs the same workload and corpus under the
+/// [`default_fault_plan`]. Exactly one suffix is read, so
+/// `<name>+faults+faults` resolves to nothing, as does any name whose
+/// base is not in the catalog.
+pub fn parse_scenario(name: &str) -> Option<(&'static ScenarioCase, Option<FaultPlan>)> {
+    match name.strip_suffix("+faults") {
+        Some(base) => Some((find_case(base)?, Some(default_fault_plan()))),
+        None => Some((find_case(name)?, None)),
+    }
+}
+
+/// Construct a scenario by name, as [`parse_scenario`] reads it: the
+/// kebab-case `Scenario::name()` of a catalog entry, or its `+faults`
+/// variant. For a different plan or seed use [`build_faulted`].
 pub fn build_scenario(name: &str) -> Option<Box<dyn Scenario + Send>> {
-    if let Some(base) = name.strip_suffix("+faults") {
-        return build_faulted(base, default_fault_plan());
-    }
-    match name {
-        "ide-boot" => Some(Box::new(IdeBootScenario::new(fs::standard_files()))),
-        "ide-stress" => Some(Box::new(IdeStressScenario::new(fs::standard_files()))),
-        "mouse-stream" => Some(Box::new(MouseStreamScenario::new())),
-        "ne2000-stress" => Some(Box::new(Ne2000StressScenario::new())),
-        _ => None,
-    }
+    let (case, plan) = parse_scenario(name)?;
+    Some(case.build(plan))
 }
 
-/// Construct the `<name>+faults` variant of a catalog scenario under an
-/// explicit [`FaultPlan`] — the per-plan/per-seed axis of the fault
-/// attribution campaigns.
+/// Construct the `<name>+faults` variant of a catalog scenario, given by
+/// its base name, under an explicit [`FaultPlan`] — the per-plan/per-seed
+/// axis of the fault attribution campaigns.
 pub fn build_faulted(name: &str, plan: FaultPlan) -> Option<Box<dyn Scenario + Send>> {
-    let base = build_scenario(name)?;
-    Some(Box::new(FaultScenario::new(base, plan)))
+    Some(find_case(name)?.build(Some(plan)))
 }
 
 /// The fault plan `<name>+faults` scenarios run under when none is given
@@ -90,103 +216,6 @@ pub fn spec_revision(fuel: u64) -> u64 {
     )
 }
 
-/// Every scenario name in the catalog, in table order (kept in sync with
-/// [`scenario_catalog`] by the crate's tests — no driver corpus is built
-/// just to list names).
-pub fn scenario_names() -> &'static [&'static str] {
-    &["ide-boot", "ide-stress", "mouse-stream", "ne2000-stress"]
-}
-
-/// The catalog entry for one scenario, or `None` for names not in the
-/// catalog (`+faults` suffixes resolve to their base scenario's corpus:
-/// the fault variant runs the same drivers on flakier hardware).
-pub fn find_case(scenario: &str) -> Option<ScenarioCase> {
-    let base = scenario.strip_suffix("+faults").unwrap_or(scenario);
-    scenario_catalog().into_iter().find(|c| c.scenario == base)
-}
-
-/// Look up one driver of a scenario's corpus by its stable label — the
-/// request-routing path of the campaign service, which keys workloads by
-/// `(scenario, driver label)`.
-pub fn find_variant(scenario: &str, label: &str) -> Option<DriverVariant> {
-    find_case(scenario)?.drivers.into_iter().find(|v| v.label == label)
-}
-
-/// The include headers a driver file compiles against, looked up across
-/// the whole catalog by file name (`None` for unknown files). Service
-/// workers use this to build one shared pre-lexed `IncludeCache` per
-/// driver file, whatever scenario a request pairs it with.
-pub fn driver_headers(file: &str) -> Option<Vec<(String, String)>> {
-    scenario_catalog()
-        .into_iter()
-        .flat_map(|c| c.drivers)
-        .find(|v| v.file == file)
-        .map(|v| v.headers)
-}
-
-/// The IDE driver pair — shared by every scenario that speaks the
-/// `ide_probe`/`ide_read`/`ide_write` contract.
-fn ide_drivers() -> Vec<DriverVariant> {
-    vec![
-        DriverVariant {
-            label: "ide_piix4_c",
-            file: ide::IDE_C_FILE,
-            source: ide::IDE_C_DRIVER,
-            headers: Vec::new(),
-            style: CStyle::PlainC,
-            golden_fraction: 0.008,
-        },
-        DriverVariant {
-            label: "ide_piix4_cdevil",
-            file: ide::IDE_CDEVIL_FILE,
-            source: ide::IDE_CDEVIL_DRIVER,
-            headers: ide::cdevil_includes(),
-            style: CStyle::CDevil,
-            golden_fraction: 0.008,
-        },
-    ]
-}
-
-/// The full pairing of scenarios and driver corpora.
-pub fn scenario_catalog() -> Vec<ScenarioCase> {
-    vec![
-        ScenarioCase { scenario: "ide-boot", drivers: ide_drivers() },
-        ScenarioCase { scenario: "ide-stress", drivers: ide_drivers() },
-        ScenarioCase {
-            scenario: "mouse-stream",
-            drivers: vec![
-                DriverVariant {
-                    label: "busmouse_c",
-                    file: busmouse::BM_C_FILE,
-                    source: busmouse::BM_C_DRIVER,
-                    headers: Vec::new(),
-                    style: CStyle::PlainC,
-                    golden_fraction: 0.10,
-                },
-                DriverVariant {
-                    label: "busmouse_cdevil",
-                    file: busmouse::BM_CDEVIL_FILE,
-                    source: busmouse::BM_CDEVIL_DRIVER,
-                    headers: busmouse::bm_includes(),
-                    style: CStyle::CDevil,
-                    golden_fraction: 0.10,
-                },
-            ],
-        },
-        ScenarioCase {
-            scenario: "ne2000-stress",
-            drivers: vec![DriverVariant {
-                label: "ne2000_c",
-                file: ne2000::NE2000_C_FILE,
-                source: ne2000::NE2000_C_DRIVER,
-                headers: Vec::new(),
-                style: CStyle::PlainC,
-                golden_fraction: 0.05,
-            }],
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,49 +231,72 @@ mod tests {
             assert!(!case.drivers.is_empty());
         }
         assert!(build_scenario("no-such-scenario").is_none());
+        let in_table_order: Vec<&str> = scenario_catalog().iter().map(|c| c.scenario).collect();
+        assert_eq!(scenario_names(), in_table_order);
     }
 
     #[test]
     fn fault_variants_build_for_every_catalog_name() {
-        for name in scenario_names() {
-            let full = format!("{name}+faults");
+        for case in scenario_catalog() {
+            let full = format!("{}+faults", case.scenario);
             let s = build_scenario(&full).expect("fault variant must build");
             assert_eq!(s.name(), full);
+            assert!(
+                build_scenario(&format!("{full}+faults")).is_none(),
+                "one suffix only"
+            );
         }
         assert!(build_scenario("no-such-scenario+faults").is_none());
         // Explicit plans work too, and keep the same variant name.
         let s = build_faulted("mouse-stream", FaultPlan::named("bus-noise", 7).unwrap())
             .unwrap();
         assert_eq!(s.name(), "mouse-stream+faults");
+        assert!(build_faulted("mouse-stream+faults", default_fault_plan()).is_none());
     }
 
     #[test]
-    fn scenario_names_match_the_catalog() {
-        let from_catalog: Vec<&str> =
-            scenario_catalog().iter().map(|c| c.scenario).collect();
-        assert_eq!(scenario_names(), from_catalog.as_slice());
+    fn faults_suffix_resolves_to_the_base_case_under_the_default_plan() {
+        for case in scenario_catalog() {
+            let (base, plan) = parse_scenario(case.scenario).expect("catalog name resolves");
+            assert!(std::ptr::eq(base, case) && plan.is_none());
+            let faulted = format!("{}+faults", case.scenario);
+            let (base, plan) = parse_scenario(&faulted).expect("fault variant resolves");
+            assert!(std::ptr::eq(base, case), "{faulted} runs the base corpus");
+            assert_eq!(plan, Some(default_fault_plan()), "{faulted}");
+            assert!(parse_scenario(&format!("{faulted}+faults")).is_none());
+        }
+        assert!(parse_scenario("no-such-scenario+faults").is_none());
+        assert!(parse_scenario("+faults").is_none());
     }
 
     #[test]
     fn catalog_lookups_resolve_names_labels_and_files() {
         for case in scenario_catalog() {
             let found = find_case(case.scenario).expect("catalog case resolves");
-            assert_eq!(found.scenario, case.scenario);
-            // The fault variant shares the base scenario's corpus.
-            let faulted = find_case(&format!("{}+faults", case.scenario))
-                .expect("fault variant resolves to the base corpus");
-            assert_eq!(faulted.scenario, case.scenario);
+            assert!(std::ptr::eq(found, case));
+            assert!(
+                find_case(&format!("{}+faults", case.scenario)).is_none(),
+                "base names only"
+            );
             for v in &case.drivers {
                 let variant = find_variant(case.scenario, v.label)
                     .expect("driver label resolves");
                 assert_eq!(variant.file, v.file);
-                let headers = driver_headers(v.file).expect("driver file resolves");
-                assert_eq!(headers.len(), v.headers.len());
             }
         }
         assert!(find_case("no-such-scenario").is_none());
         assert!(find_variant("ide-boot", "no-such-driver").is_none());
-        assert!(driver_headers("no_such_file.c").is_none());
+    }
+
+    #[test]
+    fn lookups_borrow_the_one_catalog() {
+        let first = find_variant("ide-boot", "ide_piix4_cdevil").unwrap();
+        let again = find_variant("ide-boot", "ide_piix4_cdevil").unwrap();
+        assert!(
+            std::ptr::eq(first, again),
+            "the catalog is built once per process"
+        );
+        assert!(std::ptr::eq(scenario_catalog(), scenario_catalog()));
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! scenario[+faults][/driver][:mutant_fraction[:weight]]
 //! ```
 //!
-//! * `scenario` — a catalog scenario name; the `+faults` suffix selects
-//!   the bundled `mixed` fault plan at the default seed (matching the
-//!   batch campaign CLI shorthand);
+//! * `scenario` — a catalog scenario name, optionally with one `+faults`
+//!   suffix for the same workload under the catalog's default fault plan
+//!   (`devil_drivers::corpus::parse_scenario` reads the name, as it does
+//!   for `build_scenario`);
 //! * `driver` — a driver label from the scenario's catalog entry
 //!   (default: the scenario's first driver);
 //! * `mutant_fraction` — the probability in `[0,1]` that a submission
@@ -48,10 +49,8 @@ use crate::proto::{
     read_frame, write_frame, Request, Response, ServiceStats, SubmitMutant,
 };
 use crate::server::Duplex;
-use devil_drivers::corpus::{find_case, find_variant};
-use devil_hwsim::DEFAULT_FAULT_SEED;
+use devil_drivers::corpus::{default_fault_plan, find_variant, parse_scenario};
 use devil_kernel::Outcome;
-use devil_mutagen::c::CMutationModel;
 use devil_mutagen::sample;
 use devil_rng::XorShift64;
 use std::io::{self, BufWriter, Write};
@@ -83,28 +82,21 @@ pub fn parse_mix(spec: &str) -> Result<Vec<MixEntry>, String> {
     for raw in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let mut fields = raw.split(':');
         let name = fields.next().expect("split yields at least one field");
-        let (mut scenario, driver) = match name.split_once('/') {
-            Some((s, d)) => (s.to_string(), Some(d.to_string())),
-            None => (name.to_string(), None),
+        let (scenario, driver) = match name.split_once('/') {
+            Some((s, d)) => (s, Some(d)),
+            None => (name, None),
         };
-        let mut plan = String::new();
-        if let Some(base) = scenario.strip_suffix("+faults") {
-            plan = "mixed".to_string();
-            scenario = base.to_string();
-        }
-        let case = find_case(&scenario)
+        let (case, plan) = parse_scenario(scenario)
             .ok_or_else(|| format!("unknown scenario `{scenario}` in mix entry `{raw}`"))?;
         let driver = match driver {
-            Some(d) => d,
-            None => case.drivers.first().map(|v| v.label.to_string()).ok_or_else(
-                || format!("scenario `{scenario}` has no drivers"),
-            )?,
+            None => &case.drivers[0],
+            Some(d) => case.drivers.iter().find(|v| v.label == d).ok_or_else(|| {
+                format!(
+                    "unknown driver `{d}` for scenario `{}` in mix entry `{raw}`",
+                    case.scenario
+                )
+            })?,
         };
-        if find_variant(&scenario, &driver).is_none() {
-            return Err(format!(
-                "unknown driver `{driver}` for scenario `{scenario}` in mix entry `{raw}`"
-            ));
-        }
         let mutant_fraction = match fields.next() {
             None => 1.0,
             Some(f) => {
@@ -131,10 +123,10 @@ pub fn parse_mix(spec: &str) -> Result<Vec<MixEntry>, String> {
             return Err(format!("trailing field `{extra}` in mix entry `{raw}`"));
         }
         mix.push(MixEntry {
-            scenario,
-            plan,
-            plan_seed: DEFAULT_FAULT_SEED,
-            driver,
+            scenario: case.scenario.to_string(),
+            plan: plan.as_ref().map_or("", |p| p.name()).to_string(),
+            plan_seed: default_fault_plan().seed(),
+            driver: driver.label.to_string(),
             mutant_fraction,
             weight,
         });
@@ -223,10 +215,7 @@ fn build_pools(config: &LoadConfig) -> Result<Vec<EntryPool>, String> {
         .map(|entry| {
             let v = find_variant(&entry.scenario, &entry.driver)
                 .ok_or_else(|| format!("mix entry resolves to no driver: {entry:?}"))?;
-            let header_texts: Vec<&str> =
-                v.headers.iter().map(|(_, t)| t.as_str()).collect();
-            let model = CMutationModel::new(v.source, &header_texts, v.style);
-            let mut mutants: Vec<Shot> = sample(model.mutants(), 0.25, config.seed)
+            let mut mutants: Vec<Shot> = sample(v.mutants(), 0.25, config.seed)
                 .into_iter()
                 .take(POOL_CAP)
                 .map(|m| Shot { source: m.source, dead_line: m.line })
@@ -569,19 +558,37 @@ fn pick_entry<'p>(
 mod tests {
     use super::*;
 
+    /// Every field of each entry: scenario, plan, plan seed, driver,
+    /// mutant fraction and weight.
+    fn fields(mix: &[MixEntry]) -> Vec<(&str, &str, u64, &str, f64, u32)> {
+        mix.iter()
+            .map(|e| {
+                let (s, p, d) = (e.scenario.as_str(), e.plan.as_str(), e.driver.as_str());
+                (s, p, e.plan_seed, d, e.mutant_fraction, e.weight)
+            })
+            .collect()
+    }
+
     #[test]
     fn mix_spec_round_trips_fields_and_defaults() {
+        use devil_hwsim::DEFAULT_FAULT_SEED as SEED;
         let mix = parse_mix("ide-boot/ide_piix4_c:0.8:2, mouse-stream+faults").unwrap();
-        assert_eq!(mix.len(), 2);
-        assert_eq!(mix[0].scenario, "ide-boot");
-        assert_eq!(mix[0].driver, "ide_piix4_c");
-        assert_eq!(mix[0].plan, "");
-        assert!((mix[0].mutant_fraction - 0.8).abs() < 1e-9);
-        assert_eq!(mix[0].weight, 2);
-        assert_eq!(mix[1].scenario, "mouse-stream");
-        assert_eq!(mix[1].plan, "mixed");
-        assert!((mix[1].mutant_fraction - 1.0).abs() < 1e-9);
-        assert_eq!(mix[1].weight, 1);
+        assert_eq!(
+            fields(&mix),
+            [
+                ("ide-boot", "", SEED, "ide_piix4_c", 0.8, 2),
+                ("mouse-stream", "mixed", SEED, "busmouse_c", 1.0, 1),
+            ]
+        );
+        // The default mix of `devil load` and `devil selftest`.
+        let mix = parse_mix("ide-boot,mouse-stream+faults").unwrap();
+        assert_eq!(
+            fields(&mix),
+            [
+                ("ide-boot", "", SEED, "ide_piix4_c", 1.0, 1),
+                ("mouse-stream", "mixed", SEED, "busmouse_c", 1.0, 1),
+            ]
+        );
     }
 
     #[test]
@@ -589,6 +596,19 @@ mod tests {
         for (spec, needle) in [
             ("", "empty workload mix"),
             ("nope", "unknown scenario"),
+            ("nope+faults", "unknown scenario `nope+faults`"),
+            (
+                "ide-boot+faults+faults",
+                "unknown scenario `ide-boot+faults+faults`",
+            ),
+            (
+                "mouse-stream+faults+faults/busmouse_c",
+                "unknown scenario `mouse-stream+faults+faults`",
+            ),
+            (
+                "mouse-stream+faults/ide_piix4_c",
+                "unknown driver `ide_piix4_c`",
+            ),
             ("ide-boot/nope", "unknown driver"),
             ("ide-boot:2.0", "outside 0..=1"),
             ("ide-boot:0.5:0", "bad weight"),

@@ -67,9 +67,7 @@
 use crate::proto::{
     read_frame, write_frame, QuarantinedPair, Request, Response, ServiceStats, SubmitMutant,
 };
-use devil_drivers::corpus::{
-    build_faulted, build_scenario, driver_headers, scenario_names, spec_revision,
-};
+use devil_drivers::corpus::{find_case, scenario_catalog, scenario_names, spec_revision};
 use devil_hwsim::FaultPlan;
 use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::scenario::{Deadline, Scenario, ScenarioMachine};
@@ -295,8 +293,10 @@ impl DrainHandle {
     }
 }
 
-/// Request routing, built once per server from the driver catalog: one
-/// shared pre-lexed include cache per driver file.
+/// Request routing, built once per server from the process's scenario
+/// catalog: one shared pre-lexed include cache per driver file, over the
+/// headers the catalog pairs with it. A submission names a catalog
+/// scenario by its base name; its fault plan travels in its own fields.
 struct Routes {
     caches: HashMap<&'static str, Arc<IncludeCache>>,
 }
@@ -308,15 +308,11 @@ impl Routes {
     /// (A cache without headers never records a checkpoint.)
     fn build() -> Routes {
         let mut caches = HashMap::new();
-        for case in devil_drivers::corpus::scenario_catalog() {
+        for case in scenario_catalog() {
             for v in &case.drivers {
                 caches.entry(v.file).or_insert_with(|| {
-                    let headers =
-                        driver_headers(v.file).expect("catalog file resolves");
-                    let refs: Vec<(&str, &str)> = headers
-                        .iter()
-                        .map(|(a, b)| (a.as_str(), b.as_str()))
-                        .collect();
+                    let refs: Vec<(&str, &str)> =
+                        v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
                     let cache = IncludeCache::new(&refs);
                     if !refs.is_empty() {
                         // Only the checkpoint is wanted; a catalog driver compiles.
@@ -341,7 +337,7 @@ impl Routes {
     /// Validate a submission's routing fields; `Err` is the message for a
     /// [`Response::Err`] reply.
     fn validate(&self, s: &SubmitMutant) -> Result<(), String> {
-        if !scenario_names().contains(&s.scenario.as_str()) {
+        if find_case(&s.scenario).is_none() {
             return Err(format!(
                 "unknown scenario `{}`; available: {}",
                 s.scenario,
@@ -394,14 +390,10 @@ type Workload = (String, String, u64);
 type Workspace = HashMap<Workload, ScenarioMachine<Box<dyn Scenario + Send>>>;
 
 fn build_machine(req: &SubmitMutant, fuel: u64) -> ScenarioMachine<Box<dyn Scenario + Send>> {
-    let scenario = if req.plan.is_empty() {
-        build_scenario(&req.scenario)
-    } else {
-        let plan = FaultPlan::named(&req.plan, req.plan_seed)
-            .expect("plan validated at admission");
-        build_faulted(&req.scenario, plan)
-    };
-    ScenarioMachine::with_scenario(scenario.expect("scenario validated at admission"), fuel)
+    let case = find_case(&req.scenario).expect("scenario validated at admission");
+    let plan = (!req.plan.is_empty())
+        .then(|| FaultPlan::named(&req.plan, req.plan_seed).expect("plan validated at admission"));
+    ScenarioMachine::with_scenario(case.build(plan), fuel)
 }
 
 /// What the service's threads share; each piece is one method, run on
@@ -831,7 +823,7 @@ pub fn serve_tcp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use devil_drivers::corpus::find_variant;
+    use devil_drivers::corpus::{build_scenario, find_variant};
 
     /// The test-only chaos seam: a submission whose first line carries
     /// this marker makes the workers' classify step panic, which is how
@@ -956,6 +948,27 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_scenario_is_refused_with_the_catalog_names() {
+        let routes = Routes::build();
+        let v = find_variant("mouse-stream", "busmouse_c").unwrap();
+        // A submission carries its fault plan in its own fields, so a
+        // `+faults` name is no scenario here.
+        for name in ["no-such-scenario", "mouse-stream+faults"] {
+            let req = submit_mutant(1, name, "", v.file, v.source);
+            let err = routes.validate(&req).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "unknown scenario `{name}`; available: \
+                     ide-boot, ide-stress, mouse-stream, ne2000-stress"
+                )
+            );
+        }
+        let req = submit_mutant(1, "mouse-stream", "", v.file, v.source);
+        assert_eq!(routes.validate(&req), Ok(()));
+    }
+
+    #[test]
     fn chaos_panic_is_isolated_and_quarantined() {
         let server = InProcServer::start(ServeConfig {
             threads: 1,
@@ -1015,7 +1028,6 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
     fn chaos_mutants_leave_the_service_standing_and_others_unperturbed() {
-        use devil_mutagen::c::CMutationModel;
         use devil_mutagen::sample;
 
         // The hostile tail, end to end: a poison mutant that panics the
@@ -1027,9 +1039,7 @@ mod tests {
         const BUSTER_DEADLINE_MS: u32 = 25;
 
         let v = find_variant("mouse-stream", "busmouse_c").expect("catalog workload");
-        let header_texts: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
-        let model = CMutationModel::new(v.source, &header_texts, v.style);
-        let mutants = sample(model.mutants(), 0.04, 99);
+        let mutants = sample(v.mutants(), 0.04, 99);
         assert!(!mutants.is_empty(), "sampled no mutants");
 
         let poison = format!("// {CHAOS_PANIC_MARKER}\n{}", v.source);

@@ -24,7 +24,6 @@ use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::scenario::ScenarioMachine;
 use devil_kernel::Outcome;
 use devil_minic::pp::IncludeCache;
-use devil_mutagen::c::CMutationModel;
 use devil_mutagen::{sample, Campaign, Mutant};
 use devil_serve::proto::{read_frame, write_frame, Request, Response, SubmitMutant};
 use devil_serve::{parse_mix, run_load, InProcServer, LoadConfig, ServeConfig};
@@ -92,9 +91,7 @@ fn service_outcomes_match_the_batch_campaign() {
     let mut next_id = 0u64;
     for wl in &workloads {
         let v = find_variant(wl.scenario, wl.driver).expect("catalog workload");
-        let header_texts: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
-        let model = CMutationModel::new(v.source, &header_texts, v.style);
-        let mutants = sample(model.mutants(), 0.05, 1234);
+        let mutants = sample(v.mutants(), 0.05, 1234);
         assert!(!mutants.is_empty(), "{} sampled no mutants", wl.scenario);
         let batch = batch_outcomes(wl, &mutants, v.file);
         for (m, outcome) in mutants.iter().zip(batch) {
@@ -298,9 +295,7 @@ fn server_stats(
 fn warmed_checkpoints_survive_a_foreign_first_submission() {
     let wl = Workload { scenario: "mouse-stream", plan: "", driver: "busmouse_cdevil" };
     let v = find_variant(wl.scenario, wl.driver).expect("catalog workload");
-    let header_texts: Vec<&str> = v.headers.iter().map(|(_, t)| t.as_str()).collect();
-    let model = CMutationModel::new(v.source, &header_texts, v.style);
-    let mutants = sample(model.mutants(), 0.04, 77);
+    let mutants = sample(v.mutants(), 0.04, 77);
     assert!(!mutants.is_empty());
     let batch = batch_outcomes(&wl, &mutants, v.file);
 

@@ -56,3 +56,14 @@ fn service_flags_share_the_campaign_syntax() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("--report-every"), "{stderr}");
 }
+
+#[test]
+fn a_doubled_faults_suffix_is_a_usage_error() {
+    let mix = "--mix=ide-boot+faults+faults";
+    let (code, stderr) = devil(&["selftest", "--total=2", "--threads=1", mix]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--mix") && stderr.contains("`ide-boot+faults+faults`"),
+        "{stderr}"
+    );
+}

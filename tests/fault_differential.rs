@@ -33,13 +33,12 @@
 //! ```
 
 use devil::drivers::corpus::{
-    build_faulted, build_scenario, default_fault_plan, scenario_catalog, ScenarioCase,
+    build_faulted, build_scenario, default_fault_plan, find_case, scenario_catalog,
 };
 use devil::hwsim::FaultPlan;
 use devil::kernel::boot::DEFAULT_FUEL;
 use devil::kernel::scenario::{run_compiled, run_interp, run_mutant_in, ScenarioMachine};
 use devil::kernel::{Outcome, ScenarioReport};
-use devil::mutagen::c::CMutationModel;
 use devil::mutagen::{run_parallel, sample, Campaign, Mutant};
 use devil_bench::tables::{fault_attribution, render_attribution};
 use std::fmt::Write as _;
@@ -74,17 +73,6 @@ fn check_golden(name: &str, produced: &str) {
     );
 }
 
-fn sampled(
-    source: &str,
-    headers: &[(String, String)],
-    style: devil::mutagen::c::CStyle,
-    fraction: f64,
-) -> Vec<Mutant> {
-    let header_texts: Vec<&str> = headers.iter().map(|(_, t)| t.as_str()).collect();
-    let model = CMutationModel::new(source, &header_texts, style);
-    sample(model.mutants(), fraction, SEED)
-}
-
 /// Run one mutant through both engines on fresh *faulted* machines;
 /// `None` when it does not compile.
 fn run_both_faulted(
@@ -105,10 +93,11 @@ fn run_both_faulted(
     Some((vm, tw))
 }
 
-fn check_fault_scenario(case: &ScenarioCase) {
+fn check_fault_scenario(name: &str) {
+    let case = find_case(name).expect("scenario in catalog");
     let mut golden = String::new();
     for v in &case.drivers {
-        let mutants = sampled(v.source, &v.headers, v.style, v.golden_fraction);
+        let mutants = sample(v.mutants(), v.golden_fraction, SEED);
         assert!(
             mutants.len() >= 10,
             "{}/{}: sample too small ({}) to be meaningful",
@@ -186,13 +175,6 @@ fn check_fault_scenario(case: &ScenarioCase) {
     check_golden(&format!("scenario_{}_faults", case.scenario), &golden);
 }
 
-fn case(name: &str) -> ScenarioCase {
-    scenario_catalog()
-        .into_iter()
-        .find(|c| c.scenario == name)
-        .expect("scenario in catalog")
-}
-
 // One test per scenario, mirroring the fault-free differential suite.
 // The boot scenario is included here (its fault-free golden lives in
 // `campaign_differential.txt`, but it has no fault variant pinned there).
@@ -200,25 +182,25 @@ fn case(name: &str) -> ScenarioCase {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
 fn ide_boot_faults_differential() {
-    check_fault_scenario(&case("ide-boot"));
+    check_fault_scenario("ide-boot");
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
 fn ide_stress_faults_differential() {
-    check_fault_scenario(&case("ide-stress"));
+    check_fault_scenario("ide-stress");
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
 fn mouse_stream_faults_differential() {
-    check_fault_scenario(&case("mouse-stream"));
+    check_fault_scenario("mouse-stream");
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
 fn ne2000_stress_faults_differential() {
-    check_fault_scenario(&case("ne2000-stress"));
+    check_fault_scenario("ne2000-stress");
 }
 
 /// The attribution control: every *clean* catalog driver, under every

@@ -14,7 +14,6 @@
 use devil::drivers::corpus::{find_variant, spec_revision};
 use devil::kernel::boot::DEFAULT_FUEL;
 use devil::kernel::scenario::{Outcome, ScenarioMachine};
-use devil::mutagen::c::CMutationModel;
 use devil::mutagen::{sample, source_fingerprint, Campaign, Ledger, LedgerKey, Mutant};
 use std::time::{Duration, Instant};
 
@@ -27,8 +26,7 @@ const THROTTLE_ENV: &str = "DEVIL_LEDGER_RESUME_THROTTLE_MS";
 /// mid-campaign.
 fn run_campaign(ledger: &Ledger, throttle: Option<Duration>) -> Vec<Outcome> {
     let v = find_variant("mouse-stream", "busmouse_c").expect("catalog variant");
-    let model = CMutationModel::new(v.source, &[], v.style);
-    let mutants = sample(model.mutants(), 0.05, 42);
+    let mutants = sample(v.mutants(), 0.05, 42);
     let rev = ledger.spec_rev();
     let file = v.file;
     Campaign::new(

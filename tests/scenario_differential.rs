@@ -20,11 +20,11 @@
 //! DEVIL_BLESS=1 cargo test --release --test scenario_differential
 //! ```
 
-use devil::drivers::corpus::{build_scenario, scenario_catalog, ScenarioCase};
+use devil::drivers::corpus::{build_scenario, find_case};
 use devil::kernel::boot::DEFAULT_FUEL;
 use devil::kernel::scenario::{run_compiled, run_interp, run_mutant_in, ScenarioMachine};
 use devil::kernel::{Outcome, ScenarioReport};
-use devil::mutagen::c::CMutationModel;
+use devil::mutagen::c::{CMutationModel, CStyle};
 use devil::mutagen::{run_parallel, sample, Campaign, Mutant};
 use std::fmt::Write as _;
 
@@ -41,12 +41,6 @@ fn golden_path(scenario: &str) -> String {
         env!("CARGO_MANIFEST_DIR"),
         scenario.replace('-', "_")
     )
-}
-
-fn sampled(case_source: &str, headers: &[(String, String)], style: devil::mutagen::c::CStyle, fraction: f64) -> Vec<Mutant> {
-    let header_texts: Vec<&str> = headers.iter().map(|(_, t)| t.as_str()).collect();
-    let model = CMutationModel::new(case_source, &header_texts, style);
-    sample(model.mutants(), fraction, SEED)
 }
 
 /// Run one mutant through both engines on fresh machines; `None` when it
@@ -67,10 +61,11 @@ fn run_both(
     Some((vm, tw))
 }
 
-fn check_scenario(case: &ScenarioCase) {
+fn check_scenario(name: &str) {
+    let case = find_case(name).expect("scenario in catalog");
     let mut golden = String::new();
     for v in &case.drivers {
-        let mutants = sampled(v.source, &v.headers, v.style, v.golden_fraction);
+        let mutants = sample(v.mutants(), v.golden_fraction, SEED);
         assert!(
             mutants.len() >= 10,
             "{}/{}: sample too small ({}) to be meaningful",
@@ -153,13 +148,6 @@ fn check_scenario(case: &ScenarioCase) {
     );
 }
 
-fn case(name: &str) -> ScenarioCase {
-    scenario_catalog()
-        .into_iter()
-        .find(|c| c.scenario == name)
-        .expect("scenario in catalog")
-}
-
 // One test per scenario so a regression names its workload directly (and
 // the scenarios run in parallel under the default test harness). The
 // ide-boot scenario is pinned by the original `campaign_differential`
@@ -169,13 +157,13 @@ fn case(name: &str) -> ScenarioCase {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
 fn mouse_stream_scenario_differential() {
-    check_scenario(&case("mouse-stream"));
+    check_scenario("mouse-stream");
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
 fn ne2000_stress_scenario_differential() {
-    check_scenario(&case("ne2000-stress"));
+    check_scenario("ne2000-stress");
 }
 
 /// The block-transfer driver swap re-blessed the main ne2000 golden; this
@@ -192,7 +180,8 @@ fn ne2000_stress_scenario_differential() {
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
 fn ne2000_word_driver_outcome_counts_unchanged() {
     use devil::drivers::ne2000::{NE2000_C_DRIVER_WORDS, NE2000_C_FILE};
-    let mutants = sampled(NE2000_C_DRIVER_WORDS, &[], devil::mutagen::c::CStyle::PlainC, 0.05);
+    let model = CMutationModel::new(NE2000_C_DRIVER_WORDS, &[], CStyle::PlainC);
+    let mutants = sample(model.mutants(), 0.05, SEED);
     assert!(mutants.len() >= 10, "sample too small ({})", mutants.len());
     let outcomes: Vec<Outcome> = Campaign::new(
         || {
@@ -227,5 +216,5 @@ fn ne2000_word_driver_outcome_counts_unchanged() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release (CI does)")]
 fn ide_stress_scenario_differential() {
-    check_scenario(&case("ide-stress"));
+    check_scenario("ide-stress");
 }
