@@ -231,8 +231,22 @@ mod tests {
             assert!(!case.drivers.is_empty());
         }
         assert!(build_scenario("no-such-scenario").is_none());
+    }
+
+    #[test]
+    fn scenario_names_match_the_catalog() {
         let in_table_order: Vec<&str> = scenario_catalog().iter().map(|c| c.scenario).collect();
         assert_eq!(scenario_names(), in_table_order);
+        // find_case returns the first match, so a repeated name would
+        // shadow its later entry.
+        let mut unique = in_table_order.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(
+            unique.len(),
+            in_table_order.len(),
+            "scenario names are unique"
+        );
     }
 
     #[test]
