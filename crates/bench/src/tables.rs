@@ -426,7 +426,7 @@ pub fn campaign_spec_revision(v: &DriverVariant, opts: &CampaignOptions) -> u64 
         .iter()
         .map(|(_, file, src)| (*file, *src))
         .chain(headers.iter().map(|(name, text)| (name.as_str(), text.as_str())));
-    devil_kernel::fingerprint::spec_revision(pairs, opts.fuel)
+    devil_mutagen::ledger::spec_revision(pairs, opts.fuel)
 }
 
 /// Run one `(scenario, driver)` campaign, `scenario` a catalog base name

@@ -324,15 +324,6 @@ impl CheckedSpec {
             .map(|(i, r)| (RegId(i), r))
     }
 
-    /// Variables exported in the functional interface (non-private).
-    pub fn public_variables(&self) -> impl Iterator<Item = (VarId, &VariableDef)> {
-        self.variables
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.private)
-            .map(|(i, v)| (VarId(i), v))
-    }
-
     /// Render the Figure-2 style schematic: ports → registers → variables.
     pub fn render_schematic(&self) -> String {
         let mut out = String::new();

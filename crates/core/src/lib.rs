@@ -39,7 +39,6 @@ pub mod error;
 pub mod ir;
 pub mod lexer;
 pub mod parser;
-pub mod printer;
 pub mod runtime;
 pub mod span;
 pub mod token;

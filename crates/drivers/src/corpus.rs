@@ -207,10 +207,10 @@ pub fn default_fault_plan() -> FaultPlan {
 /// Spec-revision fingerprint over the five bundled `.dil` specs, the
 /// engine version and the `fuel` budget — the `spec_rev` every outcome
 /// ledger key in this workspace is stamped with (see
-/// `devil_kernel::fingerprint`). Compute it once per campaign or service,
-/// never per mutant.
+/// [`devil_mutagen::ledger::spec_revision`]). Compute it once per campaign
+/// or service, never per mutant.
 pub fn spec_revision(fuel: u64) -> u64 {
-    devil_kernel::fingerprint::spec_revision(
+    devil_mutagen::ledger::spec_revision(
         crate::specs::all().iter().map(|(_, file, src)| (*file, *src)),
         fuel,
     )
@@ -311,6 +311,14 @@ mod tests {
             "the catalog is built once per process"
         );
         assert!(std::ptr::eq(scenario_catalog(), scenario_catalog()));
+    }
+
+    #[test]
+    fn spec_revision_is_pinned() {
+        // Every ledger file on disk is stamped with this value: a change
+        // here makes all of them stale, so it must come from a changed
+        // spec, engine version or fuel budget, never from a refactor.
+        assert_eq!(spec_revision(DEFAULT_FUEL), 0xd89c_7fa7_4920_6794);
     }
 
     #[test]

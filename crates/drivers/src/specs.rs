@@ -119,17 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn all_specs_round_trip_through_the_printer() {
-        use devil_core::{parser::parse, printer};
-        for (name, _, src) in all() {
-            let ast1 = parse(src).unwrap();
-            let text = printer::print(&ast1);
-            let ast2 = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert!(printer::ast_eq(&ast1, &ast2), "{name} diverged");
-        }
-    }
-
-    #[test]
     fn specs_generate_c_in_both_modes() {
         use devil_core::codegen::{generate, CodegenMode};
         for (name, file, src) in all() {

@@ -224,6 +224,8 @@ impl std::error::Error for MapError {}
 /// Offsets passed to [`IoDevice::read`]/[`IoDevice::write`] are relative to
 /// the mapping base. Models are free to keep arbitrary internal state; the
 /// bus clock is advanced by one tick per access and delivered via `tick`.
+/// The `Any` supertrait is what lets [`IoSpace::device`] and
+/// [`IoSpace::device_mut`] hand a mapped model back as its concrete type.
 pub trait IoDevice: Any {
     /// Short device name used in traces and faults.
     fn name(&self) -> &str;
@@ -321,12 +323,6 @@ pub trait IoDevice: Any {
         let _ = (offset, size, values);
         false
     }
-
-    /// Upcast for state inspection in tests and the boot harness.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast for state injection (e.g. simulating mouse motion).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// The byte-granular port bus interface the drivers program against.
@@ -605,7 +601,10 @@ impl IoSpace {
     /// [`IoSpace::sync`] first when inspecting timer-driven state outside
     /// an access sequence.
     pub fn device<T: IoDevice>(&self, id: DeviceId) -> Option<&T> {
-        self.devices.get(id.0)?.as_any().downcast_ref::<T>()
+        // Upcast the device, not its box: `&Box<dyn IoDevice>` coerces to
+        // `&dyn Any` too, but with the box's type id, so no downcast hits.
+        let dev: &dyn Any = &**self.devices.get(id.0)?;
+        dev.downcast_ref::<T>()
     }
 
     /// Mutably borrow a mapped device, downcast to its concrete type.
@@ -616,7 +615,8 @@ impl IoSpace {
         if id.0 < self.devices.len() {
             self.touch(id.0);
         }
-        self.devices.get_mut(id.0)?.as_any_mut().downcast_mut::<T>()
+        let dev: &mut dyn Any = &mut **self.devices.get_mut(id.0)?;
+        dev.downcast_mut::<T>()
     }
 
     /// Deliver every device's accumulated clock delta now.
@@ -988,14 +988,6 @@ impl IoDevice for ScratchRegisters {
     fn load(&mut self, r: &mut StateReader<'_>) {
         r.fill(&mut self.bytes);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -1107,6 +1099,10 @@ mod tests {
         let dev: &ScratchRegisters = io.device(id).unwrap();
         assert_eq!(dev.bytes()[0], 0x55);
         assert!(io.device::<crate::devices::Busmouse>(id).is_none());
+        let dev: &mut ScratchRegisters = io.device_mut(id).unwrap();
+        dev.write(1, AccessSize::Byte, 0xAA).unwrap();
+        assert_eq!(io.inb(0x11).unwrap(), 0xAA);
+        assert!(io.device_mut::<crate::devices::Busmouse>(id).is_none());
     }
 
     #[test]
@@ -1191,12 +1187,6 @@ mod tests {
         }
         fn load(&mut self, r: &mut StateReader<'_>) {
             self.0 = r.u8();
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -24,7 +24,6 @@
 
 use crate::bus::{AccessSize, DeviceFault, IoDevice};
 use crate::snap::{StateReader, StateWriter};
-use std::any::Any;
 
 /// Behavioural Logitech busmouse (see module docs for the register map).
 #[derive(Debug, Clone)]
@@ -38,7 +37,6 @@ pub struct Busmouse {
     buttons: u8,
     /// Snapshot latched when the interrupt gate closes (hold mode).
     held: Option<(i8, i8, u8)>,
-    reads: u64,
 }
 
 impl Default for Busmouse {
@@ -59,7 +57,6 @@ impl Busmouse {
             dy: 0,
             buttons: 0,
             held: None,
-            reads: 0,
         }
     }
 
@@ -123,7 +120,6 @@ impl IoDevice for Busmouse {
         if size != AccessSize::Byte {
             return Err(DeviceFault::Width { offset, size });
         }
-        self.reads += 1;
         match offset {
             0 => Ok(self.data_nibbles() as u32),
             1 => Ok(self.signature as u32),
@@ -187,7 +183,6 @@ impl IoDevice for Busmouse {
             }
             None => w.bool(false),
         }
-        w.u64(self.reads);
     }
 
     fn load(&mut self, r: &mut StateReader<'_>) {
@@ -203,15 +198,6 @@ impl IoDevice for Busmouse {
         } else {
             None
         };
-        self.reads = r.u64();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

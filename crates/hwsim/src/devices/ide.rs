@@ -35,7 +35,6 @@
 
 use crate::bus::{AccessSize, DeviceFault, IoDevice};
 use crate::snap::{StateReader, StateWriter};
-use std::any::Any;
 
 /// Bytes per ATA sector.
 pub const SECTOR_SIZE: usize = 512;
@@ -72,8 +71,8 @@ impl IdeGeometry {
     }
 }
 
-/// The disk platter: geometry plus byte content, with a write log for the
-/// damage analysis done by the simulated fsck.
+/// The disk platter: geometry plus byte content, which the simulated fsck
+/// reads for its damage analysis.
 ///
 /// The platter also keeps a **dirty-sector journal** — one bit per sector
 /// (a 2 MiB disk journals in 512 bytes), set on every sector write since
@@ -88,7 +87,6 @@ impl IdeGeometry {
 pub struct IdeDisk {
     geometry: IdeGeometry,
     data: Vec<u8>,
-    writes: Vec<u32>,
     /// Bit per sector: written since the platter last matched
     /// `journal_base` (`dirty[lba / 64] & (1 << (lba % 64))`).
     dirty: Vec<u64>,
@@ -106,7 +104,6 @@ impl IdeDisk {
         IdeDisk {
             geometry,
             data: vec![0; bytes],
-            writes: Vec::new(),
             dirty: vec![0; geometry.capacity().div_ceil(64) as usize],
             dirty_count: 0,
             journal_base: None,
@@ -154,21 +151,6 @@ impl IdeDisk {
     /// restore of the journal's base snapshot will copy.
     pub fn dirty_sector_count(&self) -> usize {
         self.dirty_count as usize
-    }
-
-    /// LBAs written through the ATA wire since the last [`IdeDisk::clear_write_log`].
-    pub fn write_log(&self) -> &[u32] {
-        &self.writes
-    }
-
-    /// Forget recorded wire writes.
-    pub fn clear_write_log(&mut self) {
-        self.writes.clear();
-    }
-
-    fn wire_write(&mut self, lba: u32, buf: &[u8]) {
-        self.writes.push(lba);
-        self.write_sector(lba, buf);
     }
 }
 
@@ -257,8 +239,6 @@ pub struct IdeController {
     buf_pos: usize,
     sectors_left: u32,
     current_lba: u32,
-    /// Commands received (for trace assertions in tests).
-    commands: Vec<u8>,
 }
 
 impl IdeController {
@@ -281,7 +261,6 @@ impl IdeController {
             buf_pos: 0,
             sectors_left: 0,
             current_lba: 0,
-            commands: Vec::new(),
         }
     }
 
@@ -293,11 +272,6 @@ impl IdeController {
     /// Mutably borrow the attached disk (host-side setup, e.g. mkfs).
     pub fn disk_mut(&mut self) -> &mut IdeDisk {
         &mut self.disk
-    }
-
-    /// Command bytes received so far, in order.
-    pub fn command_log(&self) -> &[u8] {
-        &self.commands
     }
 
     fn slave_selected(&self) -> bool {
@@ -375,7 +349,6 @@ impl IdeController {
     }
 
     fn start_command(&mut self, cmd: u8) {
-        self.commands.push(cmd);
         if self.slave_selected() {
             // No slave drive: the command vanishes. The master's own state
             // is untouched; status reads float at 0 while the slave is
@@ -509,7 +482,7 @@ impl IdeController {
     fn sector_filled(&mut self) {
         let lba = self.current_lba;
         let buf = self.buffer;
-        self.disk.wire_write(lba, &buf);
+        self.disk.write_sector(lba, &buf);
         self.sectors_left = self.sectors_left.saturating_sub(1);
         self.buf_pos = 0;
         if self.sectors_left == 0 {
@@ -741,11 +714,9 @@ impl IoDevice for IdeController {
         w.u64(self.buf_pos as u64);
         w.u32(self.sectors_left);
         w.u32(self.current_lba);
-        w.len_bytes(&self.commands);
-        // The platter: geometry is construction-time, only the content and
-        // the wire-write log are mutable.
+        // The platter: geometry is construction-time, only the content is
+        // mutable.
         w.bytes(&self.disk.data);
-        w.len_u32s(&self.disk.writes);
     }
 
     fn load(&mut self, r: &mut StateReader<'_>) {
@@ -764,17 +735,7 @@ impl IoDevice for IdeController {
         self.buf_pos = r.u64() as usize;
         self.sectors_left = r.u32();
         self.current_lba = r.u32();
-        r.fill_len_bytes(&mut self.commands);
         self.load_platter(r);
-        r.fill_len_u32s(&mut self.disk.writes);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -947,7 +908,6 @@ mod tests {
         }
         assert_eq!(io.inb(STATUS).unwrap() & ST_DRQ, 0);
         let ide = io.device::<IdeController>(id).unwrap();
-        assert_eq!(ide.disk().write_log(), &[3]);
         assert_eq!(ide.disk().sector(3)[0], 0);
         assert_eq!(ide.disk().sector(3)[2], 1);
     }

@@ -7,21 +7,15 @@
 //! | [`Ne2000`] | NE2000 (ns8390) Ethernet controller — Table 2 spec |
 //! | [`PciConfigSpace`] / [`BusMasterIde`] | Intel 82371FB PCI bus-master IDE function — Table 2 spec |
 //! | [`Permedia2`] | Permedia 2 graphics FIFO — Table 2 spec |
-//! | [`Dma8237`] | ISA DMA controller substrate |
-//! | [`Pic8259`] | ISA interrupt controller substrate |
 
 mod busmouse;
-mod dma;
 mod ide;
 mod ne2000;
 mod pci;
 mod permedia2;
-mod pic;
 
 pub use busmouse::Busmouse;
-pub use dma::Dma8237;
 pub use ide::{IdeController, IdeDisk, IdeGeometry, SECTOR_SIZE};
 pub use ne2000::Ne2000;
 pub use pci::{BusMasterIde, PciConfigSpace, PciFunction};
 pub use permedia2::Permedia2;
-pub use pic::Pic8259;

@@ -17,7 +17,6 @@
 
 use crate::bus::{AccessSize, DeviceFault, IoDevice};
 use crate::snap::{StateReader, StateWriter};
-use std::any::Any;
 
 const RAM_START: usize = 0x4000;
 const RAM_SIZE: usize = 0x4000;
@@ -427,14 +426,6 @@ impl IoDevice for Ne2000 {
             }
         }
         self.stopped = r.bool();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

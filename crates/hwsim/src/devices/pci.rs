@@ -12,7 +12,6 @@
 
 use crate::bus::{AccessSize, DeviceFault, IoDevice};
 use crate::snap::{StateReader, StateWriter};
-use std::any::Any;
 
 /// A single PCI function's 256-byte configuration header.
 #[derive(Debug, Clone)]
@@ -168,14 +167,6 @@ impl IoDevice for PciConfigSpace {
             r.fill(&mut f.config);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// How many ticks a started bus-master transfer stays active.
@@ -211,11 +202,6 @@ impl BusMasterIde {
     /// Primary-channel descriptor table pointer, as last programmed.
     pub fn descriptor_pointer(&self, channel: usize) -> u32 {
         self.channels[channel].dtp
-    }
-
-    /// Whether a transfer is currently active on `channel`.
-    pub fn is_active(&self, channel: usize) -> bool {
-        self.channels[channel].status & 0x01 != 0
     }
 }
 
@@ -316,14 +302,6 @@ impl IoDevice for BusMasterIde {
             c.dtp = r.u32();
             c.active_left = r.u64();
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

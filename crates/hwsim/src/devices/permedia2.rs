@@ -31,7 +31,6 @@
 
 use crate::bus::{AccessSize, DeviceFault, IoDevice};
 use crate::snap::{StateReader, StateWriter};
-use std::any::Any;
 use std::collections::VecDeque;
 
 const FIFO_CAPACITY: usize = 32;
@@ -263,14 +262,6 @@ impl IoDevice for Permedia2 {
         r.fill_u32s(&mut self.framebuffer);
         r.fill_len_u32s(&mut self.pending);
         self.drain_phase = r.u64();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

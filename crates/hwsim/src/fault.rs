@@ -245,13 +245,6 @@ impl FaultPlan {
     pub fn rules(&self) -> &[FaultRule] {
         &self.rules
     }
-
-    /// Same schedule, different seed — the per-seed axis of an
-    /// attribution campaign.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// The interposer an [`IoSpace`](crate::IoSpace) installs between its

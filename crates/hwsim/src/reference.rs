@@ -182,14 +182,6 @@ impl IoDevice for NullDevice {
     fn load(&mut self, r: &mut crate::snap::StateReader<'_>) {
         self.last = r.u32();
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@
 //!    be replayed by `drive` on every run, not done once in `build`.
 //!
 //! Restoring is allocation-free on the success path as long as every
-//! dynamic log captured by the snapshot (trace, IDE write log, NE2000
-//! transmit log, ...) fits the capacity the live machine already has —
+//! dynamic log captured by the snapshot (trace, NE2000 transmit log,
+//! Permedia 2 FIFO, ...) fits the capacity the live machine already has —
 //! trivially true for the campaign pattern above, where the snapshot is
 //! taken on a freshly built machine with empty logs.
 //!
@@ -282,14 +282,6 @@ impl<'a> StateReader<'a> {
         }
     }
 
-    /// Replace `out`'s contents with a `u64`-length-prefixed byte run.
-    /// Allocates only when `out`'s capacity is insufficient.
-    pub fn fill_len_bytes(&mut self, out: &mut Vec<u8>) {
-        let n = self.u64() as usize;
-        out.clear();
-        out.extend_from_slice(self.take(n));
-    }
-
     /// Replace `out`'s contents with a `u64`-length-prefixed u32 run.
     /// Allocates only when `out`'s capacity is insufficient.
     pub fn fill_len_u32s(&mut self, out: &mut Vec<u32>) {
@@ -342,11 +334,6 @@ impl Snapshot {
     /// Bus clock at capture time.
     pub fn clock(&self) -> u64 {
         self.clock
-    }
-
-    /// Total serialized device-state size in bytes.
-    pub fn state_bytes(&self) -> usize {
-        self.state.len()
     }
 
     /// Process-unique identity of this capture (clones share it).

@@ -262,9 +262,7 @@ proptest! {
 
 /// Ports covered by the snapshot equivalence workload: every window of
 /// [`snapshot_machine`] plus an unmapped float.
-const SNAPSHOT_PORTS: [u16; 39] = [
-    0x000, 0x003, 0x008, 0x00B, 0x00D, // dma 8237
-    0x020, 0x021, // pic 8259
+const SNAPSHOT_PORTS: [u16; 32] = [
     0x100, 0x101, 0x105, 0x10F, // scratch
     0x23C, 0x23D, 0x23E, 0x23F, // busmouse
     0x1F0, 0x1F1, 0x1F2, 0x1F3, 0x1F4, 0x1F5, 0x1F6, 0x1F7, 0x1F8, // ide
@@ -282,14 +280,11 @@ const SNAPSHOT_MAC: [u8; 6] = [0x00, 0x0E, 0xA5, 0x01, 0x02, 0x03];
 /// `save`/`load` codec is exercised: plain memory (scratch),
 /// index-multiplexed latches (busmouse), busy-timer protocol engines with
 /// backing storage (IDE, Permedia2), paged registers with remote DMA
-/// (NE2000), init-sequence state machines (PIC, 8237 DMA), and the PCI
-/// config/bus-master pair.
+/// (NE2000), and the PCI config/bus-master pair.
 fn map_snapshot_devices(mut map: impl FnMut(u16, u16, Box<dyn devil_hwsim::IoDevice>)) {
     use devil_hwsim::devices::{
-        BusMasterIde, Busmouse, Dma8237, Ne2000, PciConfigSpace, PciFunction, Permedia2, Pic8259,
+        BusMasterIde, Busmouse, Ne2000, PciConfigSpace, PciFunction, Permedia2,
     };
-    map(0x000, 16, Box::new(Dma8237::new()));
-    map(0x020, 2, Box::new(Pic8259::new()));
     map(0x100, 16, Box::new(ScratchRegisters::new(16)));
     map(0x23C, 4, Box::new(Busmouse::new()));
     map(IDE, 9, Box::new(IdeController::new(IdeDisk::small())));

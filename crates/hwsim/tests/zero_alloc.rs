@@ -122,16 +122,16 @@ fn hot_path_is_allocation_free() {
     // burst-of-accesses → restore round must be allocation-free — this is
     // what makes per-mutant machine reset cheaper than reconstruction.
     let snap = io.snapshot();
-    // Warm one round up: the first burst may grow dynamic logs (the IDE
-    // command log) to their steady-state capacity.
+    // Warm one round up before counting, so a buffer a device sizes on
+    // first use does not count against the steady state.
     io.outb(0x1F7, 0xEC).unwrap();
     io.inb(0x1F7).unwrap();
     io.restore(&snap).unwrap();
     let (allocs, checksum) = allocations_during(|| {
         let mut acc = 0u32;
         for round in 0..1_000u32 {
-            // Dirty the machine: scratch bytes, an IDE command (pushes
-            // onto the command log), a mouse latch, an unmapped float.
+            // Dirty the machine: scratch bytes, an IDE IDENTIFY command, a
+            // mouse latch, an unmapped float.
             io.outb(0x100 + (round % 14) as u16, round as u8).unwrap();
             io.outb(0x1F7, 0xEC).unwrap();
             acc ^= io.inb(0x1F7).unwrap() as u32;

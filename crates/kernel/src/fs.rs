@@ -128,7 +128,6 @@ pub fn mkfs(disk: &mut IdeDisk, files: &[FsFile]) {
         next_sector += SECTORS_PER_FILE;
     }
     disk.write_sector(PART_START, &sb);
-    disk.clear_write_log();
 }
 
 /// Result of the ground-truth integrity check.

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod boot;
-pub mod fingerprint;
 pub mod fs;
 pub mod kapi;
 pub mod scenario;

@@ -433,11 +433,6 @@ impl<S: Scenario> FaultScenario<S> {
     pub fn plan(&self) -> &devil_hwsim::FaultPlan {
         &self.plan
     }
-
-    /// The wrapped scenario.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 /// Intern `<base>+faults` as a `&'static str`.
@@ -659,11 +654,6 @@ impl<S: Scenario> ScenarioMachine<S> {
         let io = scenario.build();
         let pristine = io.snapshot();
         ScenarioMachine { scenario, io, pristine, fuel, include_cache: None }
-    }
-
-    /// The scenario this machine runs.
-    pub fn scenario(&self) -> &S {
-        &self.scenario
     }
 
     /// Evaluate one mutant: compile it (headers served from the pre-lexed

@@ -326,18 +326,6 @@ pub enum BinOp {
     Ge,
 }
 
-impl BinOp {
-    /// Whether the operator yields a boolean (0/1) result.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge
-                | BinOp::LogAnd
-                | BinOp::LogOr
-        )
-    }
-}
-
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {

@@ -57,12 +57,6 @@ impl Deadline {
         Instant::now() >= self.at
     }
 
-    /// The absolute instant.
-    #[must_use]
-    pub fn instant(&self) -> Instant {
-        self.at
-    }
-
     /// Wall-clock budget left (zero once expired).
     #[must_use]
     pub fn remaining(&self) -> Duration {

@@ -264,11 +264,6 @@ fn lex_punct_short(b: &[u8]) -> Option<(Punct, usize)> {
     Some((one, 1))
 }
 
-/// Lex punctuation shared with the mutation engine (`lex_punct` is private).
-pub fn punct_at(s: &str) -> Option<(Punct, usize)> {
-    lex_punct(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

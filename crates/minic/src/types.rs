@@ -73,22 +73,6 @@ impl CType {
         }
     }
 
-    /// Strict variant of [`CType::accepts`] used where even old compilers
-    /// reject the mix (nothing currently, but the debug-stub tests pin the
-    /// struct discipline through it).
-    pub fn accepts_strict(&self, from: &CType) -> bool {
-        match (self, from) {
-            (CType::Int { .. }, CType::Int { .. }) => true,
-            (CType::Struct(a), CType::Struct(b)) => a == b,
-            (CType::Ptr(a), f) if f.is_pointer_like() => {
-                let b = f.pointee().expect("pointer-like has pointee");
-                **a == CType::Void || *b == CType::Void || **a == *b
-            }
-            (CType::Void, CType::Void) => true,
-            _ => false,
-        }
-    }
-
     /// Size in bytes (arrays included), used by `sizeof`.
     pub fn size_bytes(&self, structs: &StructTable) -> usize {
         match self {
@@ -232,13 +216,10 @@ mod tests {
 
     #[test]
     fn pointer_integer_mixing_warns_only() {
-        // 2001 gcc semantics: accepted with a warning (see `accepts`),
-        // strictly rejected by `accepts_strict`.
+        // 2001 gcc semantics: accepted with a warning (see `accepts`).
         let p = CType::Ptr(Box::new(CType::int()));
         assert!(p.accepts(&CType::int()));
         assert!(CType::int().accepts(&p));
-        assert!(!p.accepts_strict(&CType::int()));
-        assert!(!CType::int().accepts_strict(&p));
     }
 
     #[test]
@@ -248,7 +229,6 @@ mod tests {
         assert!(p.accepts(&arr));
         let wrong = CType::Ptr(Box::new(CType::Int { signed: false, bits: 8 }));
         assert!(wrong.accepts(&arr), "incompatible pointee only warned");
-        assert!(!wrong.accepts_strict(&arr));
     }
 
     #[test]

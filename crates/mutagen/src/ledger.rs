@@ -38,7 +38,7 @@
 //! in [`Recovery::torn_bytes`].
 //!
 //! **Staleness:** every outcome key embeds the spec-revision fingerprint
-//! it was classified under (see `devil_kernel::fingerprint`). Records
+//! it was classified under (see [`spec_revision`]). Records
 //! whose revision differs from the one the ledger was opened with are
 //! counted in [`Recovery::stale`] and never indexed — a changed spec or
 //! engine silently invalidates the cache instead of serving wrong
@@ -81,7 +81,11 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Canonical FNV-1a over bytes — the stable, dependency-free hash every
 /// fingerprint in the workspace is built from.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continue the FNV-1a hash `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -113,6 +117,27 @@ pub fn source_fingerprint(source: &str) -> u64 {
     fnv1a_wide(source.as_bytes())
 }
 
+/// Spec-revision fingerprint, the `spec_rev` of a [`LedgerKey`]: FNV-1a
+/// over the engine version, the `fuel` budget and each `(file name,
+/// source)` pair of `specs` in order, each field closed by a `0xff` byte
+/// so `("ab", "c")` and `("a", "bc")` differ. A memoized outcome is valid
+/// only while the world that produced it is unchanged, and any change to
+/// any input moves the revision: the ledger then counts the old entries
+/// stale and re-classifies instead of serving an answer computed by a
+/// different engine. `devil_drivers::corpus::spec_revision` feeds it the
+/// five bundled specs. Computed once per process or campaign, never on a
+/// per-mutant path.
+pub fn spec_revision<'a>(specs: impl IntoIterator<Item = (&'a str, &'a str)>, fuel: u64) -> u64 {
+    let field = |h: u64, bytes: &[u8]| fnv1a_extend(fnv1a_extend(h, bytes), &[0xff]);
+    let mut h = field(FNV_OFFSET, env!("CARGO_PKG_VERSION").as_bytes());
+    h = field(h, &fuel.to_le_bytes());
+    for (file, source) in specs {
+        h = field(h, file.as_bytes());
+        h = field(h, source.as_bytes());
+    }
+    h
+}
+
 /// Identity of one classification. Two runs with equal keys are the same
 /// pure computation and must produce the same outcome.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -132,7 +157,7 @@ pub struct LedgerKey {
     /// Dead-code refinement line (1-based), or 0 when the run had none —
     /// DeadCode outcomes depend on it, so it is part of the key.
     pub dead_line: u32,
-    /// Spec-revision fingerprint (specs + engine version + fuel budget).
+    /// [`spec_revision`] fingerprint (specs + engine version + fuel budget).
     pub spec_rev: u64,
 }
 
@@ -498,17 +523,6 @@ impl Ledger {
             self.strikes.lock().unwrap().iter().map(|(k, n)| (k.clone(), *n)).collect();
         v.sort();
         v
-    }
-
-    /// Snapshot of every servable outcome entry (tests and tooling; the
-    /// hot path is [`Ledger::lookup`]).
-    pub fn outcomes(&self) -> Vec<(LedgerKey, u8, String)> {
-        self.index
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, (c, d))| (k.clone(), *c, d.clone()))
-            .collect()
     }
 
     fn append(&self, payload: &[u8]) -> io::Result<()> {
@@ -918,5 +932,33 @@ mod tests {
         assert_eq!(fnv1a_wide(b""), FNV_OFFSET);
         assert_ne!(fnv1a_wide(b"devil driver source"), fnv1a_wide(b"devil driver sourcf"));
         assert_ne!(fnv1a_wide(b"0123456789abcdef"), fnv1a_wide(b"0123456789abcdeg"));
+    }
+
+    #[test]
+    fn revision_is_stable_for_equal_inputs() {
+        let specs = [("a.dil", "device a;"), ("b.dil", "device b;")];
+        assert_eq!(spec_revision(specs, 100), spec_revision(specs, 100));
+    }
+
+    #[test]
+    fn any_input_change_moves_the_revision() {
+        let base = spec_revision([("a.dil", "device a;")], 100);
+        assert_ne!(base, spec_revision([("a.dil", "device a ;")], 100), "source");
+        assert_ne!(base, spec_revision([("b.dil", "device a;")], 100), "file name");
+        assert_ne!(base, spec_revision([("a.dil", "device a;")], 101), "fuel");
+        assert_ne!(
+            base,
+            spec_revision([("a.dil", "device a;"), ("z.dil", "x")], 100),
+            "spec set"
+        );
+    }
+
+    #[test]
+    fn field_boundaries_are_unambiguous() {
+        assert_ne!(
+            spec_revision([("ab", "c")], 0),
+            spec_revision([("a", "bc")], 0),
+            "separator keeps shifted boundaries distinct"
+        );
     }
 }

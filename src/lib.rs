@@ -7,7 +7,7 @@
 //! * [`core`] — the Devil IDL: parser, layered consistency checker, C stub
 //!   generator (debug and production modes) and an executable stub runtime.
 //! * [`hwsim`] — register-accurate simulated peripherals (IDE disk, NE2000,
-//!   Logitech busmouse, PCI, graphics, DMA, PIC) behind a port-mapped bus.
+//!   Logitech busmouse, PCI, graphics) behind a port-mapped bus.
 //! * [`minic`] — a C-subset compiler and interpreter standing in for
 //!   gcc + kernel execution of the drivers.
 //! * [`mutagen`] — the mutation-analysis engine (literal / operator /
