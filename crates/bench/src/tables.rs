@@ -78,7 +78,10 @@ pub fn parse_seed(v: &str) -> Result<u64, String> {
 /// Without `--resume` the ledger file starts fresh; with it, a campaign
 /// killed partway (even `kill -9`) finishes with a bit-identical result.
 /// The service and load flags default to `ServeConfig::default()` and
-/// `LoadConfig::default()`.
+/// `LoadConfig::without_mix()`, with `LoadConfig::DEFAULT_MIX`. Only a
+/// caller that takes `--scenario` resolves the scenario, and only one
+/// that takes `--mix` the load mix: either builds the scenario catalog,
+/// which `table1` and `fig2` never need.
 #[derive(Debug, Clone)]
 pub struct CampaignArgs {
     /// The catalog scenario to campaign under.
@@ -93,7 +96,8 @@ pub struct CampaignArgs {
     pub addr: Option<String>,
     /// The service's settings, `--threads` and `--ledger` among them.
     pub serve: ServeConfig,
-    /// The load run's settings, `--seed` among them.
+    /// The load run's settings, `--seed` among them; the mix stays empty
+    /// unless the caller takes `--mix`.
     pub load: LoadConfig,
 }
 
@@ -114,9 +118,9 @@ impl CampaignArgs {
             resume: false,
             addr: None,
             serve: ServeConfig::default(),
-            load: LoadConfig::default(),
+            load: LoadConfig::without_mix(),
         };
-        let (mut plan, mut fault_seed) = (None, None);
+        let (mut plan, mut fault_seed, mut mix) = (None, None, None);
         let unit = |v: &str| v.parse().ok().filter(|f: &f64| (0.0..=1.0).contains(f));
         let positive = |v: &str| v.parse().ok().filter(|n: &f64| *n > 0.0 && n.is_finite());
         for arg in args {
@@ -174,9 +178,7 @@ impl CampaignArgs {
                     parsed.serve.verify_fraction =
                         unit(v).ok_or_else(|| expected("a number in 0..=1"))?;
                 }
-                ("--mix", Some(v)) => {
-                    parsed.load.mix = parse_mix(v).map_err(|e| format!("{flag}: {e}"))?;
-                }
+                ("--mix", Some(v)) => mix = Some(parse_mix(v).map_err(|e| format!("{flag}: {e}"))?),
                 ("--freq", Some(v)) => {
                     parsed.load.freq = positive(v).ok_or_else(|| expected("a positive number"))?;
                 }
@@ -194,7 +196,16 @@ impl CampaignArgs {
                 _ => return Err(format!("unknown argument `{arg}`")),
             }
         }
-        if find_case(&parsed.scenario).is_none() {
+        // Resolving a scenario or a mix builds the scenario catalog, so
+        // only the subcommands that take one resolve it.
+        if accepted.contains(&"--mix") {
+            parsed.load.mix = match mix {
+                Some(mix) => mix,
+                None => parse_mix(LoadConfig::DEFAULT_MIX)
+                    .expect("the default mix names catalog scenarios"),
+            };
+        }
+        if accepted.contains(&"--scenario") && find_case(&parsed.scenario).is_none() {
             return Err(format!(
                 "unknown scenario `{}`; try one of {:?}",
                 parsed.scenario,

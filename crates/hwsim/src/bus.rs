@@ -287,6 +287,32 @@ pub trait IoDevice: Any {
         let _ = r;
     }
 
+    /// Write the state that steers this device's future behaviour into
+    /// `w` and return `true`, or return `false` when the device cannot
+    /// vouch for it now. The bytecode VM's hang detector compares these
+    /// bytes between two points of one run (see [`crate::snap`]).
+    ///
+    /// # Contract
+    ///
+    /// * Report only while the device is **quiescent**: no
+    ///   [`IoDevice::tick`], of any length, may change this state or the
+    ///   [`IoDevice::save`] bytes. The bus clock then cannot steer the
+    ///   device, so it stays out of the comparison. A device with a
+    ///   pending timer returns `false`.
+    /// * Two equal reports must mean equal behaviour under any access
+    ///   sequence. A report may stand in for a large buffer with a
+    ///   counter that moves on every write to it (the IDE platter's write
+    ///   generation): two reports of the same state may then differ,
+    ///   which only hides a repetition, never invents one.
+    /// * What `false` leaves in `w` is ignored.
+    ///
+    /// The default returns `false`, which turns the detector off for any
+    /// machine that maps the device.
+    fn cycle_state(&self, w: &mut StateWriter<'_>) -> bool {
+        let _ = w;
+        false
+    }
+
     /// Serve `out.len()` consecutive reads at `offset` as **one** call —
     /// the bulk-access hook behind [`IoSpace::read_block`], which is how
     /// `insb`/`insw`-style string I/O moves a whole repetition count to
@@ -737,6 +763,30 @@ impl IoSpace {
             Some(err) => Err(err),
             None => Ok(()),
         }
+    }
+
+    /// Append the state that steers the machine's future behaviour to
+    /// `out`: each device's [`IoDevice::cycle_state`] followed by its
+    /// length. Returns `false`, leaving `out` to be ignored, when any
+    /// device declines, or when a fault interposer (whose PRNG cursor
+    /// and clock-driven windows steer every access) or an access trace
+    /// (which records every access) is installed.
+    ///
+    /// The clock, the counters and the lazy-tick bookkeeping stay out: a
+    /// quiescent device ignores ticks, so none of them steers it.
+    pub fn cycle_state(&self, out: &mut Vec<u8>) -> bool {
+        if self.faults.is_some() || self.trace.is_some() {
+            return false;
+        }
+        for dev in &self.devices {
+            let start = out.len();
+            if !dev.cycle_state(&mut StateWriter::new(out)) {
+                return false;
+            }
+            let len = (out.len() - start) as u32;
+            out.extend_from_slice(&len.to_le_bytes());
+        }
+        true
     }
 
     /// Deliver device `idx`'s pending ticks.

@@ -199,6 +199,13 @@ impl IoDevice for Busmouse {
             None
         };
     }
+
+    /// The [`IoDevice::save`] bytes: the mouse has no timer, so it is
+    /// always quiescent.
+    fn cycle_state(&self, w: &mut StateWriter<'_>) -> bool {
+        self.save(w);
+        true
+    }
 }
 
 #[cfg(test)]

@@ -83,10 +83,17 @@ impl IdeGeometry {
 /// the snapshot identity ([`StateReader::snapshot_id`]) — restoring a
 /// *different* snapshot, or one of unknown provenance, always falls back
 /// to a full copy, so the fast path can never resurrect stale bytes.
+///
+/// A **write generation** moves on every sector write and every platter
+/// restore. The controller's [`IoDevice::cycle_state`] reports it in
+/// place of the 2 MiB content: while it stands still, the platter has not
+/// changed.
 #[derive(Debug, Clone)]
 pub struct IdeDisk {
     geometry: IdeGeometry,
     data: Vec<u8>,
+    /// Sector writes and restores so far (see the type docs).
+    generation: u64,
     /// Bit per sector: written since the platter last matched
     /// `journal_base` (`dirty[lba / 64] & (1 << (lba % 64))`).
     dirty: Vec<u64>,
@@ -104,6 +111,7 @@ impl IdeDisk {
         IdeDisk {
             geometry,
             data: vec![0; bytes],
+            generation: 0,
             dirty: vec![0; geometry.capacity().div_ceil(64) as usize],
             dirty_count: 0,
             journal_base: None,
@@ -139,6 +147,7 @@ impl IdeDisk {
         assert_eq!(bytes.len(), SECTOR_SIZE, "sector payload must be {SECTOR_SIZE} bytes");
         let start = lba as usize * SECTOR_SIZE;
         self.data[start..start + SECTOR_SIZE].copy_from_slice(bytes);
+        self.generation += 1;
         let mask = 1u64 << (lba % 64);
         let word = &mut self.dirty[lba as usize / 64];
         if *word & mask == 0 {
@@ -151,6 +160,12 @@ impl IdeDisk {
     /// restore of the journal's base snapshot will copy.
     pub fn dirty_sector_count(&self) -> usize {
         self.dirty_count as usize
+    }
+
+    /// The platter's write generation: it moves on every sector write and
+    /// every restore, so an unchanged generation means unchanged content.
+    pub fn write_generation(&self) -> u64 {
+        self.generation
     }
 }
 
@@ -523,6 +538,27 @@ impl IdeController {
         }
         self.disk.dirty_count = 0;
         self.disk.journal_base = (id != 0).then_some(id);
+        self.disk.generation += 1;
+    }
+
+    /// The task file, the transfer engine and the sector buffer: the
+    /// part of [`IoDevice::save`] that precedes the platter.
+    fn save_registers(&self, w: &mut StateWriter<'_>) {
+        w.u8(self.feature);
+        w.u8(self.sector_count);
+        w.u8(self.sector_number);
+        w.u8(self.cyl_low);
+        w.u8(self.cyl_high);
+        w.u8(self.drive_head);
+        w.u8(self.status);
+        w.u8(self.error);
+        w.u8(self.control);
+        w.bytes(&self.phase.encode());
+        w.u64(self.busy_left);
+        w.bytes(&self.buffer);
+        w.u64(self.buf_pos as u64);
+        w.u32(self.sectors_left);
+        w.u32(self.current_lba);
     }
 
     fn soft_reset(&mut self) {
@@ -699,21 +735,7 @@ impl IoDevice for IdeController {
     }
 
     fn save(&self, w: &mut StateWriter<'_>) {
-        w.u8(self.feature);
-        w.u8(self.sector_count);
-        w.u8(self.sector_number);
-        w.u8(self.cyl_low);
-        w.u8(self.cyl_high);
-        w.u8(self.drive_head);
-        w.u8(self.status);
-        w.u8(self.error);
-        w.u8(self.control);
-        w.bytes(&self.phase.encode());
-        w.u64(self.busy_left);
-        w.bytes(&self.buffer);
-        w.u64(self.buf_pos as u64);
-        w.u32(self.sectors_left);
-        w.u32(self.current_lba);
+        self.save_registers(w);
         // The platter: geometry is construction-time, only the content is
         // mutable.
         w.bytes(&self.disk.data);
@@ -736,6 +758,18 @@ impl IoDevice for IdeController {
         self.sectors_left = r.u32();
         self.current_lba = r.u32();
         self.load_platter(r);
+    }
+
+    /// Everything [`IoDevice::save`] writes but the platter, which the
+    /// disk's write generation stands in for. Declines while a command
+    /// keeps the drive busy: only then can a tick change the device.
+    fn cycle_state(&self, w: &mut StateWriter<'_>) -> bool {
+        if matches!(self.phase, Phase::Busy { .. }) {
+            return false;
+        }
+        self.save_registers(w);
+        w.u64(self.disk.generation);
+        true
     }
 }
 

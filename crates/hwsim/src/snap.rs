@@ -124,6 +124,36 @@
 //! completely stateless device; forgetting the override makes restores
 //! silently keep stale state, and the snapshot equivalence property test
 //! exists to catch exactly that.
+//!
+//! # Cycle state
+//!
+//! A mutant that polls a register that never changes loops until its fuel
+//! runs out. The bytecode VM proves such a hang early by finding its whole
+//! state repeated exactly, and the machine's part of that state comes from
+//! [`IoSpace::cycle_state`](crate::IoSpace::cycle_state): each device's
+//! [`IoDevice::cycle_state`](crate::IoDevice::cycle_state) report, in
+//! mapping order.
+//!
+//! * A device reports only while **quiescent**: no `tick` can change its
+//!   report or its `save` bytes. The bus clock then steers nothing, so the
+//!   clock, the counters and the lazy-tick bookkeeping stay out. The IDE
+//!   controller declines while a command keeps it busy; the busmouse and
+//!   the NE2000 have no timers and always report.
+//! * A report covers everything that steers the device. It may replace a
+//!   large buffer with a generation that moves on every write to it: the
+//!   IDE controller reports its registers, phase, sector buffer, transfer
+//!   position and the platter's write generation, not the 2 MiB platter,
+//!   and the NE2000 its registers, a RAM write generation and the length
+//!   of its transmit log. Such a report can only miss a repetition, never
+//!   claim a false one.
+//! * The space declines while a fault interposer is installed (its PRNG
+//!   cursor and clock-driven windows steer every access) or an access
+//!   trace records (the trace grows with every access). A device that
+//!   keeps the default declines always, which turns the detector off for
+//!   its machine.
+//!
+//! The `cycle_state_is_tick_invariant` property test pins the quiescence
+//! rule for every device a catalog scenario maps.
 
 use crate::bus::UnmappedPolicy;
 use crate::fault::FaultCursor;

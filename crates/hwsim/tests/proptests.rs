@@ -256,6 +256,122 @@ proptest! {
         io.restore(&snap).unwrap();
         prop_assert_eq!(io.snapshot(), first);
     }
+
+    /// The cycle-state contract for every device a catalog scenario maps:
+    /// after any access prefix (with ticks interleaved, so busy windows
+    /// open and close), whenever the device reports its cycle state, a
+    /// tick of any length leaves that report and its `save` bytes
+    /// unchanged.
+    #[test]
+    fn cycle_state_is_tick_invariant(
+        ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()), 1..160),
+        ticks in prop::collection::vec(1u64..64, 1..8),
+    ) {
+        use devil_hwsim::devices::{Busmouse, Ne2000};
+        check_tick_invariance(IdeController::new(IdeDisk::small()), 9, &ops, &ticks);
+        check_tick_invariance(Busmouse::new(), 4, &ops, &ticks);
+        check_tick_invariance(Ne2000::new(SNAPSHOT_MAC), 0x20, &ops, &ticks);
+    }
+
+    /// Every sector the IDE controller commits moves the platter's write
+    /// generation, whether the words arrive one by one or as a block.
+    #[test]
+    fn ide_sector_writes_move_the_generation(
+        lba in 0u32..4000,
+        count in 1u8..4,
+        block in any::<bool>(),
+    ) {
+        let mut disk = IdeDisk::small();
+        disk.write_sector(lba, &[0x5A; SECTOR_SIZE]);
+        let mut io = IoSpace::new();
+        let id = io.map(IDE, 9, Box::new(IdeController::new(disk))).unwrap();
+        let generation = |io: &IoSpace| {
+            io.device::<IdeController>(id).unwrap().disk().write_generation()
+        };
+        let before = generation(&io);
+        select(&mut io, lba, count);
+        io.outb(IDE + 7, 0x30).unwrap(); // WRITE SECTORS
+        wait_ready(&mut io);
+        for sector in 1..=u64::from(count) {
+            if block {
+                io.write_block(IDE, devil_hwsim::AccessSize::Word, &[0x5A5A; 256]);
+            } else {
+                for _ in 0..256 {
+                    io.outw(IDE, 0x5A5A).unwrap();
+                }
+            }
+            // The same bytes again: content equality must not hide a write.
+            prop_assert_eq!(generation(&io), before + sector);
+        }
+    }
+}
+
+/// Drive `dev` through `ops` (offset selector, value selector, size
+/// selector, read/write + value bits), ticking by `ticks` in turn, and
+/// check the tick invariance of its cycle state after every access.
+fn check_tick_invariance<D: devil_hwsim::IoDevice>(
+    mut dev: D,
+    window: u16,
+    ops: &[(u8, u8, u8, u16)],
+    ticks: &[u64],
+) {
+    use devil_hwsim::{AccessSize, StateWriter};
+    // Command bytes and register values that walk the IDE and NE2000
+    // state machines through their phases; anything else is noise.
+    const VALUES: [u8; 12] = [0x20, 0x30, 0xEC, 0x10, 0x91, 0xE0, 0x04, 0x00, 0x22, 0x26, 0x12, 0x40];
+    let capture = |dev: &D| {
+        let (mut cycle, mut saved) = (Vec::new(), Vec::new());
+        let reported = dev.cycle_state(&mut StateWriter::new(&mut cycle));
+        dev.save(&mut StateWriter::new(&mut saved));
+        reported.then_some((cycle, saved))
+    };
+    for (i, &(off, val, size, bits)) in ops.iter().enumerate() {
+        let offset = u16::from(off) % window;
+        let size = match size % 3 {
+            0 => AccessSize::Byte,
+            1 => AccessSize::Word,
+            _ => AccessSize::Dword,
+        };
+        let value = match VALUES.get(usize::from(val) % 16) {
+            Some(v) => u32::from(*v),
+            None => u32::from(bits),
+        };
+        if bits & 1 == 0 {
+            let _ = dev.read(offset, size);
+        } else {
+            let _ = dev.write(offset, size, value);
+        }
+        if let Some(before) = capture(&dev) {
+            dev.tick(ticks[i % ticks.len()]);
+            let after = capture(&dev);
+            prop_assert_eq!(after, Some(before), "{} changed under a tick", dev.name());
+        } else if val % 3 == 0 {
+            dev.tick(ticks[i % ticks.len()]);
+        }
+    }
+}
+
+#[test]
+fn the_space_declines_under_a_trace_or_an_interposer() {
+    let io = snapshot_machine();
+    let mut out = Vec::new();
+    // Permedia2, PCI and the bus-master keep the default and decline.
+    assert!(!io.cycle_state(&mut out));
+
+    let mut io = IoSpace::new();
+    io.map(0x23C, 4, Box::new(devil_hwsim::devices::Busmouse::new())).unwrap();
+    out.clear();
+    assert!(io.cycle_state(&mut out));
+    let quiet = out.clone();
+    io.outb(0x23D, 0xA5).unwrap();
+    out.clear();
+    assert!(io.cycle_state(&mut out));
+    assert_ne!(out, quiet, "the signature latch steers the mouse");
+    io.enable_trace();
+    assert!(!io.cycle_state(&mut Vec::new()));
+    io.take_trace();
+    io.install_faults(FaultPlan::named("mixed", 7).unwrap());
+    assert!(!io.cycle_state(&mut Vec::new()));
 }
 
 // ------------------------------------------------- snapshot test harness

@@ -31,6 +31,14 @@ use devil_hwsim::{DeviceId, IoSpace};
 /// Every clean catalog driver also passes at half this budget, and the
 /// corpus tests of `devil-drivers` check that, so a budget squeezed too
 /// far fails a test instead of turning into `InfiniteLoop` verdicts.
+///
+/// A run need not burn the whole budget to be judged a hang. Past
+/// [`CYCLE_CHECK_AFTER`](devil_minic::vm::CYCLE_CHECK_AFTER) units the
+/// bytecode VM looks for its whole state, the machine's included,
+/// repeating exactly within one driver call. A proven cycle ends the run
+/// exactly as running out of fuel would: the same `OutOfFuel` error with
+/// no fuel left, the same console and coverage. Only the bus counters
+/// show that it stopped early.
 pub const DEFAULT_FUEL: u64 = 1_500_000;
 
 /// Base port of the simulated IDE channel (command block at

@@ -91,6 +91,13 @@ impl Host for MachineHost<'_> {
     fn console(&mut self, message: &str) {
         self.console.push(message.to_string());
     }
+
+    /// The console's length and [`IoSpace::cycle_state`]: the machine
+    /// answers the driver, and the console only grows.
+    fn cycle_state(&self, out: &mut Vec<u8>) -> bool {
+        out.extend_from_slice(&(self.console.len() as u64).to_le_bytes());
+        self.io.cycle_state(out)
+    }
 }
 
 #[cfg(test)]

@@ -96,7 +96,9 @@ pub enum Outcome {
     /// needed.
     Crash,
     /// Case 5 — the kernel looped forever and never completed the
-    /// workload.
+    /// workload: the run exhausted its fuel, or the bytecode VM proved
+    /// that its state repeats, which ends the run exactly as running out
+    /// of fuel would (see [`DEFAULT_FUEL`](crate::boot::DEFAULT_FUEL)).
     InfiniteLoop,
     /// Case 6 — the kernel halted with a panic message.
     Halt,

@@ -54,6 +54,19 @@ pub trait Host {
             self.io_write(port, size, *v);
         }
     }
+    /// Append to `out` every piece of host state that can steer what the
+    /// host answers from now on, or the console's future, and return
+    /// `true`; return `false` when the host cannot vouch for that now.
+    ///
+    /// The bytecode VM's hang detector (see [`crate::vm`]) compares these
+    /// bytes between two points of one call: equal bytes must mean that
+    /// every later `io_read`, `io_write`, `delay` or `console` behaves
+    /// the same. What `false` leaves in `out` is ignored. The default
+    /// returns `false`, which keeps the detector off for the host.
+    fn cycle_state(&self, out: &mut Vec<u8>) -> bool {
+        let _ = out;
+        false
+    }
 }
 
 /// A host with no hardware: reads float to all-ones, writes vanish,
@@ -77,6 +90,12 @@ impl Host for NullHost {
 
     fn console(&mut self, message: &str) {
         self.log.push(message.to_string());
+    }
+
+    /// The console's length: reads and writes steer nothing.
+    fn cycle_state(&self, out: &mut Vec<u8>) -> bool {
+        out.extend_from_slice(&(self.log.len() as u64).to_le_bytes());
+        true
     }
 }
 

@@ -12,6 +12,19 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// How deep the parser lets a program nest: statements and blocks,
+/// struct bodies, parenthesised, unary and cast chains, assignments and
+/// the left spines of binary, comma and postfix chains all count against
+/// this one budget. One level past it is a parse error at the token that
+/// went too deep.
+///
+/// The checker, lowering and the interpreter recurse over the tree the
+/// parser builds, so this bound is what keeps a hostile input from
+/// overflowing a worker's stack. At this depth a debug build compiles,
+/// lowers and runs the program on both engines within a 2 MiB thread
+/// stack; nested statements cost the most, at about 20 KiB a level.
+pub const MAX_NESTING: u32 = 64;
+
 /// Parse a preprocessed token stream into a [`Unit`].
 ///
 /// # Errors
@@ -46,6 +59,7 @@ pub(crate) fn parse_from<'s>(
     let mut p = Parser {
         toks: tokens,
         pos: 0,
+        depth: 0,
         structs: start.structs.clone(),
         typedefs: Cow::Borrowed(&start.typedefs),
     };
@@ -60,6 +74,8 @@ pub(crate) fn parse_from<'s>(
 struct Parser<'s> {
     toks: Vec<CToken>,
     pos: usize,
+    /// Nesting levels held now (see [`MAX_NESTING`]).
+    depth: u32,
     structs: StructTable,
     typedefs: Cow<'s, HashMap<String, CType>>,
 }
@@ -95,6 +111,26 @@ impl Parser<'_> {
     fn error(&self, msg: impl Into<String>) -> CError {
         let t = self.cur();
         CError::new(CPhase::Parse, &t.file, t.line, msg)
+    }
+
+    /// Hold one more level of nesting, or fail past [`MAX_NESTING`].
+    fn nest(&mut self) -> Result<(), CError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, CError>,
+    ) -> Result<T, CError> {
+        self.nest()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn is_punct(&self, p: Punct) -> bool {
@@ -253,6 +289,10 @@ impl Parser<'_> {
     }
 
     fn struct_body(&mut self) -> Result<Vec<(String, CType)>, CError> {
+        self.nested(Self::struct_fields)
+    }
+
+    fn struct_fields(&mut self) -> Result<Vec<(String, CType)>, CError> {
         self.expect_punct(Punct::LBrace)?;
         let mut fields = Vec::new();
         while !self.eat_punct(Punct::RBrace) {
@@ -458,6 +498,10 @@ impl Parser<'_> {
     }
 
     fn statement(&mut self) -> Result<Stmt, CError> {
+        self.nested(Self::statement_at)
+    }
+
+    fn statement_at(&mut self) -> Result<Stmt, CError> {
         if self.is_punct(Punct::LBrace) {
             return Ok(Stmt::Block(self.block()?));
         }
@@ -625,14 +669,21 @@ impl Parser<'_> {
 
     fn expression(&mut self) -> Result<Expr, CError> {
         let mut e = self.assignment()?;
+        let depth = self.depth;
         while self.eat_punct(Punct::Comma) {
+            self.nest()?; // the left spine grows one level
             let rhs = self.assignment()?;
             e = Expr::Comma { lhs: Box::new(e), rhs: Box::new(rhs) };
         }
+        self.depth = depth;
         Ok(e)
     }
 
     fn assignment(&mut self) -> Result<Expr, CError> {
+        self.nested(Self::assignment_at)
+    }
+
+    fn assignment_at(&mut self) -> Result<Expr, CError> {
         let lhs = self.conditional()?;
         let op = match &self.cur().tok {
             CTok::Punct(Punct::Assign) => Some(None),
@@ -678,6 +729,7 @@ impl Parser<'_> {
     /// Precedence-climbing binary expression parser.
     fn binary(&mut self, min_prec: u8) -> Result<Expr, CError> {
         let mut lhs = self.cast_expr()?;
+        let depth = self.depth;
         loop {
             let (op, prec) = match &self.cur().tok {
                 CTok::Punct(Punct::OrOr) => (BinOp::LogOr, 1),
@@ -705,13 +757,19 @@ impl Parser<'_> {
             }
             let line = self.cur().packed_line();
             self.bump();
+            self.nest()?; // the left spine grows one level
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), line };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn cast_expr(&mut self) -> Result<Expr, CError> {
+        self.nested(Self::cast_expr_at)
+    }
+
+    fn cast_expr_at(&mut self) -> Result<Expr, CError> {
         if self.is_punct(Punct::LParen) {
             // Lookahead: '(' followed by a type start that is NOT a
             // parenthesised expression.
@@ -754,7 +812,7 @@ impl Parser<'_> {
         if self.is_punct(Punct::Inc) || self.is_punct(Punct::Dec) {
             let inc = self.is_punct(Punct::Inc);
             self.bump();
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             return Ok(Expr::IncDec { expr: Box::new(e), inc, prefix: true, line });
         }
         if self.is_kw("sizeof") {
@@ -785,8 +843,24 @@ impl Parser<'_> {
 
     fn postfix(&mut self) -> Result<Expr, CError> {
         let mut e = self.primary()?;
+        let depth = self.depth;
         loop {
             let line = self.cur().packed_line();
+            let grows = matches!(
+                self.cur().tok,
+                CTok::Punct(
+                    Punct::LParen
+                        | Punct::LBracket
+                        | Punct::Dot
+                        | Punct::Arrow
+                        | Punct::Inc
+                        | Punct::Dec
+                )
+            );
+            if !grows {
+                break;
+            }
+            self.nest()?; // the left spine grows one level
             if self.eat_punct(Punct::LParen) {
                 let mut args = Vec::new();
                 if !self.eat_punct(Punct::RParen) {
@@ -809,14 +883,13 @@ impl Parser<'_> {
             } else if self.eat_punct(Punct::Arrow) {
                 let (field, _) = self.expect_ident("field name")?;
                 e = Expr::Member { base: Box::new(e), field, arrow: true, line };
-            } else if self.is_punct(Punct::Inc) || self.is_punct(Punct::Dec) {
+            } else {
                 let inc = self.is_punct(Punct::Inc);
                 self.bump();
                 e = Expr::IncDec { expr: Box::new(e), inc, prefix: false, line };
-            } else {
-                break;
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 

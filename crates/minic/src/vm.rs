@@ -30,6 +30,15 @@
 //!
 //! The `vm_differential` integration test and the minic proptests pin the
 //! oracle relationship over the full driver corpus and mutant sets.
+//!
+//! One difference is deliberate: past [`CYCLE_CHECK_AFTER`] burned units
+//! the VM proves a hang when its whole state repeats within one call, and
+//! ends the call there as fuel exhaustion (see the `cycle` module). The
+//! result, the remaining fuel, the console and the coverage are what
+//! running the budget out gives; only the host sees fewer accesses. The
+//! interpreter keeps no detector, so it stays the reference. The
+//! `hang_proof` integration test holds the two engines equal over every
+//! hang of both IDE mutant populations.
 
 use crate::bytecode::{
     Builtin, CastKind, Coerce, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FusedOp, GFinish, Op,
@@ -41,6 +50,10 @@ use crate::interp::{FaultKind, Host, RunError, ABSORB_OBJ, MAX_DEPTH, OOB_SLACK,
 use crate::value::{wrap_int, ObjId, Place, Value};
 use crate::ast::BinOp;
 use std::rc::Rc;
+
+mod cycle;
+
+pub use cycle::CYCLE_CHECK_AFTER;
 
 /// Field-path length stored inline; driver structs nest ≤ 2 deep, so the
 /// heap spill beyond this is a correctness escape hatch, not a hot path.
@@ -146,6 +159,10 @@ pub struct Vm<'a, H: Host> {
     /// drops) thousands of small struct rvalues per boot, and reusing
     /// their `Vec`s halves the dispatch loop's allocator traffic.
     struct_pool: Vec<Vec<Value>>,
+    /// The hang detector (see [`CYCLE_CHECK_AFTER`]), and the fuel level
+    /// below which it takes checkpoints.
+    cycle: cycle::Cycle,
+    cycle_below: u64,
 }
 
 /// Upper bound on pooled struct buffers (they are tiny — a few `Value`s
@@ -180,6 +197,8 @@ impl<'a, H: Host> Vm<'a, H> {
             io_block: Vec::new(),
             last_cov: u32::MAX,
             struct_pool: Vec::new(),
+            cycle: cycle::Cycle::new(),
+            cycle_below: fuel.saturating_sub(CYCLE_CHECK_AFTER),
         }
     }
 
@@ -234,6 +253,7 @@ impl<'a, H: Host> Vm<'a, H> {
         let Some(fidx) = self.program.function(name) else {
             return Err(RunError::NoSuchFunction(name.to_string()));
         };
+        self.cycle.forget();
         let result = self.run_call(fidx, args);
         if result.is_err() {
             self.unwind_all();
@@ -397,7 +417,13 @@ impl<'a, H: Host> Vm<'a, H> {
             pc += 1;
             match self.dispatch(op)? {
                 Flow::Next => {}
-                Flow::Jump(t) => pc = t as usize,
+                Flow::Jump(t) => {
+                    let t = t as usize;
+                    if t < pc && self.fuel < self.cycle_below {
+                        self.cycle_jump(ops, t)?;
+                    }
+                    pc = t;
+                }
                 Flow::Call { fidx } => {
                     let callee = &self.program.funcs[fidx as usize];
                     let argc = callee_argc(op);
@@ -2274,6 +2300,92 @@ int f(int x) { dil_assert(x == 1); return x; }";
         );
         assert_eq!(run_vm_int(&src, "f", &[]), 8);
         differential(&src, "f", &[], 1_000_000);
+    }
+
+    /// A floating bus that counts its reads and opts in to the hang
+    /// detector.
+    #[derive(Default)]
+    struct CountingHost {
+        reads: u64,
+        log: Vec<String>,
+    }
+
+    impl Host for CountingHost {
+        fn io_read(&mut self, _port: u16, _size: u8) -> i64 {
+            self.reads += 1;
+            0xFF
+        }
+        fn io_write(&mut self, _port: u16, _size: u8, _value: i64) {}
+        fn console(&mut self, message: &str) {
+            self.log.push(message.to_string());
+        }
+        fn cycle_state(&self, out: &mut Vec<u8>) -> bool {
+            out.extend_from_slice(&(self.log.len() as u64).to_le_bytes());
+            true
+        }
+    }
+
+    /// Run `f` on both engines over counting hosts, check that every
+    /// observable agrees, and return the two read counts (VM, oracle).
+    fn reads_on_both(src: &str, fuel: u64) -> (u64, u64) {
+        let p = compile("t.c", src).expect("test program must compile");
+        let mut ih = CountingHost::default();
+        let mut interp = Interpreter::new(&p, &mut ih, fuel);
+        let want = interp.call("f", &[]);
+        let (want_fuel, want_cov) = (interp.fuel_left(), interp.coverage().clone());
+        drop(interp);
+        let c = p.to_bytecode();
+        let mut vh = CountingHost::default();
+        let mut vm = Vm::new(&c, &mut vh, fuel);
+        assert_eq!(vm.call("f", &[]), want, "result diverged for {src}");
+        assert_eq!(vm.fuel_left(), want_fuel, "fuel diverged for {src}");
+        assert_eq!(*vm.coverage(), want_cov, "coverage diverged for {src}");
+        drop(vm);
+        assert_eq!(vh.log, ih.log, "console diverged for {src}");
+        (vh.reads, ih.reads)
+    }
+
+    #[test]
+    fn a_repeated_state_ends_the_call_as_fuel_exhaustion() {
+        for src in [
+            "int f(void) { while (inb(0x1F7) & 0x80) ; return 0; }",
+            "int f(void) { int x = 0; while (inb(0x1F7)) { x = (x + 1) & 7; } return x; }",
+            "int g(int v) { int t = v ^ 1; return t; }
+             int f(void) { int x = 0; for (;;) { x = g(x) + inb(0x1F7) - 0xFF; } return x; }",
+        ] {
+            let (vm, oracle) = reads_on_both(src, 1_500_000);
+            assert!(vm * 20 < oracle, "no early end for {src}: {vm} reads against {oracle}");
+        }
+    }
+
+    #[test]
+    fn a_moving_state_runs_the_budget_out() {
+        // A counter and a growing console never repeat: neither may end
+        // early.
+        for src in [
+            "int f(void) { int i; for (i = 0; inb(0x1F7); i++) ; return i; }",
+            "int f(void) { while (inb(0x1F7)) printk(\"still busy\"); return 0; }",
+        ] {
+            let (vm, oracle) = reads_on_both(src, 200_000);
+            assert_eq!(vm, oracle, "{src} ended early");
+        }
+    }
+
+    #[test]
+    fn the_detector_forgets_between_calls() {
+        // Every call of `f(3)` passes through the same states, so
+        // checkpoints of different calls repeat each other; only a
+        // repetition within one call is a hang, so every call completes.
+        let src = "int polls = 0;
+            int f(int n) { int i; for (i = 0; i < n; i++) polls = polls + inb(0x1F7) - 0xFF; return n; }";
+        let p = compile("t.c", src).unwrap();
+        let c = p.to_bytecode();
+        let mut host = CountingHost::default();
+        let mut vm = Vm::new(&c, &mut host, 1_000_000);
+        vm.call("f", &[Value::Int(10_000)]).unwrap();
+        for _ in 0..200 {
+            assert_eq!(vm.call("f", &[Value::Int(3)]), Ok(Value::Int(3)));
+        }
     }
 
     #[test]

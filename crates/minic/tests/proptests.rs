@@ -235,3 +235,79 @@ proptest! {
         prop_assert_eq!(got, 1, "exactly one of <, >, == holds");
     }
 }
+
+/// Loop-body statements for the hang-detector property. Some keep the
+/// state in a cycle (masked updates, a callee that recomputes, scope
+/// churn through pointers, struct fields), some move it for good (a
+/// counter, console output, an unmasked narrow-typed store).
+const LOOP_STMTS: [&str; 9] = [
+    "x = (x + 3) & 7;",
+    "n++;",
+    "x = g(x);",
+    "printk(\"x=%d\", x);",
+    "if (x == 5) x = 0; else x = x | 1;",
+    "{ int t = x; int *p = &t; x = *p ^ 2; }",
+    "c = c + 1;",
+    "k = inb(0x1F7) & 0x0F;",
+    "s.a = x; s.b = s.a + 1;",
+];
+
+/// Loop conditions: a port that always reads busy, a bound a counter
+/// reaches, and conditions the body may or may not ever falsify.
+const LOOP_CONDS: [&str; 5] = ["inb(0x1F7) & 0x80", "n < 3000", "1", "x != 6", "k < 100"];
+
+/// A small driver-shaped program whose `f` runs one loop built from
+/// `cond` and `body` (indices into [`LOOP_CONDS`] and [`LOOP_STMTS`]).
+fn loop_program(cond: usize, body: &[usize]) -> String {
+    let body: String = body.iter().map(|&i| LOOP_STMTS[i]).collect::<Vec<_>>().join("\n        ");
+    format!(
+        "typedef unsigned char u8;
+struct S_ {{ int a; int b; }};
+int g(int v) {{ int i; for (i = 0; i < 2; i++) v = (v * 5 + 1) & 15; return v; }}
+int f(void) {{
+    int x = 1; int n = 0; int k = 0; u8 c = 250; struct S_ s;
+    s.a = 0; s.b = 0;
+    while ({cond}) {{
+        {body}
+    }}
+    return x + n + k + c + s.b;
+}}",
+        cond = LOOP_CONDS[cond]
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The VM's hang detector is invisible: over loops that repeat their
+    /// state, count, or print, and under budgets on both sides of the
+    /// fuel at which the detector starts looking, the VM gives the
+    /// oracle's result, remaining fuel, coverage and console.
+    #[test]
+    fn hang_detection_matches_tree_walker(
+        cond in 0usize..LOOP_CONDS.len(),
+        body in prop::collection::vec(0usize..LOOP_STMTS.len(), 1..4),
+        fuel in 0u64..60_000,
+    ) {
+        let src = loop_program(cond, &body);
+        let program = devil_minic::compile("t.c", &src).unwrap();
+        let compiled = program.to_bytecode();
+        for fuel in [fuel, fuel + devil_minic::vm::CYCLE_CHECK_AFTER] {
+            let mut ih = NullHost::default();
+            let mut interp = Interpreter::new(&program, &mut ih, fuel);
+            let want = interp.call("f", &[]);
+            let want_fuel = interp.fuel_left();
+            let want_cov = interp.coverage().clone();
+            drop(interp);
+
+            let mut vh = NullHost::default();
+            let mut vm = Vm::new(&compiled, &mut vh, fuel);
+            let got = vm.call("f", &[]);
+            prop_assert_eq!(&got, &want, "value diverged at fuel {} for {}", fuel, src);
+            prop_assert_eq!(vm.fuel_left(), want_fuel, "fuel diverged at fuel {} for {}", fuel, src);
+            prop_assert_eq!(vm.coverage(), &want_cov, "coverage diverged at fuel {} for {}", fuel, src);
+            drop(vm);
+            prop_assert_eq!(&vh.log, &ih.log, "console diverged at fuel {} for {}", fuel, src);
+        }
+    }
+}

@@ -156,16 +156,21 @@ pub struct LoadConfig {
     pub deadline_ms: u32,
 }
 
-impl Default for LoadConfig {
-    /// A bare `devil load` or `devil selftest`: 250 submissions at 50/s
-    /// over the IDE boot and the faulted mouse stream, silent, with no
-    /// per-submission deadline.
-    fn default() -> Self {
+impl LoadConfig {
+    /// The mix of a bare `devil load` or `devil selftest`: the IDE boot
+    /// and the faulted mouse stream.
+    pub const DEFAULT_MIX: &'static str = "ide-boot,mouse-stream+faults";
+
+    /// The settings of a bare `devil load` or `devil selftest` but the
+    /// mix, which stays empty: 250 submissions at 50/s, silent, with no
+    /// per-submission deadline. Resolving a mix, such as
+    /// [`LoadConfig::DEFAULT_MIX`], builds the scenario catalog, which a
+    /// caller that may never run a load leaves unbuilt.
+    pub fn without_mix() -> Self {
         LoadConfig {
             freq: 50.0,
             total: 250,
-            mix: parse_mix("ide-boot,mouse-stream+faults")
-                .expect("the default mix names catalog scenarios"),
+            mix: Vec::new(),
             seed: 42,
             report_every: None,
             deadline_ms: 0,

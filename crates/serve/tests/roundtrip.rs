@@ -333,3 +333,37 @@ fn warmed_checkpoints_survive_a_foreign_first_submission() {
         "every catalog mutant resumed from the warmed checkpoint"
     );
 }
+
+#[test]
+fn a_hundred_thousand_deep_submission_is_a_compile_check() {
+    // A ~200 KB driver whose expression nests 100,000 parentheses deep:
+    // the parser's nesting budget turns it into a spanned compile error
+    // on the worker's 2 MiB stack, and the same worker goes on to boot a
+    // clean driver.
+    let deep = format!(
+        "int ide_probe(void) {{ int x; x = {}1{}; return x; }}",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    let v = find_variant("ide-boot", "ide_piix4_c").expect("catalog driver");
+    let server = InProcServer::start(ServeConfig { threads: 1, ..ServeConfig::default() });
+    let (mut r, mut w) = server.connect().split();
+    for (id, source) in [(0u64, deep.as_str()), (1, v.source)] {
+        write_frame(&mut w, &Request::Submit(submit_req(id, "ide-boot", "", v.file, source)).encode())
+            .unwrap();
+        let payload = read_frame(&mut r).unwrap().expect("the submission is answered");
+        match Response::decode(&payload).unwrap() {
+            Response::Outcome { req_id, outcome, detail } => {
+                assert_eq!(req_id, id);
+                let want = if id == 0 { Outcome::CompileCheck } else { Outcome::Boot };
+                assert_eq!(outcome, want, "{detail}");
+                if id == 0 {
+                    assert!(detail.contains("nesting deeper than"), "{detail}");
+                }
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    drop(w);
+    server.shutdown().expect("server exits cleanly");
+}
