@@ -161,12 +161,6 @@ impl IdeDisk {
     pub fn dirty_sector_count(&self) -> usize {
         self.dirty_count as usize
     }
-
-    /// The platter's write generation: it moves on every sector write and
-    /// every restore, so an unchanged generation means unchanged content.
-    pub fn write_generation(&self) -> u64 {
-        self.generation
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -47,9 +47,6 @@ pub struct Ne2000 {
     rbcr: u16,
     par: [u8; 6],
     ram: Vec<u8>,
-    /// Moves on every write to `ram` and every restore; the cycle state
-    /// reports it in place of the 16 KiB buffer.
-    ram_generation: u64,
     prom: [u8; 32],
     tx_log: Vec<Vec<u8>>,
     stopped: bool,
@@ -87,7 +84,6 @@ impl Ne2000 {
             rbcr: 0,
             par: mac,
             ram: vec![0; RAM_SIZE],
-            ram_generation: 0,
             prom,
             tx_log: Vec::new(),
             stopped: true,
@@ -143,7 +139,6 @@ impl Ne2000 {
         }
         self.curr = next;
         self.isr |= ISR_PRX;
-        self.ram_generation += 1;
         true
     }
 
@@ -174,7 +169,6 @@ impl Ne2000 {
         let addr = self.rsar as usize;
         if (RAM_START..RAM_START + RAM_SIZE).contains(&addr) {
             self.ram[addr - RAM_START] = v;
-            self.ram_generation += 1;
         }
         self.rsar = self.rsar.wrapping_add(1);
         if self.rbcr > 0 {
@@ -205,26 +199,6 @@ impl Ne2000 {
     fn dma_span_in_ram(&self, bytes: usize) -> bool {
         let addr = self.rsar as usize;
         addr >= RAM_START && addr + bytes <= RAM_START + RAM_SIZE
-    }
-
-    /// The register file: the part of [`IoDevice::save`] that precedes
-    /// the RAM.
-    fn save_registers(&self, w: &mut StateWriter<'_>) {
-        w.u8(self.cr);
-        w.u8(self.isr);
-        w.u8(self.imr);
-        w.u8(self.dcr);
-        w.u8(self.rcr);
-        w.u8(self.tcr);
-        w.u8(self.pstart);
-        w.u8(self.pstop);
-        w.u8(self.bnry);
-        w.u8(self.curr);
-        w.u8(self.tpsr);
-        w.u16(self.tbcr);
-        w.u16(self.rsar);
-        w.u16(self.rbcr);
-        w.bytes(&self.par);
     }
 
     fn transmit(&mut self) {
@@ -384,7 +358,6 @@ impl IoDevice for Ne2000 {
                 self.ram[base + 2 * i] = lo;
                 self.ram[base + 2 * i + 1] = hi;
             }
-            self.ram_generation += 1;
             self.rsar = self.rsar.wrapping_add(bytes as u16);
             self.advance_rbcr(bytes as u16);
         } else {
@@ -398,7 +371,21 @@ impl IoDevice for Ne2000 {
     }
 
     fn save(&self, w: &mut StateWriter<'_>) {
-        self.save_registers(w);
+        w.u8(self.cr);
+        w.u8(self.isr);
+        w.u8(self.imr);
+        w.u8(self.dcr);
+        w.u8(self.rcr);
+        w.u8(self.tcr);
+        w.u8(self.pstart);
+        w.u8(self.pstop);
+        w.u8(self.bnry);
+        w.u8(self.curr);
+        w.u8(self.tpsr);
+        w.u16(self.tbcr);
+        w.u16(self.rsar);
+        w.u16(self.rbcr);
+        w.bytes(&self.par);
         w.bytes(&self.ram);
         w.u64(self.tx_log.len() as u64);
         for frame in &self.tx_log {
@@ -425,7 +412,6 @@ impl IoDevice for Ne2000 {
         self.rbcr = r.u16();
         r.fill(&mut self.par);
         r.fill(&mut self.ram);
-        self.ram_generation += 1;
         let frames = r.u64() as usize;
         self.tx_log.truncate(frames);
         for i in 0..frames {
@@ -442,14 +428,10 @@ impl IoDevice for Ne2000 {
         self.stopped = r.bool();
     }
 
-    /// The registers, the RAM's write generation in place of its 16 KiB,
-    /// and the transmit log's length: a logged frame never changes. The
-    /// card has no timer, so it is always quiescent.
+    /// The [`IoDevice::save`] bytes: the card has no timer, so it is
+    /// always quiescent.
     fn cycle_state(&self, w: &mut StateWriter<'_>) -> bool {
-        self.save_registers(w);
-        w.u64(self.ram_generation);
-        w.u64(self.tx_log.len() as u64);
-        w.bool(self.stopped);
+        self.save(w);
         true
     }
 }

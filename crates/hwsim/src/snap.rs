@@ -139,12 +139,11 @@
 //!   clock, the counters and the lazy-tick bookkeeping stay out. The IDE
 //!   controller declines while a command keeps it busy; the busmouse and
 //!   the NE2000 have no timers and always report.
-//! * A report covers everything that steers the device. It may replace a
-//!   large buffer with a generation that moves on every write to it: the
-//!   IDE controller reports its registers, phase, sector buffer, transfer
-//!   position and the platter's write generation, not the 2 MiB platter,
-//!   and the NE2000 its registers, a RAM write generation and the length
-//!   of its transmit log. Such a report can only miss a repetition, never
+//! * A report covers everything that steers the device. The busmouse and
+//!   the NE2000 report their `save` bytes. The IDE controller reports its
+//!   registers, phase, sector buffer and transfer position, and in place
+//!   of its 2 MiB platter a write generation that moves on every sector
+//!   write and restore. A generation can only miss a repetition, never
 //!   claim a false one.
 //! * The space declines while a fault interposer is installed (its PRNG
 //!   cursor and clock-driven windows steer every access) or an access
@@ -153,7 +152,9 @@
 //!   its machine.
 //!
 //! The `cycle_state_is_tick_invariant` property test pins the quiescence
-//! rule for every device a catalog scenario maps.
+//! rule for every device a catalog scenario maps, and
+//! `ide_platter_writes_change_the_cycle_state` that the IDE report sees
+//! every platter write.
 
 use crate::bus::UnmappedPolicy;
 use crate::fault::FaultCursor;

@@ -273,36 +273,49 @@ proptest! {
         check_tick_invariance(Ne2000::new(SNAPSHOT_MAC), 0x20, &ops, &ticks);
     }
 
-    /// Every sector the IDE controller commits moves the platter's write
-    /// generation, whether the words arrive one by one or as a block.
+    /// The IDE controller's cycle state stands in for its 2 MiB platter,
+    /// yet two states that differ only on the platter must report
+    /// differently. Repeating a write command after a write elsewhere
+    /// leaves every register and the sector buffer as the first run left
+    /// them, so only the platter can tell the two reports apart, whether
+    /// the words arrive one by one or as a block; and so can only the
+    /// platter after a restore of the first run's snapshot.
     #[test]
-    fn ide_sector_writes_move_the_generation(
+    fn ide_platter_writes_change_the_cycle_state(
         lba in 0u32..4000,
+        other in 0u32..4000,
         count in 1u8..4,
         block in any::<bool>(),
     ) {
-        let mut disk = IdeDisk::small();
-        disk.write_sector(lba, &[0x5A; SECTOR_SIZE]);
-        let mut io = IoSpace::new();
-        let id = io.map(IDE, 9, Box::new(IdeController::new(disk))).unwrap();
-        let generation = |io: &IoSpace| {
-            io.device::<IdeController>(id).unwrap().disk().write_generation()
+        prop_assume!(lba.abs_diff(other) >= u32::from(count));
+        let mut io = ide_machine();
+        let report = |io: &IoSpace| {
+            let mut out = Vec::new();
+            assert!(io.cycle_state(&mut out), "an idle drive reports");
+            out
         };
-        let before = generation(&io);
-        select(&mut io, lba, count);
-        io.outb(IDE + 7, 0x30).unwrap(); // WRITE SECTORS
-        wait_ready(&mut io);
-        for sector in 1..=u64::from(count) {
-            if block {
-                io.write_block(IDE, devil_hwsim::AccessSize::Word, &[0x5A5A; 256]);
-            } else {
-                for _ in 0..256 {
-                    io.outw(IDE, 0x5A5A).unwrap();
+        let write = |io: &mut IoSpace, lba: u32, word: u16| {
+            select(io, lba, count);
+            io.outb(IDE + 7, 0x30).unwrap(); // WRITE SECTORS
+            wait_ready(io);
+            for _ in 0..count {
+                if block {
+                    io.write_block(IDE, devil_hwsim::AccessSize::Word, &[u32::from(word); 256]);
+                } else {
+                    for _ in 0..256 {
+                        io.outw(IDE, word).unwrap();
+                    }
                 }
             }
-            // The same bytes again: content equality must not hide a write.
-            prop_assert_eq!(generation(&io), before + sector);
-        }
+            report(io)
+        };
+        let first = write(&mut io, lba, 0x5A5A);
+        let snap = io.snapshot();
+        write(&mut io, other, 0xA5A5); // a blank disk: these sectors change
+        let again = write(&mut io, lba, 0x5A5A);
+        prop_assert_ne!(&again, &first);
+        io.restore(&snap).unwrap();
+        prop_assert_ne!(report(&io), again);
     }
 }
 
