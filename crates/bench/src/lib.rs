@@ -13,10 +13,10 @@
 //! | Figure 4 (generated debug stub) | `fig4` |
 //! | headline comparison (§4.2) | `repro` — runs Tables 1–4 and checks the paper's claims |
 //!
-//! The shared campaign machinery and the command line of every subcommand
-//! live in [`tables`]; Criterion benches under `benches/` measure the
-//! compiler, the stub overhead (debug vs production), mutant generation
-//! and the boot harness.
+//! The shared campaign machinery lives in [`tables`]; the command line
+//! of every subcommand is the `devil` package's (`devil::cli`). Criterion
+//! benches under `benches/` measure the compiler, the stub overhead
+//! (debug vs production), mutant generation and the boot harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

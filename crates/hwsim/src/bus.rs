@@ -5,9 +5,10 @@
 //! through the [`IoBus`] trait — `inb`/`outb` and the 16/32-bit variants —
 //! exactly mirroring the x86 port instructions the paper's drivers used.
 //!
-//! Unmapped accesses follow a configurable [`UnmappedPolicy`]: the faithful
-//! ISA behaviour (reads float to `0xFF`, writes vanish) or a strict mode that
-//! reports a [`BusFault`], useful in unit tests.
+//! Unmapped accesses follow the faithful ISA behaviour: reads float high
+//! (all ones for the width) and writes vanish. A stray access does not
+//! stop the machine, it silently misbehaves, exactly as on the paper's
+//! test PC.
 
 use crate::fault::{FaultInterposer, FaultPlan};
 use crate::snap::{RestoreError, Snapshot, StateReader, StateWriter};
@@ -130,13 +131,6 @@ impl std::error::Error for DeviceFault {}
 /// A fault raised by the bus fabric or a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusFault {
-    /// Access to a port with no mapped device under [`UnmappedPolicy::Fault`].
-    Unmapped {
-        /// Faulting port.
-        port: u16,
-        /// Attempted width.
-        size: AccessSize,
-    },
     /// A device refused the access (e.g. unsupported width on that register).
     Device {
         /// Faulting port.
@@ -149,9 +143,6 @@ pub enum BusFault {
 impl fmt::Display for BusFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BusFault::Unmapped { port, size } => {
-                write!(f, "unmapped {size} access at port {port:#06x}")
-            }
             BusFault::Device { port, fault } => {
                 write!(f, "device fault at port {port:#06x}: {fault}")
             }
@@ -160,20 +151,6 @@ impl fmt::Display for BusFault {
 }
 
 impl std::error::Error for BusFault {}
-
-/// What happens when an access hits no mapped device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UnmappedPolicy {
-    /// Faithful ISA behaviour: reads float high (all ones for the width),
-    /// writes are dropped. This is the default, and what the kernel boot
-    /// experiments use — a stray access does not stop the machine, it
-    /// silently misbehaves, exactly as on the paper's test PC.
-    #[default]
-    Float,
-    /// Return [`BusFault::Unmapped`]. Useful for unit tests that must prove a
-    /// driver touches only its own ports.
-    Fault,
-}
 
 /// Identifier of a mapped device within an [`IoSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -362,8 +339,7 @@ pub trait IoBus {
     ///
     /// # Errors
     ///
-    /// Propagates a [`BusFault`] per the space's unmapped policy or a device
-    /// refusal.
+    /// Propagates a device's refusal as a [`BusFault`].
     fn inb(&mut self, port: u16) -> Result<u8, BusFault>;
     /// 16-bit port read.
     ///
@@ -467,7 +443,6 @@ pub struct IoSpace {
     devices: Vec<Box<dyn IoDevice>>,
     /// Per-device clock value at which ticks were last delivered.
     last_sync: Vec<u64>,
-    policy: UnmappedPolicy,
     clock: u64,
     reads: u64,
     writes: u64,
@@ -484,7 +459,6 @@ impl fmt::Debug for IoSpace {
             .field("clock", &self.clock)
             .field("reads", &self.reads)
             .field("writes", &self.writes)
-            .field("policy", &self.policy)
             .finish()
     }
 }
@@ -496,14 +470,13 @@ impl Default for IoSpace {
 }
 
 impl IoSpace {
-    /// Create an empty I/O space with the default (floating) unmapped policy.
+    /// Create an empty I/O space.
     pub fn new() -> Self {
         let table: Box<[PortSlot]> = vec![EMPTY_SLOT; PORT_SPACE].into_boxed_slice();
         IoSpace {
             table: table.try_into().expect("table has PORT_SPACE entries"),
             devices: Vec::new(),
             last_sync: Vec::new(),
-            policy: UnmappedPolicy::default(),
             clock: 0,
             reads: 0,
             writes: 0,
@@ -544,11 +517,6 @@ impl IoSpace {
     /// interposer is installed.
     pub fn fault_injected(&self) -> Option<u64> {
         self.faults.as_ref().map(FaultInterposer::injected)
-    }
-
-    /// Set the behaviour of accesses that hit no device.
-    pub fn set_unmapped_policy(&mut self, policy: UnmappedPolicy) {
-        self.policy = policy;
     }
 
     /// Start recording every access.
@@ -680,7 +648,6 @@ impl IoSpace {
         }
         Snapshot {
             id: next_snapshot_id(),
-            policy: self.policy,
             clock: self.clock,
             reads: self.reads,
             writes: self.writes,
@@ -694,7 +661,7 @@ impl IoSpace {
 
     /// Rewind the machine to a previously captured [`Snapshot`].
     ///
-    /// Restores counters, clock, unmapped policy, trace, lazy-tick
+    /// Restores counters, clock, trace, lazy-tick
     /// bookkeeping and every device's state. The O(1) routing table is
     /// *reused*, not rebuilt — the mapped device set must be exactly the
     /// one the snapshot was taken from. Allocation-free on success as long
@@ -733,7 +700,6 @@ impl IoSpace {
                 });
             }
         }
-        self.policy = snap.policy;
         self.clock = snap.clock;
         self.reads = snap.reads;
         self.writes = snap.writes;
@@ -828,10 +794,7 @@ impl IoSpace {
                     .map_err(|fault| BusFault::Device { port, fault })?
             }
         } else {
-            match self.policy {
-                UnmappedPolicy::Float => size.mask(),
-                UnmappedPolicy::Fault => return Err(BusFault::Unmapped { port, size }),
-            }
+            size.mask()
         };
         if let Some(f) = &mut self.faults {
             // Read faults perturb what the CPU sees, never the model; the
@@ -940,10 +903,7 @@ impl IoSpace {
                 .write(port - base, size, value)
                 .map_err(|fault| BusFault::Device { port, fault })
         } else {
-            match self.policy {
-                UnmappedPolicy::Float => Ok(()),
-                UnmappedPolicy::Fault => Err(BusFault::Unmapped { port, size }),
-            }
+            Ok(())
         }
     }
 }
@@ -1090,16 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn unmapped_fault_policy_reports() {
-        let mut io = IoSpace::new();
-        io.set_unmapped_policy(UnmappedPolicy::Fault);
-        let err = io.inb(0x400).unwrap_err();
-        assert_eq!(err, BusFault::Unmapped { port: 0x400, size: AccessSize::Byte });
-        let err = io.outw(0x400, 1).unwrap_err();
-        assert_eq!(err, BusFault::Unmapped { port: 0x400, size: AccessSize::Word });
-    }
-
-    #[test]
     fn scratch_round_trips_all_widths() {
         let mut io = IoSpace::new();
         io.map(0x100, 8, Box::new(ScratchRegisters::new(8))).unwrap();
@@ -1160,11 +1110,8 @@ mod tests {
         let mut io = IoSpace::new();
         // Window of 2 bytes but mapped over 4 ports: offsets 2..4 fault.
         io.map(0x10, 4, Box::new(ScratchRegisters::new(2))).unwrap();
-        let err = io.inb(0x13).unwrap_err();
-        match err {
-            BusFault::Device { port, .. } => assert_eq!(port, 0x13),
-            other => panic!("expected device fault, got {other:?}"),
-        }
+        let BusFault::Device { port, .. } = io.inb(0x13).unwrap_err();
+        assert_eq!(port, 0x13);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod snap;
 
 pub use bus::{
     Access, AccessKind, AccessSize, BusFault, DeviceFault, DeviceId, IoBus, IoDevice, IoSpace,
-    MapError, UnmappedPolicy,
+    MapError,
 };
 pub use fault::{FaultKind, FaultPlan, FaultRule, DEFAULT_FAULT_SEED};
 pub use snap::{RestoreError, Snapshot, StateReader, StateWriter};

@@ -13,7 +13,7 @@
 //!
 //! Keep this implementation boring. It is intentionally the naive code.
 
-use crate::bus::{AccessSize, BusFault, DeviceFault, IoBus, IoDevice, MapError, UnmappedPolicy};
+use crate::bus::{AccessSize, BusFault, DeviceFault, IoBus, IoDevice, MapError};
 
 struct Mapping {
     base: u16,
@@ -26,19 +26,14 @@ struct Mapping {
 pub struct LinearIoSpace {
     mappings: Vec<Mapping>,
     devices: Vec<Box<dyn IoDevice>>,
-    policy: UnmappedPolicy,
     clock: u64,
 }
 
 impl LinearIoSpace {
-    /// Create an empty reference space with the floating unmapped policy.
+    /// Create an empty reference space; unmapped reads float high and
+    /// unmapped writes vanish, as on [`crate::IoSpace`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the behaviour of accesses that hit no device.
-    pub fn set_unmapped_policy(&mut self, policy: UnmappedPolicy) {
-        self.policy = policy;
     }
 
     /// Current bus clock (one tick per access).
@@ -93,10 +88,7 @@ impl LinearIoSpace {
             Some((idx, offset)) => self.devices[idx]
                 .read(offset, size)
                 .map_err(|fault| BusFault::Device { port, fault })?,
-            None => match self.policy {
-                UnmappedPolicy::Float => size.mask(),
-                UnmappedPolicy::Fault => return Err(BusFault::Unmapped { port, size }),
-            },
+            None => size.mask(),
         } & size.mask();
         Ok(value)
     }
@@ -108,10 +100,7 @@ impl LinearIoSpace {
             Some((idx, offset)) => self.devices[idx]
                 .write(offset, size, value)
                 .map_err(|fault| BusFault::Device { port, fault }),
-            None => match self.policy {
-                UnmappedPolicy::Float => Ok(()),
-                UnmappedPolicy::Fault => Err(BusFault::Unmapped { port, size }),
-            },
+            None => Ok(()),
         }
     }
 }

@@ -156,7 +156,6 @@
 //! `ide_platter_writes_change_the_cycle_state` that the IDE report sees
 //! every platter write.
 
-use crate::bus::UnmappedPolicy;
 use crate::fault::FaultCursor;
 
 /// Append-only encoder handed to [`IoDevice::save`](crate::IoDevice::save).
@@ -340,7 +339,6 @@ pub struct Snapshot {
     /// incremental restore paths can tell "rewinding to the same snapshot
     /// again" apart from "rewinding to a different one".
     pub(crate) id: u64,
-    pub(crate) policy: UnmappedPolicy,
     pub(crate) clock: u64,
     pub(crate) reads: u64,
     pub(crate) writes: u64,
@@ -377,8 +375,7 @@ impl Snapshot {
 /// restored from a snapshot still snapshots equal to it.
 impl PartialEq for Snapshot {
     fn eq(&self, other: &Self) -> bool {
-        self.policy == other.policy
-            && self.clock == other.clock
+        self.clock == other.clock
             && self.reads == other.reads
             && self.writes == other.writes
             && self.last_sync == other.last_sync

@@ -20,10 +20,11 @@
 //!   (a node's burn precedes its children's, mirroring
 //!   `Interpreter::eval`); leaf ops self-burn, interior nodes get a
 //!   leading `Op::Line`;
-//! * resolves every identifier to a numeric slot at lowering time, but
-//!   keeps the *runtime* object model (object ids, scope release order,
-//!   free-list reuse) byte-compatible so synthetic pointer addresses and
-//!   `UseAfterScope` faults agree;
+//! * resolves every identifier once, at lowering time, to a `Var`
+//!   operand — a frame slot or a global index — but keeps the *runtime*
+//!   object model (object ids, scope release order, free-list reuse)
+//!   byte-compatible so synthetic pointer addresses and `UseAfterScope`
+//!   faults agree;
 //! * folds constant subtrees only when they cannot fault, and records the
 //!   burn sequence the folded subtree would have produced so fuel and
 //!   coverage accounting are unchanged (`Op::Const`/`Op::ConstN`).
@@ -178,9 +179,23 @@ fn builtin_of(name: &str) -> Option<Builtin> {
 /// after type checking; faults `BadValue` like the tree-walker).
 pub(crate) const NO_FIELD: u16 = u16::MAX;
 
+/// The variable operand: a named object, resolved once at lowering time
+/// (`Lower::resolve`) to a slot of the running function's frame or to a
+/// global. Locals and globals share every op and fused form that names a
+/// variable, and the VM looks either up in one place; an unset variable
+/// (a slot an arity-mismatched harness call never bound, a global whose
+/// initialisation faulted) faults `BadValue` at the op's line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Var {
+    /// A slot of the running function's frame (parameters first).
+    Local(u16),
+    /// An index into [`CompiledProgram`]`::globals`.
+    Global(u16),
+}
+
 /// One VM instruction. `line` payloads are packed `(file_id, line)` ids
 /// (see [`crate::token::pack_line`]); `target`s are absolute indices into
-/// the owning function's op vector.
+/// the owning function's op vector; `var`s are [`Var`] operands.
 #[derive(Debug, Clone)]
 pub(crate) enum Op {
     /// Burn fuel + record coverage for one AST node entry.
@@ -193,20 +208,14 @@ pub(crate) enum Op {
     /// Push `consts[cidx]` without burning (synthesised values, e.g. the
     /// implicit `return 0`).
     PushConst { cidx: u32 },
-    /// Identifier rvalue, local slot (burns `line`; arrays decay).
-    LoadLocal { slot: u16, line: u32 },
-    /// Identifier rvalue, global (burns `line`; arrays decay).
-    LoadGlobal { gidx: u16, line: u32 },
-    /// Identifier lvalue, local slot (no burn — mirrors `lvalue`).
-    PlaceLocal { slot: u16, line: u32 },
-    /// Identifier lvalue, global.
-    PlaceGlobal { gidx: u16, line: u32 },
-    /// Pop a pointer value, push its place (`*p` lvalue).
+    /// Identifier rvalue (burns `line`; arrays decay).
+    LoadVar { var: Var, line: u32 },
+    /// Identifier lvalue (no burn — mirrors `lvalue`).
+    PlaceVar { var: Var, line: u32 },
+    /// Pop a pointer value, push its place (`*p` lvalue, `p->f` base).
     PtrPlace { line: u32 },
     /// Pop index then base values, push the indexed place.
     IndexPlace { line: u32, idx_line: u32 },
-    /// Pop a pointer value, push its place (`p->f` base).
-    MemberArrow { line: u32 },
     /// Extend the top place with one struct field step.
     MemberStep { fidx: u16, line: u32 },
     /// Pop a place, push the value read through it.
@@ -219,21 +228,15 @@ pub(crate) enum Op {
     Store { line: u32 },
     /// Compound assignment: read-modify-write through the popped place.
     StoreBin { op: BinOp, line: u32 },
-    /// Fused `x = <expr>;` statement on a local: pop, write, push nothing.
-    /// Burn/fault behaviour is identical to `PlaceLocal;Store;Pop` — the
+    /// Fused `x = <expr>;` statement: pop, write, push nothing.
+    /// Burn/fault behaviour is identical to `PlaceVar;Store;Pop` — the
     /// fused ops exist because polling loops are made of these statements.
-    StoreLocalPop { slot: u16, line: u32 },
-    /// Fused `g = <expr>;` statement on a global.
-    StoreGlobalPop { gidx: u16, line: u32 },
-    /// Fused `x op= <expr>;` statement on a local.
-    StoreOpLocalPop { slot: u16, op: BinOp, line: u32 },
-    /// Fused `g op= <expr>;` statement on a global.
-    StoreOpGlobalPop { gidx: u16, op: BinOp, line: u32 },
-    /// Fused `x++;`-style statement on a local (result discarded, so
-    /// prefix/postfix are indistinguishable).
-    IncDecLocalPop { slot: u16, inc: bool, line: u32 },
-    /// Fused `g++;`-style statement on a global.
-    IncDecGlobalPop { gidx: u16, inc: bool, line: u32 },
+    StoreVarPop { var: Var, line: u32 },
+    /// Fused `x op= <expr>;` statement.
+    StoreOpVarPop { var: Var, op: BinOp, line: u32 },
+    /// Fused `x++;`-style statement (result discarded, so prefix/postfix
+    /// are indistinguishable).
+    IncDecVarPop { var: Var, inc: bool, line: u32 },
     /// `++`/`--` through the popped place.
     IncDec { inc: bool, prefix: bool, line: u32 },
     /// Arithmetic negate (`line` is the operand's, for `BadValue`).
@@ -282,14 +285,14 @@ pub(crate) enum Op {
     DeclStruct { slot: u16, template: u32, items: u16, coerces: u32 },
     /// Fused `x++;`-style statement followed by an unconditional jump —
     /// the step + back-jump pair every `for` loop executes once per
-    /// iteration. `slot` is a global index when `global` is set.
-    /// Burn/fault behaviour identical to `Line; IncDec*Pop; Jump`.
-    IncDecJmp { slot: u16, global: bool, inc: bool, line: u32, target: u32 },
+    /// iteration. Burn/fault behaviour identical to
+    /// `Line; IncDecVarPop; Jump`.
+    IncDecJmp { var: Var, inc: bool, line: u32, target: u32 },
     /// Fused `local.field = <expr>;` statement tail: pop the value, write
     /// it through one field step of a local struct. Replaces
-    /// `PlaceLocal; MemberStep; Store; Pop` when all three carry the same
-    /// packed line (single-source-line member assigns — the shape every
-    /// generated stub's `mk_*`/`get_*` constructor is made of).
+    /// `PlaceVar; MemberStep; Store; Pop` on a local when all three carry
+    /// the same packed line (single-source-line member assigns — the shape
+    /// every generated stub's `mk_*`/`get_*` constructor is made of).
     StoreFieldLocalPop { slot: u16, fidx: u16, line: u32 },
     /// A fused superinstruction: `fused[idx]` describes a whole
     /// burns → load → fold → compare → branch sequence executed in one
@@ -317,7 +320,7 @@ pub(crate) enum Op {
     InlineExitJmp { target: u32 },
     /// `InlineExit` + `Op::DeclScalar`: `int x = small_call();`.
     InlineExitDecl { slot: u16, coerce: Coerce },
-    /// `InlineExit` + `Op::StoreLocalPop`: `x = small_call();`.
+    /// `InlineExit` + `Op::StoreVarPop` on a local: `x = small_call();`.
     InlineExitStore { slot: u16, line: u32 },
     /// Call a user function with the top `argc` values as arguments.
     CallUser { fidx: u16, argc: u8 },
@@ -337,11 +340,15 @@ pub(crate) enum Op {
 /// 2. produce the source value per [`FuseSrc`] (with its own burns),
 ///    then pick `field` out of it when set (`Op::MemberValue`);
 /// 3. apply `stage1` then `stage2` (burn the rhs line, then the binop —
-///    the `Op::BinConst` / `Op::LoadLocal;Op::Bin` semantics);
+///    the `Op::BinConst` / `Op::LoadVar;Op::Bin` semantics);
 /// 4. optionally cast (`Op::Cast`), then optionally coerce to 0/1
 ///    (`Op::CoerceBool`), in that matched order;
 /// 5. consume the value per [`FuseEnd`]: push it, branch on it, store it
-///    (plain local/global, member field, fresh declaration).
+///    (a [`Var`], a member field, a fresh declaration).
+///
+/// A source, a stage's rhs or an end that names a plain variable carries
+/// one [`Var`], local or global alike; the member and indexed forms
+/// (`FieldLocal`, `StoreField`, `StoreIndexLocal`) match locals only.
 #[derive(Debug, Clone)]
 pub(crate) struct FusedOp {
     /// Leading `Op::Line` burns, in program order.
@@ -393,11 +400,9 @@ pub(crate) enum FuseEnd {
     FalseConst,
     /// `Op::BrTrueConst` (`||` short-circuit: push 1 and jump on truthy).
     TrueConst,
-    /// `Op::StoreLocalPop`: `x = <value>;` statement sink.
-    StoreLocal { slot: u16, line: u32 },
-    /// `Op::StoreGlobalPop`.
-    StoreGlobal { gidx: u16, line: u32 },
-    /// The `PlaceLocal; MemberStep; Store; Pop` tail (see
+    /// `Op::StoreVarPop`: `x = <value>;` statement sink.
+    StoreVar { var: Var, line: u32 },
+    /// The `PlaceVar; MemberStep; Store; Pop` tail on a local (see
     /// [`Op::StoreFieldLocalPop`]): `local.field = <value>;` sink.
     StoreField { slot: u16, fidx: u16, line: u32 },
     /// `Op::DeclScalar`: `int x = <value>;` sink.
@@ -419,32 +424,29 @@ pub(crate) enum FuseEnd {
     /// is the computed value and whose data word is the next value down
     /// the operand stack, plus the statement's `Op::Pop` when set.
     OutDyn { which: Builtin, pop: bool },
-    /// The `LoadLocal; IndexPlace; Store; Pop` tail of `g[i] = <value>;`
-    /// where the computed value is the *base* (a decayed array) — all
-    /// four ops on one source line, which is all that is stored. The
-    /// stored value is the next value down the operand stack.
+    /// The `LoadVar; IndexPlace; Store; Pop` tail of `g[i] = <value>;`
+    /// with `i` a local, where the computed value is the *base* (a
+    /// decayed array) — all four ops on one source line, which is all
+    /// that is stored. The stored value is the next value down the
+    /// operand stack.
     StoreIndexLocal { slot: u16, line: u32 },
 }
 
 /// The value-producing head of a [`FusedOp`].
 #[derive(Debug, Clone)]
 pub(crate) enum FuseSrc {
-    /// `Op::LoadLocal` (burns `line`; arrays decay; unset slot faults).
-    Local { slot: u16, line: u32 },
-    /// `Op::LoadGlobal`.
-    Global { gidx: u16, line: u32 },
-    /// `Op::PlaceLocal` + `Op::IncDec`: `--x` / `x++` as a value.
-    /// `place_line` is the identifier's (unset-slot fault site), `line`
+    /// `Op::LoadVar` (burns `line`; arrays decay; an unset variable faults).
+    Var { var: Var, line: u32 },
+    /// `Op::PlaceVar` + `Op::IncDec`: `--x` / `x++` as a value.
+    /// `place_line` is the identifier's (unset-variable fault site), `line`
     /// the operator's (read/write fault site). No burn — the enclosing
     /// expression's `Line`s are in `pre`.
-    IncDecLocal { slot: u16, inc: bool, prefix: bool, place_line: u32, line: u32 },
-    /// `Op::PlaceGlobal` + `Op::IncDec`.
-    IncDecGlobal { gidx: u16, inc: bool, prefix: bool, place_line: u32, line: u32 },
+    IncDec { var: Var, inc: bool, prefix: bool, place_line: u32, line: u32 },
     /// `Op::Const` (the port, burns `port_line`) + a 1-argument
     /// `Op::CallBuiltin` for `inb`/`inw`/`inl`: one host port read.
     PortIn { which: Builtin, cidx: u32, port_line: u32 },
-    /// `Op::PlaceLocal` + `Op::MemberStep` + `Op::ReadPlace`: the rvalue
-    /// of `local.field` (`dil_val(x)`, stub type tags, ...). No burn —
+    /// `Op::PlaceVar` (a local) + `Op::MemberStep` + `Op::ReadPlace`: the
+    /// rvalue of `local.field` (`dil_val(x)`, stub type tags, ...). No burn —
     /// the member expression's `Line` is in `pre`; faults replay the
     /// three ops' order exactly.
     FieldLocal { slot: u16, fidx: u16, place_line: u32, line: u32 },
@@ -462,7 +464,7 @@ pub(crate) enum FuseSrc {
 }
 
 /// One folded binary stage of a [`FusedOp`] — the `Op::BinConst` (or
-/// `Op::LoadLocal`/`Op::LoadGlobal` + `Op::Bin`) it replaces.
+/// `Op::LoadVar` + `Op::Bin`) it replaces.
 #[derive(Debug, Clone)]
 pub(crate) struct FuseStage {
     /// The operator.
@@ -479,15 +481,12 @@ pub(crate) struct FuseStage {
 pub(crate) enum FuseRhs {
     /// Interned constant (`Op::BinConst`'s `rhs_line` burn).
     Const { cidx: u32, line: u32 },
-    /// A local load (`Op::LoadLocal` + `Op::Bin`).
-    Local { slot: u16, line: u32 },
-    /// A global load.
-    Global { gidx: u16, line: u32 },
-    /// A local member load (`Line; PlaceLocal; MemberStep; ReadPlace` +
+    /// A variable load (`Op::LoadVar` + `Op::Bin`).
+    Var { var: Var, line: u32 },
+    /// A local member load (`Line; PlaceVar; MemberStep; ReadPlace` +
     /// `Op::Bin`) — `a.val == b.val` comparisons in generated stubs.
     FieldLocal { slot: u16, fidx: u16, place_line: u32, line: u32 },
 }
-
 
 /// How a global's object is assembled from its evaluated initialisers —
 /// the lowered form of `Interpreter::ensure_globals` (which, unlike local
@@ -735,12 +734,6 @@ struct Lower<'p> {
     resolve_floor: usize,
 }
 
-enum Resolved {
-    Local(u16),
-    Global(u16),
-    None,
-}
-
 impl<'p> Lower<'p> {
     // ----- tables ---------------------------------------------------------
 
@@ -828,16 +821,17 @@ impl<'p> Lower<'p> {
         NO_FIELD
     }
 
-    fn resolve(&self, name: &str) -> Resolved {
+    /// The variable `name` denotes here: the innermost visible local,
+    /// else a global; `None` for anything else (functions, builtins,
+    /// checker-rejected names).
+    fn resolve(&self, name: &str) -> Option<Var> {
         for scope in self.scopes[self.resolve_floor..].iter().rev() {
             if let Some((_, slot)) = scope.names.iter().rev().find(|(n, _)| n == name) {
-                return Resolved::Local(*slot);
+                return Some(Var::Local(*slot));
             }
         }
-        match self.global_names.iter().position(|g| g == name) {
-            Some(i) => Resolved::Global(i as u16),
-            None => Resolved::None,
-        }
+        let gidx = self.global_names.iter().position(|g| g == name)?;
+        Some(Var::Global(gidx as u16))
     }
 
     fn declare(&mut self, name: &str) -> u16 {
@@ -873,7 +867,7 @@ impl<'p> Lower<'p> {
             Expr::Ident { name, line } => {
                 // Only the function-designator-as-value case is constant;
                 // real variables load at run time.
-                if !matches!(self.resolve(name), Resolved::None) {
+                if self.resolve(name).is_some() {
                     return None;
                 }
                 if self.program.unit.function(name).is_some()
@@ -980,9 +974,8 @@ impl<'p> Lower<'p> {
             | Expr::StrLit { .. }
             | Expr::SizeofType { .. } => unreachable!("constant leaves fold"),
             Expr::Ident { name, line } => match self.resolve(name) {
-                Resolved::Local(slot) => self.ops.push(Op::LoadLocal { slot, line: *line }),
-                Resolved::Global(gidx) => self.ops.push(Op::LoadGlobal { gidx, line: *line }),
-                Resolved::None => {
+                Some(var) => self.ops.push(Op::LoadVar { var, line: *line }),
+                None => {
                     // Unknown non-function name: checker-rejected; fault
                     // exactly where the tree-walker does.
                     self.ops.push(Op::Line(*line));
@@ -1006,8 +999,7 @@ impl<'p> Lower<'p> {
                         self.ops.push(Op::BitNot { line: expr.line() });
                     }
                     UnOp::Deref => {
-                        self.emit_expr(expr);
-                        self.ops.push(Op::PtrPlace { line: *line });
+                        self.emit_lvalue(e);
                         self.ops.push(Op::ReadPlace { line: *line });
                     }
                     UnOp::AddrOf => {
@@ -1114,28 +1106,15 @@ impl<'p> Lower<'p> {
                     self.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line });
                 }
             }
-            Expr::Index { base, index, line } => {
+            Expr::Member { base, field, arrow: false, line } if !is_lvalue_expr(base) => {
                 self.ops.push(Op::Line(*line));
                 self.emit_expr(base);
-                self.emit_expr(index);
-                self.ops.push(Op::IndexPlace { line: *line, idx_line: index.line() });
-                self.ops.push(Op::ReadPlace { line: *line });
-            }
-            Expr::Member { base, field, arrow, line } => {
-                self.ops.push(Op::Line(*line));
                 let fidx = self.field_index(field);
-                if !*arrow && !is_lvalue_expr(base) {
-                    self.emit_expr(base);
-                    self.ops.push(Op::MemberValue { fidx, line: *line });
-                    return;
-                }
-                if *arrow {
-                    self.emit_expr(base);
-                    self.ops.push(Op::MemberArrow { line: *line });
-                } else {
-                    self.emit_lvalue(base);
-                }
-                self.ops.push(Op::MemberStep { fidx, line: *line });
+                self.ops.push(Op::MemberValue { fidx, line: *line });
+            }
+            Expr::Index { line, .. } | Expr::Member { line, .. } => {
+                self.ops.push(Op::Line(*line));
+                self.emit_lvalue(e);
                 self.ops.push(Op::ReadPlace { line: *line });
             }
             Expr::Cast { ty, expr, line } => {
@@ -1160,13 +1139,10 @@ impl<'p> Lower<'p> {
 
     fn emit_lvalue(&mut self, e: &Expr) {
         match e {
-            Expr::Ident { name, line } => match self.resolve(name) {
-                Resolved::Local(slot) => self.ops.push(Op::PlaceLocal { slot, line: *line }),
-                Resolved::Global(gidx) => self.ops.push(Op::PlaceGlobal { gidx, line: *line }),
-                Resolved::None => {
-                    self.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line })
-                }
-            },
+            Expr::Ident { name, line } => self.ops.push(match self.resolve(name) {
+                Some(var) => Op::PlaceVar { var, line: *line },
+                None => Op::Trap { kind: FaultKind::BadValue, line: *line },
+            }),
             Expr::Unary { op: UnOp::Deref, expr, line } => {
                 self.emit_expr(expr);
                 self.ops.push(Op::PtrPlace { line: *line });
@@ -1180,7 +1156,7 @@ impl<'p> Lower<'p> {
                 let fidx = self.field_index(field);
                 if *arrow {
                     self.emit_expr(base);
-                    self.ops.push(Op::MemberArrow { line: *line });
+                    self.ops.push(Op::PtrPlace { line: *line });
                 } else {
                     self.emit_lvalue(base);
                 }
@@ -1575,55 +1551,29 @@ impl<'p> Lower<'p> {
     /// `for` steps). Statement-level stores to plain variables are the
     /// bulk of driver hot loops; fuse them so the value never round-trips
     /// through the stacks. The burn sequence and fault behaviour are
-    /// unchanged (`PlaceLocal`, `Store` and `Pop` never burn).
+    /// unchanged (`PlaceVar`, `Store` and `Pop` never burn).
     fn emit_expr_stmt(&mut self, e: &Expr) {
+        let var = |target: &Expr| match target {
+            Expr::Ident { name, .. } => self.resolve(name),
+            _ => None,
+        };
         match e {
             Expr::Assign { op, lhs, rhs, line } => {
-                if let Expr::Ident { name, .. } = lhs.as_ref() {
-                    match self.resolve(name) {
-                        Resolved::Local(slot) => {
-                            self.ops.push(Op::Line(*line));
-                            self.emit_expr(rhs);
-                            self.ops.push(match op {
-                                None => Op::StoreLocalPop { slot, line: *line },
-                                Some(op) => {
-                                    Op::StoreOpLocalPop { slot, op: *op, line: *line }
-                                }
-                            });
-                            return;
-                        }
-                        Resolved::Global(gidx) => {
-                            self.ops.push(Op::Line(*line));
-                            self.emit_expr(rhs);
-                            self.ops.push(match op {
-                                None => Op::StoreGlobalPop { gidx, line: *line },
-                                Some(op) => {
-                                    Op::StoreOpGlobalPop { gidx, op: *op, line: *line }
-                                }
-                            });
-                            return;
-                        }
-                        Resolved::None => {}
-                    }
+                if let Some(var) = var(lhs) {
+                    self.ops.push(Op::Line(*line));
+                    self.emit_expr(rhs);
+                    self.ops.push(match op {
+                        None => Op::StoreVarPop { var, line: *line },
+                        Some(op) => Op::StoreOpVarPop { var, op: *op, line: *line },
+                    });
+                    return;
                 }
             }
             Expr::IncDec { expr, inc, line, .. } => {
-                if let Expr::Ident { name, .. } = expr.as_ref() {
-                    match self.resolve(name) {
-                        Resolved::Local(slot) => {
-                            self.ops.push(Op::Line(*line));
-                            self.ops
-                                .push(Op::IncDecLocalPop { slot, inc: *inc, line: *line });
-                            return;
-                        }
-                        Resolved::Global(gidx) => {
-                            self.ops.push(Op::Line(*line));
-                            self.ops
-                                .push(Op::IncDecGlobalPop { gidx, inc: *inc, line: *line });
-                            return;
-                        }
-                        Resolved::None => {}
-                    }
+                if let Some(var) = var(expr) {
+                    self.ops.push(Op::Line(*line));
+                    self.ops.push(Op::IncDecVarPop { var, inc: *inc, line: *line });
+                    return;
                 }
             }
             _ => {}

@@ -22,7 +22,7 @@
 //! constant expressions with no loops to win back.
 
 use crate::bytecode::{
-    Builtin, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FuseStage, FusedOp, Op,
+    Builtin, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FuseStage, FusedOp, Op, Var,
 };
 
 /// Run the pass over every function of a lowered program, in place.
@@ -49,7 +49,7 @@ pub fn fuse(program: &mut CompiledProgram) {
 /// A matched replacement and the number of input ops it covers.
 enum Rep {
     Fused(FusedOp),
-    IncDecJmp { slot: u16, global: bool, inc: bool, line: u32, target: u32 },
+    IncDecJmp { var: Var, inc: bool, line: u32, target: u32 },
     StoreField { slot: u16, fidx: u16, line: u32 },
     InlineEnter { first_slot: u16, argc: u8, coerces: u32, call_line: u32, line: u32 },
     InlineExitPop,
@@ -115,8 +115,8 @@ fn fuse_ops(ops: Vec<Op>, program: &mut CompiledProgram) -> (Vec<Op>, TableRemap
                         program.fused.push(f);
                         Op::FusedBr { idx: program.fused.len() as u32 - 1 }
                     }
-                    Rep::IncDecJmp { slot, global, inc, line, target } => {
-                        Op::IncDecJmp { slot, global, inc, line, target }
+                    Rep::IncDecJmp { var, inc, line, target } => {
+                        Op::IncDecJmp { var, inc, line, target }
                     }
                     Rep::StoreField { slot, fidx, line } => {
                         Op::StoreFieldLocalPop { slot, fidx, line }
@@ -185,18 +185,14 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
             })
             .collect()
     };
-    // The for-loop step + back-jump pair: exactly `Line; IncDec*Pop; Jump`.
+    // The for-loop step + back-jump pair: exactly `Line; IncDecVarPop; Jump`.
     if n_pre == 1 && j + 1 < n {
-        let step = match &ops[j] {
-            Op::IncDecLocalPop { slot, inc, line } => Some((*slot, false, *inc, *line)),
-            Op::IncDecGlobalPop { gidx, inc, line } => Some((*gidx, true, *inc, *line)),
-            _ => None,
-        };
-        if let (Some((slot, global, inc, line)), Op::Jump { target }) = (step, &ops[j + 1]) {
+        if let (Op::IncDecVarPop { var, inc, line }, Op::Jump { target }) = (&ops[j], &ops[j + 1])
+        {
             if clear(j + 1) {
                 return Some((
                     j + 2 - at,
-                    Rep::IncDecJmp { slot, global, inc, line, target: *target },
+                    Rep::IncDecJmp { var: *var, inc: *inc, line: *line, target: *target },
                 ));
             }
         }
@@ -229,20 +225,20 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
             Op::DeclScalar { slot, coerce } => {
                 return Some((2, Rep::InlineExitDecl { slot: *slot, coerce: *coerce }))
             }
-            Op::StoreLocalPop { slot, line } => {
+            Op::StoreVarPop { var: Var::Local(slot), line } => {
                 return Some((2, Rep::InlineExitStore { slot: *slot, line: *line }))
             }
             _ => {}
         }
     }
-    // Statement-level member store: the `PlaceLocal; MemberStep; Store;
+    // Statement-level member store: the `PlaceVar; MemberStep; Store;
     // Pop` tail of `local.field = <rhs>;` — no leading burn (the
     // statement's `Line` sits before the rhs), no op in the span burns,
     // and single-source-line statements give all three ops one packed
     // line, which is all `Op::StoreFieldLocalPop` carries.
     if n_pre == 0 && j + 3 < n {
         if let (
-            Op::PlaceLocal { slot, line: pl },
+            Op::PlaceVar { var: Var::Local(slot), line: pl },
             Op::MemberStep { fidx, line: ml },
             Op::Store { line: sl },
             Op::Pop,
@@ -255,15 +251,11 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
     }
     // Source value.
     let src = match ops.get(j)? {
-        Op::LoadLocal { slot, line } => {
+        Op::LoadVar { var, line } => {
             j += 1;
-            FuseSrc::Local { slot: *slot, line: *line }
+            FuseSrc::Var { var: *var, line: *line }
         }
-        Op::LoadGlobal { gidx, line } => {
-            j += 1;
-            FuseSrc::Global { gidx: *gidx, line: *line }
-        }
-        Op::PlaceLocal { slot, line }
+        Op::PlaceVar { var: Var::Local(slot), line }
             if matches!(ops.get(j + 1), Some(Op::MemberStep { .. }))
                 && matches!(ops.get(j + 2), Some(Op::ReadPlace { .. })) =>
         {
@@ -273,26 +265,13 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
             j += 3;
             FuseSrc::FieldLocal { slot: *slot, fidx: *fidx, place_line: *line, line: *ml }
         }
-        Op::PlaceLocal { slot, line } => {
+        Op::PlaceVar { var, line } => {
             let Some(Op::IncDec { inc, prefix, line: op_line }) = ops.get(j + 1) else {
                 return None;
             };
             j += 2;
-            FuseSrc::IncDecLocal {
-                slot: *slot,
-                inc: *inc,
-                prefix: *prefix,
-                place_line: *line,
-                line: *op_line,
-            }
-        }
-        Op::PlaceGlobal { gidx, line } => {
-            let Some(Op::IncDec { inc, prefix, line: op_line }) = ops.get(j + 1) else {
-                return None;
-            };
-            j += 2;
-            FuseSrc::IncDecGlobal {
-                gidx: *gidx,
+            FuseSrc::IncDec {
+                var: *var,
                 inc: *inc,
                 prefix: *prefix,
                 place_line: *line,
@@ -347,33 +326,22 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
                     line: *line,
                 })
             }
-            Some(Op::LoadLocal { slot, line: load_line }) => match ops.get(j + 1) {
+            Some(Op::LoadVar { var, line: load_line }) => match ops.get(j + 1) {
                 Some(Op::Bin { op, line }) => {
                     j += 2;
                     Some(FuseStage {
                         op: *op,
-                        rhs: FuseRhs::Local { slot: *slot, line: *load_line },
+                        rhs: FuseRhs::Var { var: *var, line: *load_line },
                         line: *line,
                     })
                 }
                 _ => break,
             },
-            Some(Op::LoadGlobal { gidx, line: load_line }) => match ops.get(j + 1) {
-                Some(Op::Bin { op, line }) => {
-                    j += 2;
-                    Some(FuseStage {
-                        op: *op,
-                        rhs: FuseRhs::Global { gidx: *gidx, line: *load_line },
-                        line: *line,
-                    })
-                }
-                _ => break,
-            },
-            // `Line; PlaceLocal; MemberStep; ReadPlace; Bin` — a member
-            // rvalue as the right operand (`a.val == b.val`).
+            // `Line; PlaceVar; MemberStep; ReadPlace; Bin` on a local — a
+            // member rvalue as the right operand (`a.val == b.val`).
             Some(Op::Line(burn)) => match (ops.get(j + 1), ops.get(j + 2), ops.get(j + 3), ops.get(j + 4)) {
                 (
-                    Some(Op::PlaceLocal { slot, line: pl }),
+                    Some(Op::PlaceVar { var: Var::Local(slot), line: pl }),
                     Some(Op::MemberStep { fidx, line: ml }),
                     Some(Op::ReadPlace { .. }),
                     Some(Op::Bin { op, line }),
@@ -439,7 +407,7 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
             let len = if pop { j + 2 - at } else { j + 1 - at };
             (FuseEnd::OutDyn { which: *which, pop }, 0, len)
         }
-        Some(Op::LoadLocal { slot, line: l1 })
+        Some(Op::LoadVar { var: Var::Local(slot), line: l1 })
             if matches!(
                 (ops.get(j + 1), ops.get(j + 2), ops.get(j + 3)),
                 (
@@ -455,27 +423,26 @@ fn match_at(ops: &[Op], at: usize, is_target: &[bool]) -> Option<(usize, Rep)> {
         Some(Op::JumpIfTrue { target }) => (FuseEnd::IfTrue, *target, j + 1 - at),
         Some(Op::BrFalseConst { target }) => (FuseEnd::FalseConst, *target, j + 1 - at),
         Some(Op::BrTrueConst { target }) => (FuseEnd::TrueConst, *target, j + 1 - at),
-        Some(Op::StoreLocalPop { slot, line }) => {
-            (FuseEnd::StoreLocal { slot: *slot, line: *line }, 0, j + 1 - at)
-        }
-        Some(Op::StoreGlobalPop { gidx, line }) => {
-            (FuseEnd::StoreGlobal { gidx: *gidx, line: *line }, 0, j + 1 - at)
+        Some(Op::StoreVarPop { var, line }) => {
+            (FuseEnd::StoreVar { var: *var, line: *line }, 0, j + 1 - at)
         }
         Some(Op::DeclScalar { slot, coerce }) => {
             (FuseEnd::DeclScalar { slot: *slot, coerce: *coerce }, 0, j + 1 - at)
         }
-        Some(Op::PlaceLocal { slot, line: pl }) => match (ops.get(j + 1), ops.get(j + 2), ops.get(j + 3)) {
-            (
-                Some(Op::MemberStep { fidx, line: ml }),
-                Some(Op::Store { line: sl }),
-                Some(Op::Pop),
-            ) if pl == ml && ml == sl => (
-                FuseEnd::StoreField { slot: *slot, fidx: *fidx, line: *pl },
-                0,
-                j + 4 - at,
-            ),
-            _ => (FuseEnd::Push, 0, j - at),
-        },
+        Some(Op::PlaceVar { var: Var::Local(slot), line: pl }) => {
+            match (ops.get(j + 1), ops.get(j + 2), ops.get(j + 3)) {
+                (
+                    Some(Op::MemberStep { fidx, line: ml }),
+                    Some(Op::Store { line: sl }),
+                    Some(Op::Pop),
+                ) if pl == ml && ml == sl => (
+                    FuseEnd::StoreField { slot: *slot, fidx: *fidx, line: *pl },
+                    0,
+                    j + 4 - at,
+                ),
+                _ => (FuseEnd::Push, 0, j - at),
+            }
+        }
         _ => (FuseEnd::Push, 0, j - at),
     };
     // Profitability: one dispatch must replace at least two. CoerceBool
@@ -597,13 +564,13 @@ mod tests {
 
     #[test]
     fn local_bound_compare_fuses_via_load_rhs() {
-        // `i < n` compares against a *local*, exercising FuseRhs::Local.
+        // `i < n` compares against a *local*, exercising FuseRhs::Var.
         let src = "int f(int n) { int i = 0; while (i < n) { i++; } return i; }";
         let c = compile("t.c", src).unwrap().to_bytecode();
         let load_rhs = c.fused.iter().any(|f| {
             f.stage1
                 .as_ref()
-                .is_some_and(|s| matches!(s.rhs, FuseRhs::Local { .. }))
+                .is_some_and(|s| matches!(s.rhs, FuseRhs::Var { var: Var::Local(_), .. }))
         });
         assert!(load_rhs, "load-rhs compare must fuse");
         differential(src, "f", &[Value::Int(7)], &fuel_sweep());

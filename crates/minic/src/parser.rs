@@ -18,9 +18,17 @@ use std::sync::Arc;
 /// this one budget. One level past it is a parse error at the token that
 /// went too deep.
 ///
+/// Types have a budget of their own, of the same size: a type may hold
+/// at most this many pointer and array levels, however it was built
+/// (declarator stars, array suffixes, a typedef naming a deep type, the
+/// type name of a cast or `sizeof`). Where the type is written does not
+/// count against the statement budget.
+///
 /// The checker, lowering and the interpreter recurse over the tree the
-/// parser builds, so this bound is what keeps a hostile input from
-/// overflowing a worker's stack. At this depth a debug build compiles,
+/// parser builds, and every pass clones, compares and drops types
+/// recursively, so this bound is what keeps a hostile input from
+/// overflowing a worker's stack, and a typedef chain from costing time
+/// quadratic in its length. At this depth a debug build compiles,
 /// lowers and runs the program on both engines within a 2 MiB thread
 /// stack; nested statements cost the most, at about 20 KiB a level.
 pub const MAX_NESTING: u32 = 64;
@@ -279,13 +287,30 @@ impl Parser<'_> {
         Ok((base, flags))
     }
 
+    /// Admit one more pointer or array level around `ty`, or fail at the
+    /// current token once the type would hold more than [`MAX_NESTING`].
+    fn admit_type_level(&self, ty: &CType) -> Result<(), CError> {
+        let mut depth = 0;
+        let mut level = ty;
+        while let CType::Ptr(inner) | CType::Array(inner, _) = level {
+            depth += 1;
+            level = inner;
+        }
+        if depth >= MAX_NESTING {
+            return Err(self.error(format!("type nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+
     /// Pointer stars after the base type.
-    fn pointers(&mut self, mut ty: CType) -> CType {
-        while self.eat_punct(Punct::Star) {
+    fn pointers(&mut self, mut ty: CType) -> Result<CType, CError> {
+        while self.is_punct(Punct::Star) {
+            self.admit_type_level(&ty)?;
+            self.bump();
             while self.eat_kw("const") || self.eat_kw("volatile") {}
             ty = CType::Ptr(Box::new(ty));
         }
-        ty
+        Ok(ty)
     }
 
     fn struct_body(&mut self) -> Result<Vec<(String, CType)>, CError> {
@@ -298,7 +323,7 @@ impl Parser<'_> {
         while !self.eat_punct(Punct::RBrace) {
             let (base, _) = self.decl_specs()?;
             loop {
-                let ty = self.pointers(base.clone());
+                let ty = self.pointers(base.clone())?;
                 let (name, _) = self.expect_ident("field name")?;
                 let ty = self.array_suffix(ty)?;
                 fields.push((name, ty));
@@ -312,7 +337,9 @@ impl Parser<'_> {
     }
 
     fn array_suffix(&mut self, ty: CType) -> Result<CType, CError> {
-        if self.eat_punct(Punct::LBracket) {
+        if self.is_punct(Punct::LBracket) {
+            self.admit_type_level(&ty)?;
+            self.bump();
             let n = match &self.cur().tok {
                 CTok::Int { value, .. } => *value as usize,
                 other => return Err(self.error(format!("expected array length, found {other}"))),
@@ -328,7 +355,7 @@ impl Parser<'_> {
     /// A full abstract type name (for casts and sizeof).
     fn type_name(&mut self) -> Result<CType, CError> {
         let (base, _) = self.decl_specs()?;
-        Ok(self.pointers(base))
+        self.pointers(base)
     }
 
     // ----- top level ---------------------------------------------------------
@@ -336,7 +363,7 @@ impl Parser<'_> {
     fn top_level(&mut self, items: &mut Vec<Item>) -> Result<(), CError> {
         if self.eat_kw("typedef") {
             let (base, _) = self.decl_specs()?;
-            let ty = self.pointers(base);
+            let ty = self.pointers(base)?;
             let (name, _) = self.expect_ident("typedef name")?;
             let ty = self.array_suffix(ty)?;
             self.expect_punct(Punct::Semi)?;
@@ -348,7 +375,7 @@ impl Parser<'_> {
         if self.eat_punct(Punct::Semi) {
             return Ok(());
         }
-        let ty = self.pointers(base);
+        let ty = self.pointers(base)?;
         let (name, line) = self.expect_ident("declarator name")?;
         if self.is_punct(Punct::LParen) {
             self.function_or_proto(items, ty, name, line)?;
@@ -387,7 +414,7 @@ impl Parser<'_> {
                         break;
                     }
                     let (base, _) = self.decl_specs()?;
-                    let ty = self.pointers(base);
+                    let ty = self.pointers(base)?;
                     let pname = match &self.cur().tok {
                         CTok::Ident(s) if !self.at_type_start() => {
                             let s = s.clone();
@@ -477,7 +504,7 @@ impl Parser<'_> {
             // Local declaration(s).
             let (base, _) = self.decl_specs()?;
             loop {
-                let ty = self.pointers(base.clone());
+                let ty = self.pointers(base.clone())?;
                 let (name, line) = self.expect_ident("variable name")?;
                 let ty = self.array_suffix(ty)?;
                 let init = if self.eat_punct(Punct::Assign) {

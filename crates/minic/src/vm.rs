@@ -13,10 +13,12 @@
 //!
 //! * every AST node burns exactly once, parent before children, so fuel
 //!   exhaustion stops at the same instruction the tree-walker would;
-//! * variable references arrive as numeric frame slots / global indices —
-//!   the checker guarantees they resolve, so an unset slot can only mean
-//!   an arity-mismatched harness call, which faults `BadValue` exactly
-//!   like the tree-walker's failed name lookup;
+//! * variable references arrive as `Var` operands, frame slots or global
+//!   indices, and every op looks them up through one helper — the checker
+//!   guarantees they resolve, so an unset variable can only mean an
+//!   arity-mismatched harness call or a global whose initialiser faulted,
+//!   which faults `BadValue` exactly like the tree-walker's failed name
+//!   lookup;
 //! * the object heap reproduces the interpreter's id assignment: globals
 //!   allocate first in declaration order, locals allocate at their `Decl`,
 //!   scopes release in push order onto a LIFO free list. Synthetic
@@ -41,8 +43,8 @@
 //! hang of both IDE mutant populations.
 
 use crate::bytecode::{
-    Builtin, CastKind, Coerce, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FusedOp, GFinish, Op,
-    NO_FIELD,
+    BFunc, Builtin, CastKind, Coerce, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FusedOp, GFinish,
+    Op, Var, NO_FIELD,
 };
 use crate::coverage::Coverage;
 use crate::deadline::{Deadline, DEADLINE_CHECK_INTERVAL};
@@ -266,46 +268,36 @@ impl<'a, H: Host> Vm<'a, H> {
     /// Snapshot a global object's elements; `None` for unknown names or
     /// when global initialisation itself faulted.
     pub fn global_values(&mut self, name: &str) -> Option<Vec<Value>> {
-        self.ensure_globals().ok()?;
-        let gidx = self.program.global(name)?;
-        let id = self.globals[gidx as usize]?;
-        let o = self.objects.get(id)?;
-        o.live.then(|| o.data.clone())
+        self.global_data(name).cloned()
     }
 
     /// Read one element of a global object without snapshotting the whole
     /// object (no allocation); `None` for unknown names, dead objects or
     /// out-of-range indexes.
     pub fn global_value(&mut self, name: &str, idx: usize) -> Option<Value> {
-        self.ensure_globals().ok()?;
-        let gidx = self.program.global(name)?;
-        let id = self.globals[gidx as usize]?;
-        let o = self.objects.get(id)?;
-        if !o.live {
-            return None;
-        }
-        o.data.get(idx).cloned()
+        self.global_data(name)?.get(idx).cloned()
     }
 
     /// Overwrite element `idx` of a global object; `false` when the global
     /// or index does not exist.
     pub fn set_global_element(&mut self, name: &str, idx: usize, value: Value) -> bool {
-        if self.ensure_globals().is_err() {
-            return false;
-        }
-        let Some(gidx) = self.program.global(name) else { return false };
-        let Some(id) = self.globals[gidx as usize] else { return false };
-        let Some(o) = self.objects.get_mut(id) else { return false };
-        if !o.live {
-            return false;
-        }
-        match o.data.get_mut(idx) {
+        match self.global_data(name).and_then(|data| data.get_mut(idx)) {
             Some(slot) => {
                 *slot = value;
                 true
             }
             None => false,
         }
+    }
+
+    /// The elements of the global `name`, once the initialisers have run;
+    /// `None` for an unknown name, a dead object, or when initialisation
+    /// faulted.
+    fn global_data(&mut self, name: &str) -> Option<&mut Vec<Value>> {
+        self.ensure_globals().ok()?;
+        let id = self.globals[self.program.global(name)? as usize]?;
+        let o = self.objects.get_mut(id)?;
+        o.live.then_some(&mut o.data)
     }
 
     // ----- setup ----------------------------------------------------------
@@ -394,21 +386,9 @@ impl<'a, H: Host> Vm<'a, H> {
 
     fn run_call(&mut self, fidx: u16, args: &[Value]) -> VmResult<Value> {
         let func = &self.program.funcs[fidx as usize];
-        if self.depth >= MAX_DEPTH {
-            return Err(self.fault(FaultKind::StackOverflow, func.line));
-        }
-        self.depth += 1;
-        self.slot_base = self.slots.len();
-        self.slots.resize(self.slot_base + func.slots as usize, usize::MAX);
-        self.scope_floor = self.scope_bases.len();
-        self.enter_scope();
-        for (i, coerce) in func.params.iter().enumerate() {
-            let Some(arg) = args.get(i) else { break };
-            let v = apply_coerce(*coerce, arg.clone());
-            let id = self.alloc();
-            self.objects[id].data.push(v);
-            self.scope_objs.push(id);
-            self.slots[self.slot_base + i] = id;
+        self.enter_frame(func)?;
+        for (i, (coerce, arg)) in func.params.iter().zip(args).enumerate() {
+            self.bind(i, *coerce, arg.clone());
         }
         let mut ops: &'a [Op] = &func.ops;
         let mut pc = 0usize;
@@ -426,33 +406,11 @@ impl<'a, H: Host> Vm<'a, H> {
                 }
                 Flow::Call { fidx } => {
                     let callee = &self.program.funcs[fidx as usize];
-                    let argc = callee_argc(op);
-                    if self.depth >= MAX_DEPTH {
-                        return Err(self.fault(FaultKind::StackOverflow, callee.line));
-                    }
-                    self.depth += 1;
-                    self.frames.push(Saved {
-                        ops,
-                        pc,
-                        slot_base: self.slot_base,
-                        scope_floor: self.scope_floor,
-                    });
-                    self.slot_base = self.slots.len();
-                    self.slots
-                        .resize(self.slot_base + callee.slots as usize, usize::MAX);
-                    self.scope_floor = self.scope_bases.len();
-                    self.enter_scope();
-                    let base = self.stack.len() - argc;
-                    for i in 0..argc.min(callee.params.len()) {
-                        let arg =
-                            std::mem::replace(&mut self.stack[base + i], Value::Int(0));
-                        let v = apply_coerce(callee.params[i], arg);
-                        let id = self.alloc();
-                        self.objects[id].data.push(v);
-                        self.scope_objs.push(id);
-                        self.slots[self.slot_base + i] = id;
-                    }
-                    self.stack.truncate(base);
+                    let saved =
+                        Saved { ops, pc, slot_base: self.slot_base, scope_floor: self.scope_floor };
+                    self.enter_frame(callee)?;
+                    self.frames.push(saved);
+                    self.bind_args(0, callee_argc(op), &callee.params);
                     ops = &callee.ops;
                     pc = 0;
                 }
@@ -476,6 +434,20 @@ impl<'a, H: Host> Vm<'a, H> {
                 }
             }
         }
+    }
+
+    /// Open `func`'s frame: its slots, unset, and its frame scope. Past
+    /// `MAX_DEPTH` calls this faults `StackOverflow` at `func`'s definition.
+    fn enter_frame(&mut self, func: &BFunc) -> VmResult<()> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.fault(FaultKind::StackOverflow, func.line));
+        }
+        self.depth += 1;
+        self.slot_base = self.slots.len();
+        self.slots.resize(self.slot_base + func.slots as usize, usize::MAX);
+        self.scope_floor = self.scope_bases.len();
+        self.enter_scope();
+        Ok(())
     }
 
     /// Release everything after an error, in the order the tree-walker's
@@ -550,6 +522,36 @@ impl<'a, H: Host> Vm<'a, H> {
             self.objects.push(Obj { live: true, data: Vec::new() });
             self.objects.len() - 1
         }
+    }
+
+    /// Bind `v`, store-coerced, to a fresh object that frame slot `slot`
+    /// names and the innermost scope owns — a parameter or a scalar
+    /// declaration, in the tree-walker's allocation order.
+    fn bind(&mut self, slot: usize, coerce: Coerce, v: Value) {
+        let id = self.alloc();
+        self.objects[id].data.push(apply_coerce(coerce, v));
+        self.own(slot, id);
+    }
+
+    /// Hand the freshly allocated object `id` to the innermost scope and
+    /// name it by frame slot `slot`.
+    fn own(&mut self, slot: usize, id: usize) {
+        self.scope_objs.push(id);
+        self.slots[self.slot_base + slot] = id;
+    }
+
+    /// Bind the top `argc` operand values, first argument deepest, to the
+    /// parameter slots from `first_slot` on, allocating in parameter order
+    /// (the ObjId sequence the oracle's calls produce), and pop them.
+    /// Arguments past `coerces` are dropped unbound, like the
+    /// tree-walker's.
+    fn bind_args(&mut self, first_slot: usize, argc: usize, coerces: &[Coerce]) {
+        let base = self.stack.len() - argc;
+        for (i, coerce) in coerces.iter().enumerate().take(argc) {
+            let arg = std::mem::replace(&mut self.stack[base + i], Value::Int(0));
+            self.bind(first_slot + i, *coerce, arg);
+        }
+        self.stack.truncate(base);
     }
 
     // ----- helpers (mirrors of the interpreter's) -------------------------
@@ -818,73 +820,27 @@ impl<'a, H: Host> Vm<'a, H> {
             Op::PushConst { cidx } => {
                 self.stack.push(self.program.consts[*cidx as usize].clone());
             }
-            Op::LoadLocal { slot, line } => {
+            Op::LoadVar { var, line } => {
                 self.burn(*line)?;
-                let id = self.slots[self.slot_base + *slot as usize];
-                if id == usize::MAX {
-                    return Err(self.fault(FaultKind::BadValue, *line));
-                }
-                self.load_object(id, *line)?;
+                let v = self.var_value(*var, *line)?;
+                self.stack.push(v);
             }
-            Op::LoadGlobal { gidx, line } => {
-                self.burn(*line)?;
-                let Some(id) = self.globals[*gidx as usize] else {
-                    return Err(self.fault(FaultKind::BadValue, *line));
-                };
-                self.load_object(id, *line)?;
+            Op::PlaceVar { var, line } => {
+                let lv = self.var_place(*var, *line)?;
+                self.lvs.push(lv);
             }
-            Op::PlaceLocal { slot, line } => {
-                let id = self.slots[self.slot_base + *slot as usize];
-                if id == usize::MAX {
-                    return Err(self.fault(FaultKind::BadValue, *line));
-                }
-                self.lvs.push(Lval::at(Place { obj: ObjId(id), idx: 0 }));
-            }
-            Op::PlaceGlobal { gidx, line } => {
-                let Some(id) = self.globals[*gidx as usize] else {
-                    return Err(self.fault(FaultKind::BadValue, *line));
-                };
-                self.lvs.push(Lval::at(Place { obj: ObjId(id), idx: 0 }));
-            }
-            Op::PtrPlace { line } => {
-                let v = self.stack.pop().expect("pointer operand");
-                match v {
-                    Value::Ptr(Some(p)) => self.lvs.push(Lval::at(p)),
-                    Value::Ptr(None) => {
-                        return Err(self.fault(FaultKind::NullDeref, *line))
-                    }
-                    _ => return Err(self.fault(FaultKind::BadValue, *line)),
-                }
-            }
+
             Op::IndexPlace { line, idx_line } => {
                 let index = self.stack.pop().expect("index value");
                 let base = self.stack.pop().expect("base value");
                 let i = index
                     .as_int()
                     .ok_or_else(|| self.fault(FaultKind::BadValue, *idx_line))?;
-                match base {
-                    Value::Ptr(Some(p)) => {
-                        let idx = p.idx as i64 + i;
-                        if idx < 0 {
-                            if idx > -(OOB_SLACK as i64) {
-                                self.lvs.push(Lval::at(Place {
-                                    obj: ObjId(ABSORB_OBJ),
-                                    idx: 0,
-                                }));
-                            } else {
-                                return Err(self.fault(FaultKind::OutOfBounds, *line));
-                            }
-                        } else {
-                            self.lvs
-                                .push(Lval::at(Place { obj: p.obj, idx: idx as usize }));
-                        }
-                    }
-                    Value::Ptr(None) => return Err(self.fault(FaultKind::NullDeref, *line)),
-                    _ => return Err(self.fault(FaultKind::BadValue, *line)),
-                }
+                let place = self.index_place(base, i, *line)?;
+                self.lvs.push(Lval::at(place));
             }
-            Op::MemberArrow { line } => {
-                let v = self.stack.pop().expect("arrow base");
+            Op::PtrPlace { line } => {
+                let v = self.stack.pop().expect("pointer operand");
                 match v {
                     Value::Ptr(Some(p)) => self.lvs.push(Lval::at(p)),
                     Value::Ptr(None) => {
@@ -914,17 +870,7 @@ impl<'a, H: Host> Vm<'a, H> {
             }
             Op::MemberValue { fidx, line } => {
                 let v = self.stack.pop().expect("struct rvalue");
-                let Value::Struct(fields) = v else {
-                    return Err(self.fault(FaultKind::BadValue, *line));
-                };
-                if *fidx == NO_FIELD {
-                    return Err(self.fault(FaultKind::BadValue, *line));
-                }
-                let v = fields
-                    .get(*fidx as usize)
-                    .cloned()
-                    .ok_or_else(|| self.fault(FaultKind::BadValue, *line))?;
-                self.reclaim_struct(fields);
+                let v = self.pick_field(v, *fidx, *line)?;
                 self.stack.push(v);
             }
             Op::AddrOf => {
@@ -946,46 +892,25 @@ impl<'a, H: Host> Vm<'a, H> {
             Op::StoreBin { op, line } => {
                 let lv = self.lvs.pop().expect("store target");
                 let rv = self.stack.pop().expect("store value");
-                let old = self.read_place(&lv, *line)?;
-                let new = self.apply_binop(*op, old, rv, *line)?;
-                self.write_place(&lv, new.clone(), *line)?;
+                let new = self.store_op(&lv, *op, rv, *line)?;
                 self.stack.push(new);
             }
-            Op::StoreLocalPop { slot, line } => {
-                let lv = self.local_place(*slot, *line)?;
+            Op::StoreVarPop { var, line } => {
                 let rv = self.stack.pop().expect("store value");
-                self.write_place(&lv, rv, *line)?;
+                self.store_var(*var, rv, *line)?;
             }
-            Op::StoreGlobalPop { gidx, line } => {
-                let lv = self.global_place(*gidx, *line)?;
+            Op::StoreOpVarPop { var, op, line } => {
+                let lv = self.var_place(*var, *line)?;
                 let rv = self.stack.pop().expect("store value");
-                self.write_place(&lv, rv, *line)?;
+                self.store_op(&lv, *op, rv, *line)?;
             }
-            Op::StoreOpLocalPop { slot, op, line } => {
-                let lv = self.local_place(*slot, *line)?;
-                let rv = self.stack.pop().expect("store value");
-                let old = self.read_place(&lv, *line)?;
-                let new = self.apply_binop(*op, old, rv, *line)?;
-                self.write_place(&lv, new, *line)?;
-            }
-            Op::StoreOpGlobalPop { gidx, op, line } => {
-                let lv = self.global_place(*gidx, *line)?;
-                let rv = self.stack.pop().expect("store value");
-                let old = self.read_place(&lv, *line)?;
-                let new = self.apply_binop(*op, old, rv, *line)?;
-                self.write_place(&lv, new, *line)?;
-            }
-            Op::IncDecLocalPop { slot, inc, line } => {
-                let lv = self.local_place(*slot, *line)?;
-                self.inc_dec_discard(&lv, *inc, *line)?;
-            }
-            Op::IncDecGlobalPop { gidx, inc, line } => {
-                let lv = self.global_place(*gidx, *line)?;
-                self.inc_dec_discard(&lv, *inc, *line)?;
+            Op::IncDecVarPop { var, inc, line } => {
+                let lv = self.var_place(*var, *line)?;
+                self.inc_dec(&lv, *inc, false, *line)?;
             }
             Op::IncDec { inc, prefix, line } => {
                 let lv = self.lvs.pop().expect("incdec target");
-                let v = self.inc_dec_value(&lv, *inc, *prefix, *line)?;
+                let v = self.inc_dec(&lv, *inc, *prefix, *line)?;
                 self.stack.push(v);
             }
             Op::Neg { line } => {
@@ -1100,16 +1025,11 @@ impl<'a, H: Host> Vm<'a, H> {
                     _ => data.extend_from_slice(template),
                 }
                 self.objects[id].data = data;
-                self.scope_objs.push(id);
-                self.slots[self.slot_base + *slot as usize] = id;
+                self.own(*slot as usize, id);
             }
             Op::DeclScalar { slot, coerce } => {
                 let v = self.stack.pop().expect("initialiser value");
-                let v = apply_coerce(*coerce, v);
-                let id = self.alloc();
-                self.objects[id].data.push(v);
-                self.scope_objs.push(id);
-                self.slots[self.slot_base + *slot as usize] = id;
+                self.bind(*slot as usize, *coerce, v);
             }
             Op::DeclArray { slot, template, items, coerce } => {
                 let id = self.alloc();
@@ -1122,8 +1042,7 @@ impl<'a, H: Host> Vm<'a, H> {
                     }
                 }
                 self.objects[id].data = data;
-                self.scope_objs.push(id);
-                self.slots[self.slot_base + *slot as usize] = id;
+                self.own(*slot as usize, id);
             }
             Op::DeclStruct { slot, template, items, coerces } => {
                 let mut vals: Vec<Value> =
@@ -1135,23 +1054,16 @@ impl<'a, H: Host> Vm<'a, H> {
                         vals[i] = apply_coerce(coerces[i], v);
                     }
                 }
-                let id = self.alloc();
-                self.objects[id].data.push(Value::Struct(Rc::new(vals)));
-                self.scope_objs.push(id);
-                self.slots[self.slot_base + *slot as usize] = id;
+                self.bind(*slot as usize, Coerce::None, Value::Struct(Rc::new(vals)));
             }
             Op::StoreFieldLocalPop { slot, fidx, line } => {
                 let rv = self.stack.pop().expect("store value");
                 self.store_field_local(*slot, *fidx, *line, rv)?;
             }
-            Op::IncDecJmp { slot, global, inc, line, target } => {
+            Op::IncDecJmp { var, inc, line, target } => {
                 self.burn(*line)?;
-                let lv = if *global {
-                    self.global_place(*slot, *line)?
-                } else {
-                    self.local_place(*slot, *line)?
-                };
-                self.inc_dec_discard(&lv, *inc, *line)?;
+                let lv = self.var_place(*var, *line)?;
+                self.inc_dec(&lv, *inc, false, *line)?;
                 return Ok(Flow::Jump(*target));
             }
             Op::FusedBr { idx } => {
@@ -1173,52 +1085,28 @@ impl<'a, H: Host> Vm<'a, H> {
                 }
                 self.depth += 1;
                 self.enter_scope();
-                // Bind arguments exactly like the out-of-line machinery:
-                // first argument deepest, objects allocated in parameter
-                // order (the ObjId sequence the oracle produces).
+                // Bind arguments exactly like the out-of-line machinery.
                 let coerces = &self.program.field_coerces[*coerces as usize];
-                let argc = *argc as usize;
-                let base = self.stack.len() - argc;
-                for i in 0..argc.min(coerces.len()) {
-                    let arg = std::mem::replace(&mut self.stack[base + i], Value::Int(0));
-                    let v = apply_coerce(coerces[i], arg);
-                    let id = self.alloc();
-                    self.objects[id].data.push(v);
-                    self.scope_objs.push(id);
-                    self.slots[self.slot_base + *first_slot as usize + i] = id;
-                }
-                self.stack.truncate(base);
+                self.bind_args(*first_slot as usize, *argc as usize, coerces);
             }
-            Op::InlineExit => {
-                self.exit_scope();
-                self.depth -= 1;
-            }
+            Op::InlineExit => self.inline_exit(),
             Op::InlineExitPop => {
-                self.exit_scope();
-                self.depth -= 1;
+                self.inline_exit();
                 self.stack.pop().expect("discarded return value");
             }
             Op::InlineExitJmp { target } => {
-                self.exit_scope();
-                self.depth -= 1;
+                self.inline_exit();
                 return Ok(Flow::Jump(*target));
             }
             Op::InlineExitDecl { slot, coerce } => {
-                self.exit_scope();
-                self.depth -= 1;
+                self.inline_exit();
                 let v = self.stack.pop().expect("initialiser value");
-                let v = apply_coerce(*coerce, v);
-                let id = self.alloc();
-                self.objects[id].data.push(v);
-                self.scope_objs.push(id);
-                self.slots[self.slot_base + *slot as usize] = id;
+                self.bind(*slot as usize, *coerce, v);
             }
             Op::InlineExitStore { slot, line } => {
-                self.exit_scope();
-                self.depth -= 1;
-                let lv = self.local_place(*slot, *line)?;
+                self.inline_exit();
                 let rv = self.stack.pop().expect("store value");
-                self.write_place(&lv, rv, *line)?;
+                self.store_var(Var::Local(*slot), rv, *line)?;
             }
             Op::CallUser { fidx, .. } => return Ok(Flow::Call { fidx: *fidx }),
             Op::CallBuiltin { which, argc, line } => {
@@ -1228,25 +1116,14 @@ impl<'a, H: Host> Vm<'a, H> {
                 // them through the scratch buffer.
                 match which {
                     Builtin::Inb | Builtin::Inw | Builtin::Inl if *argc == 1 => {
-                        let port =
-                            self.stack.pop().and_then(|v| v.as_int()).unwrap_or(0) as u16;
-                        let (size, mask) = match which {
-                            Builtin::Inb => (1, 0xFF),
-                            Builtin::Inw => (2, 0xFFFF),
-                            _ => (4, 0xFFFF_FFFF),
-                        };
-                        self.stack.push(Value::Int(self.host.io_read(port, size) & mask));
+                        let port = self.stack.pop().and_then(|v| v.as_int()).unwrap_or(0);
+                        let v = self.port_in(*which, port);
+                        self.stack.push(v);
                     }
                     Builtin::Outb | Builtin::Outw | Builtin::Outl if *argc == 2 => {
-                        let port =
-                            self.stack.pop().and_then(|v| v.as_int()).unwrap_or(0) as u16;
+                        let port = self.stack.pop().and_then(|v| v.as_int()).unwrap_or(0);
                         let value = self.stack.pop().and_then(|v| v.as_int()).unwrap_or(0);
-                        let (size, mask) = match which {
-                            Builtin::Outb => (1, 0xFF),
-                            Builtin::Outw => (2, 0xFFFF),
-                            _ => (4, 0xFFFF_FFFF),
-                        };
-                        self.host.io_write(port, size, value & mask);
+                        self.port_out(*which, port, value);
                         self.stack.push(Value::Int(0));
                     }
                     _ => self.call_builtin(*which, *argc as usize, *line)?,
@@ -1258,24 +1135,50 @@ impl<'a, H: Host> Vm<'a, H> {
         Ok(Flow::Next)
     }
 
-    /// The place of a local slot (the fused-store ops' form of
-    /// `PlaceLocal`, with the same unset-slot fault).
+    /// The object `var` names: the one lookup of a variable, local or
+    /// global. An unset one faults `BadValue` at `line`.
     #[inline]
-    fn local_place(&self, slot: u16, line: u32) -> VmResult<Lval> {
-        let id = self.slots[self.slot_base + slot as usize];
+    fn var_object(&self, var: Var, line: u32) -> VmResult<usize> {
+        let id = match var {
+            Var::Local(slot) => self.slots[self.slot_base + slot as usize],
+            Var::Global(gidx) => self.globals[gidx as usize].unwrap_or(usize::MAX),
+        };
         if id == usize::MAX {
             return Err(self.fault(FaultKind::BadValue, line));
         }
+        Ok(id)
+    }
+
+    /// The place `var` names (`Op::PlaceVar`).
+    #[inline]
+    fn var_place(&self, var: Var, line: u32) -> VmResult<Lval> {
+        let id = self.var_object(var, line)?;
         Ok(Lval::at(Place { obj: ObjId(id), idx: 0 }))
     }
 
-    /// The place of a global (the fused-store ops' form of `PlaceGlobal`).
+    /// The rvalue of `var` (`Op::LoadVar` after its burn): an array
+    /// decays to a pointer to its first element.
     #[inline]
-    fn global_place(&self, gidx: u16, line: u32) -> VmResult<Lval> {
-        let Some(id) = self.globals[gidx as usize] else {
-            return Err(self.fault(FaultKind::BadValue, line));
-        };
-        Ok(Lval::at(Place { obj: ObjId(id), idx: 0 }))
+    fn var_value(&self, var: Var, line: u32) -> VmResult<Value> {
+        let place = Place { obj: ObjId(self.var_object(var, line)?), idx: 0 };
+        let data = self.obj(place, line)?;
+        Ok(if data.len() > 1 { Value::Ptr(Some(place)) } else { data[0].clone() })
+    }
+
+    /// Write `rv` to `var` (`Op::StoreVarPop`).
+    #[inline]
+    fn store_var(&mut self, var: Var, rv: Value, line: u32) -> VmResult<()> {
+        let lv = self.var_place(var, line)?;
+        self.write_place(&lv, rv, line)
+    }
+
+    /// Compound assignment through a place (`Op::StoreBin`): apply `op` to
+    /// the value there and `rv`, write the result back and return it.
+    fn store_op(&mut self, lv: &Lval, op: BinOp, rv: Value, line: u32) -> VmResult<Value> {
+        let old = self.read_place(lv, line)?;
+        let new = self.apply_binop(op, old, rv, line)?;
+        self.write_place(lv, new.clone(), line)?;
+        Ok(new)
     }
 
     /// Execute one superinstruction (see [`FusedOp`] for the exact
@@ -1288,39 +1191,18 @@ impl<'a, H: Host> Vm<'a, H> {
             self.burn(*l)?;
         }
         let mut v = match &f.src {
-            FuseSrc::Local { slot, line } => {
+            FuseSrc::Var { var, line } => {
                 self.burn(*line)?;
-                let id = self.slots[self.slot_base + *slot as usize];
-                if id == usize::MAX {
-                    return Err(self.fault(FaultKind::BadValue, *line));
-                }
-                self.object_value(id, *line)?
+                self.var_value(*var, *line)?
             }
-            FuseSrc::Global { gidx, line } => {
-                self.burn(*line)?;
-                let Some(id) = self.globals[*gidx as usize] else {
-                    return Err(self.fault(FaultKind::BadValue, *line));
-                };
-                self.object_value(id, *line)?
-            }
-            FuseSrc::IncDecLocal { slot, inc, prefix, place_line, line } => {
-                let lv = self.local_place(*slot, *place_line)?;
-                self.inc_dec_value(&lv, *inc, *prefix, *line)?
-            }
-            FuseSrc::IncDecGlobal { gidx, inc, prefix, place_line, line } => {
-                let lv = self.global_place(*gidx, *place_line)?;
-                self.inc_dec_value(&lv, *inc, *prefix, *line)?
+            FuseSrc::IncDec { var, inc, prefix, place_line, line } => {
+                let lv = self.var_place(*var, *place_line)?;
+                self.inc_dec(&lv, *inc, *prefix, *line)?
             }
             FuseSrc::PortIn { which, cidx, port_line } => {
                 self.burn(*port_line)?;
-                let port =
-                    self.program.consts[*cidx as usize].as_int().unwrap_or(0) as u16;
-                let (size, mask) = match which {
-                    Builtin::Inb => (1, 0xFF),
-                    Builtin::Inw => (2, 0xFFFF),
-                    _ => (4, 0xFFFF_FFFF),
-                };
-                Value::Int(self.host.io_read(port, size) & mask)
+                let port = self.program.consts[*cidx as usize].as_int().unwrap_or(0);
+                self.port_in(*which, port)
             }
             FuseSrc::FieldLocal { slot, fidx, place_line, line } => {
                 self.field_local_value(*slot, *fidx, *place_line, *line)?
@@ -1339,18 +1221,7 @@ impl<'a, H: Host> Vm<'a, H> {
             FuseSrc::StackTop => self.stack.pop().expect("fused operand"),
         };
         if let Some((fidx, line)) = f.field {
-            // `Op::MemberValue`: pick one field out of a struct rvalue.
-            let Value::Struct(fields) = v else {
-                return Err(self.fault(FaultKind::BadValue, line));
-            };
-            if fidx == NO_FIELD {
-                return Err(self.fault(FaultKind::BadValue, line));
-            }
-            v = fields
-                .get(fidx as usize)
-                .cloned()
-                .ok_or_else(|| self.fault(FaultKind::BadValue, line))?;
-            self.reclaim_struct(fields);
+            v = self.pick_field(v, fidx, line)?;
         }
         for stage in f.stage1.iter().chain(f.stage2.iter()) {
             let r = match &stage.rhs {
@@ -1358,20 +1229,9 @@ impl<'a, H: Host> Vm<'a, H> {
                     self.burn(*line)?;
                     self.program.consts[*cidx as usize].clone()
                 }
-                FuseRhs::Local { slot, line } => {
+                FuseRhs::Var { var, line } => {
                     self.burn(*line)?;
-                    let id = self.slots[self.slot_base + *slot as usize];
-                    if id == usize::MAX {
-                        return Err(self.fault(FaultKind::BadValue, *line));
-                    }
-                    self.object_value(id, *line)?
-                }
-                FuseRhs::Global { gidx, line } => {
-                    self.burn(*line)?;
-                    let Some(id) = self.globals[*gidx as usize] else {
-                        return Err(self.fault(FaultKind::BadValue, *line));
-                    };
-                    self.object_value(id, *line)?
+                    self.var_value(*var, *line)?
                 }
                 FuseRhs::FieldLocal { slot, fidx, place_line, line } => {
                     self.burn(*line)?;
@@ -1410,93 +1270,42 @@ impl<'a, H: Host> Vm<'a, H> {
                     return Ok(Some(f.target));
                 }
             }
-            FuseEnd::StoreLocal { slot, line } => {
-                let lv = self.local_place(slot, line)?;
-                self.write_place(&lv, v, line)?;
-            }
-            FuseEnd::StoreGlobal { gidx, line } => {
-                let lv = self.global_place(gidx, line)?;
-                self.write_place(&lv, v, line)?;
-            }
+            FuseEnd::StoreVar { var, line } => self.store_var(var, v, line)?,
             FuseEnd::StoreField { slot, fidx, line } => {
                 self.store_field_local(slot, fidx, line, v)?;
             }
-            FuseEnd::DeclScalar { slot, coerce } => {
-                let v = apply_coerce(coerce, v);
-                let id = self.alloc();
-                self.objects[id].data.push(v);
-                self.scope_objs.push(id);
-                self.slots[self.slot_base + slot as usize] = id;
-            }
+            FuseEnd::DeclScalar { slot, coerce } => self.bind(slot as usize, coerce, v),
             FuseEnd::Jump => {
                 self.stack.push(v);
                 return Ok(Some(f.target));
             }
             FuseEnd::In { which } => {
-                let port = v.as_int().unwrap_or(0) as u16;
-                let (size, mask) = match which {
-                    Builtin::Inb => (1, 0xFF),
-                    Builtin::Inw => (2, 0xFFFF),
-                    _ => (4, 0xFFFF_FFFF),
-                };
-                self.stack.push(Value::Int(self.host.io_read(port, size) & mask));
+                let v = self.port_in(which, v.as_int().unwrap_or(0));
+                self.stack.push(v);
             }
             FuseEnd::OutDyn { which, pop } => {
-                let port = v.as_int().unwrap_or(0) as u16;
                 let value = self.stack.pop().and_then(|v| v.as_int()).unwrap_or(0);
-                let (size, mask) = match which {
-                    Builtin::Outb => (1, 0xFF),
-                    Builtin::Outw => (2, 0xFFFF),
-                    _ => (4, 0xFFFF_FFFF),
-                };
-                self.host.io_write(port, size, value & mask);
+                self.port_out(which, v.as_int().unwrap_or(0), value);
                 if !pop {
                     self.stack.push(Value::Int(0));
                 }
             }
             FuseEnd::StoreIndexLocal { slot, line } => {
-                // The `LoadLocal` index burn, then `IndexPlace` + `Store`
+                // The `LoadVar` index burn, then `IndexPlace` + `Store`
                 // semantics with the computed value as the base.
                 self.burn(line)?;
-                let id = self.slots[self.slot_base + slot as usize];
-                if id == usize::MAX {
-                    return Err(self.fault(FaultKind::BadValue, line));
-                }
-                let index = self.object_value(id, line)?;
+                let index = self.var_value(Var::Local(slot), line)?;
                 let i = index
                     .as_int()
                     .ok_or_else(|| self.fault(FaultKind::BadValue, line))?;
-                let place = match v {
-                    Value::Ptr(Some(p)) => {
-                        let idx = p.idx as i64 + i;
-                        if idx < 0 {
-                            if idx > -(OOB_SLACK as i64) {
-                                Place { obj: ObjId(ABSORB_OBJ), idx: 0 }
-                            } else {
-                                return Err(self.fault(FaultKind::OutOfBounds, line));
-                            }
-                        } else {
-                            Place { obj: p.obj, idx: idx as usize }
-                        }
-                    }
-                    Value::Ptr(None) => {
-                        return Err(self.fault(FaultKind::NullDeref, line))
-                    }
-                    _ => return Err(self.fault(FaultKind::BadValue, line)),
-                };
+                let place = self.index_place(v, i, line)?;
                 let rv = self.stack.pop().expect("indexed store value");
                 self.write_place(&Lval::at(place), rv, line)?;
             }
             FuseEnd::PortOut { which, cidx, line, pop } => {
                 self.burn(line)?;
-                let port =
-                    self.program.consts[cidx as usize].as_int().unwrap_or(0) as u16;
-                let (size, mask) = match which {
-                    Builtin::Outb => (1, 0xFF),
-                    Builtin::Outw => (2, 0xFFFF),
-                    _ => (4, 0xFFFF_FFFF),
-                };
-                self.host.io_write(port, size, v.as_int().unwrap_or(0) & mask);
+                let port = self.program.consts[cidx as usize].as_int().unwrap_or(0);
+                self.port_out(which, port, v.as_int().unwrap_or(0));
                 if !pop {
                     self.stack.push(Value::Int(0));
                 }
@@ -1505,30 +1314,80 @@ impl<'a, H: Host> Vm<'a, H> {
         Ok(None)
     }
 
-    /// The rvalue of `local.field` — exact replay of the
-    /// `PlaceLocal; MemberStep; ReadPlace` sequence (fault order
-    /// included), without the three dispatches and the intermediate
-    /// struct clone walk.
+    /// Field `fidx` of the struct rvalue `v` (`Op::MemberValue`),
+    /// recycling the struct's buffer when `v` held its last reference.
     #[inline]
-    fn field_local_value(
-        &self,
-        slot: u16,
-        fidx: u16,
-        place_line: u32,
-        line: u32,
-    ) -> VmResult<Value> {
-        let lv = self.local_place(slot, place_line)?;
-        let base = self.read_place(&lv, line)?;
-        let Value::Struct(fields) = base else {
+    fn pick_field(&mut self, v: Value, fidx: u16, line: u32) -> VmResult<Value> {
+        let Value::Struct(fields) = v else {
             return Err(self.fault(FaultKind::BadValue, line));
         };
         if fidx == NO_FIELD {
             return Err(self.fault(FaultKind::BadValue, line));
         }
-        fields
+        let picked = fields
             .get(fidx as usize)
             .cloned()
-            .ok_or_else(|| self.fault(FaultKind::BadValue, line))
+            .ok_or_else(|| self.fault(FaultKind::BadValue, line))?;
+        self.reclaim_struct(fields);
+        Ok(picked)
+    }
+
+    /// The place `i` elements past the pointer `base` (`Op::IndexPlace`,
+    /// pointer arithmetic): an element just before the object lands in
+    /// absorbing memory, one farther out than `OOB_SLACK` faults.
+    fn index_place(&self, base: Value, i: i64, line: u32) -> VmResult<Place> {
+        let p = match base {
+            Value::Ptr(Some(p)) => p,
+            Value::Ptr(None) => return Err(self.fault(FaultKind::NullDeref, line)),
+            _ => return Err(self.fault(FaultKind::BadValue, line)),
+        };
+        let idx = p.idx as i64 + i;
+        if idx >= 0 {
+            Ok(Place { obj: p.obj, idx: idx as usize })
+        } else if idx > -(OOB_SLACK as i64) {
+            Ok(Place { obj: ObjId(ABSORB_OBJ), idx: 0 })
+        } else {
+            Err(self.fault(FaultKind::OutOfBounds, line))
+        }
+    }
+
+    /// Read a port with the width of `which` (`inb`/`inw`/`inl`).
+    #[inline]
+    fn port_in(&mut self, which: Builtin, port: i64) -> Value {
+        let (size, mask) = port_width(which);
+        Value::Int(self.host.io_read(port as u16, size) & mask)
+    }
+
+    /// Write `value` to a port with the width of `which`
+    /// (`outb`/`outw`/`outl`).
+    #[inline]
+    fn port_out(&mut self, which: Builtin, port: i64, value: i64) {
+        let (size, mask) = port_width(which);
+        self.host.io_write(port as u16, size, value & mask);
+    }
+
+    /// Close an inlined call (`Op::InlineExit`): release its frame scope
+    /// and drop the call depth.
+    fn inline_exit(&mut self) {
+        self.exit_scope();
+        self.depth -= 1;
+    }
+
+    /// The rvalue of `local.field` — exact replay of the
+    /// `PlaceVar; MemberStep; ReadPlace` sequence (fault order
+    /// included), without the three dispatches and the intermediate
+    /// struct clone walk.
+    #[inline]
+    fn field_local_value(
+        &mut self,
+        slot: u16,
+        fidx: u16,
+        place_line: u32,
+        line: u32,
+    ) -> VmResult<Value> {
+        let lv = self.var_place(Var::Local(slot), place_line)?;
+        let base = self.read_place(&lv, line)?;
+        self.pick_field(base, fidx, line)
     }
 
     /// `Op::Cast` semantics over a popped value.
@@ -1556,7 +1415,7 @@ impl<'a, H: Host> Vm<'a, H> {
         })
     }
 
-    /// Write `rv` through `local.field` — the `PlaceLocal; MemberStep;
+    /// Write `rv` through `local.field` — the `PlaceVar; MemberStep;
     /// Store; Pop` tail in one step, fault order preserved (MemberStep's
     /// struct read first, then the field write).
     fn store_field_local(
@@ -1566,7 +1425,7 @@ impl<'a, H: Host> Vm<'a, H> {
         line: u32,
         rv: Value,
     ) -> VmResult<()> {
-        let mut lv = self.local_place(slot, line)?;
+        let mut lv = self.var_place(Var::Local(slot), line)?;
         let base = self.read_place(&lv, line)?;
         if !matches!(base, Value::Struct(_)) {
             return Err(self.fault(FaultKind::BadValue, line));
@@ -1582,15 +1441,11 @@ impl<'a, H: Host> Vm<'a, H> {
         self.write_place(&lv, rv, line)
     }
 
-    /// `++`/`--` through a place producing the expression's value —
-    /// identical semantics to `Op::IncDec`, used by the fused forms.
-    fn inc_dec_value(
-        &mut self,
-        lv: &Lval,
-        inc: bool,
-        prefix: bool,
-        line: u32,
-    ) -> VmResult<Value> {
+    /// `++`/`--` through a place (`Op::IncDec`): write the stepped value
+    /// back and return the expression's value, the new one for a prefix
+    /// form and the old one otherwise. The statement forms discard it and
+    /// pass `prefix: false`, which clones nothing.
+    fn inc_dec(&mut self, lv: &Lval, inc: bool, prefix: bool, line: u32) -> VmResult<Value> {
         let old = self.read_place(lv, line)?;
         let new = match &old {
             Value::Int(i) => Value::Int(if inc { i + 1 } else { i - 1 }),
@@ -1600,41 +1455,9 @@ impl<'a, H: Host> Vm<'a, H> {
             }
             _ => return Err(self.fault(FaultKind::BadValue, line)),
         };
-        self.write_place(lv, new.clone(), line)?;
-        Ok(if prefix { new } else { old })
-    }
-
-    /// `++`/`--` through a place with the result discarded — identical
-    /// value/fault semantics to `Op::IncDec` minus the stack traffic.
-    fn inc_dec_discard(&mut self, lv: &Lval, inc: bool, line: u32) -> VmResult<()> {
-        let old = self.read_place(lv, line)?;
-        let new = match &old {
-            Value::Int(i) => Value::Int(if inc { i + 1 } else { i - 1 }),
-            Value::Ptr(Some(p)) => {
-                let idx = if inc { p.idx + 1 } else { p.idx.wrapping_sub(1) };
-                Value::Ptr(Some(Place { obj: p.obj, idx }))
-            }
-            _ => return Err(self.fault(FaultKind::BadValue, line)),
-        };
-        self.write_place(lv, new, line)
-    }
-
-    fn load_object(&mut self, id: usize, line: u32) -> VmResult<()> {
-        let v = self.object_value(id, line)?;
-        self.stack.push(v);
-        Ok(())
-    }
-
-    /// An object's rvalue (`Op::LoadLocal` semantics without the push).
-    #[inline]
-    fn object_value(&self, id: usize, line: u32) -> VmResult<Value> {
-        let data = self.obj(Place { obj: ObjId(id), idx: 0 }, line)?;
-        // Arrays decay to a pointer to their first element.
-        Ok(if data.len() > 1 {
-            Value::Ptr(Some(Place { obj: ObjId(id), idx: 0 }))
-        } else {
-            data[0].clone()
-        })
+        let result = if prefix { new.clone() } else { old };
+        self.write_place(lv, new, line)?;
+        Ok(result)
     }
 
     // ----- builtins (verbatim semantics of `try_builtin`) -----------------
@@ -1664,21 +1487,9 @@ impl<'a, H: Host> Vm<'a, H> {
     ) -> VmResult<Value> {
         let int_arg = |i: usize| -> i64 { vals.get(i).and_then(Value::as_int).unwrap_or(0) };
         let v = match which {
-            Builtin::Inb => Value::Int(self.host.io_read(int_arg(0) as u16, 1) & 0xFF),
-            Builtin::Inw => Value::Int(self.host.io_read(int_arg(0) as u16, 2) & 0xFFFF),
-            Builtin::Inl => {
-                Value::Int(self.host.io_read(int_arg(0) as u16, 4) & 0xFFFF_FFFF)
-            }
-            Builtin::Outb => {
-                self.host.io_write(int_arg(1) as u16, 1, int_arg(0) & 0xFF);
-                Value::Int(0)
-            }
-            Builtin::Outw => {
-                self.host.io_write(int_arg(1) as u16, 2, int_arg(0) & 0xFFFF);
-                Value::Int(0)
-            }
-            Builtin::Outl => {
-                self.host.io_write(int_arg(1) as u16, 4, int_arg(0) & 0xFFFF_FFFF);
+            Builtin::Inb | Builtin::Inw | Builtin::Inl => self.port_in(which, int_arg(0)),
+            Builtin::Outb | Builtin::Outw | Builtin::Outl => {
+                self.port_out(which, int_arg(1), int_arg(0));
                 Value::Int(0)
             }
             Builtin::Insw | Builtin::Insb => {
@@ -1688,7 +1499,7 @@ impl<'a, H: Host> Vm<'a, H> {
                 let Some(Value::Ptr(Some(p))) = vals.get(1).cloned() else {
                     return Err(self.fault(FaultKind::NullDeref, line));
                 };
-                let (size, mask) = if which == Builtin::Insb { (1, 0xFF) } else { (2, 0xFFFF) };
+                let (size, mask) = port_width(which);
                 if self.fuel >= count as u64 && self.block_span_ok(&p, count) {
                     // Block fast path: one bulk host call, then a straight
                     // element copy into the (bounds-checked) destination.
@@ -1724,7 +1535,7 @@ impl<'a, H: Host> Vm<'a, H> {
                 let Some(Value::Ptr(Some(p))) = vals.get(1).cloned() else {
                     return Err(self.fault(FaultKind::NullDeref, line));
                 };
-                let (size, mask) = if which == Builtin::Outsb { (1, 0xFF) } else { (2, 0xFFFF) };
+                let (size, mask) = port_width(which);
                 if self.fuel >= count as u64 && self.block_span_ok(&p, count) {
                     let mut buf = std::mem::take(&mut self.io_block);
                     buf.clear();
@@ -1932,6 +1743,16 @@ fn callee_argc(op: &Op) -> usize {
     match op {
         Op::CallUser { argc, .. } => *argc as usize,
         _ => unreachable!("Flow::Call only from CallUser"),
+    }
+}
+
+/// The access size and value mask of a port builtin's width: the `b`,
+/// `w` and `l` of `inb`/`outb`/`insb`/`outsb` and their siblings.
+fn port_width(which: Builtin) -> (u8, i64) {
+    match which {
+        Builtin::Inb | Builtin::Outb | Builtin::Insb | Builtin::Outsb => (1, 0xFF),
+        Builtin::Inw | Builtin::Outw | Builtin::Insw | Builtin::Outsw => (2, 0xFFFF),
+        _ => (4, 0xFFFF_FFFF),
     }
 }
 

@@ -1,9 +1,11 @@
-//! The parser's nesting budget (`parser::MAX_NESTING`).
+//! The parser's nesting budgets (`parser::MAX_NESTING`), one for
+//! statements and expressions and one for types.
 //!
 //! The checker, lowering and the interpreter recurse over the syntax
-//! tree, so a deeply nested program could overflow a worker's stack and
-//! abort the process. The parser rejects anything nested deeper than its
-//! budget with a spanned parse error. These tests find, for each nesting
+//! tree and over types, so a deeply nested program could overflow a
+//! worker's stack and abort the process. The parser rejects anything
+//! nested deeper than its budget with a spanned parse error. These tests
+//! find, for each nesting
 //! shape, the deepest program the parser accepts, and check that it
 //! compiles, lowers and runs on both engines within a 2 MiB thread stack
 //! (the size of a spawned campaign or service worker), while one level
@@ -15,73 +17,100 @@ use devil_minic::vm::Vm;
 use devil_minic::CPhase;
 
 /// One nesting shape: the opening text repeated `depth` times around an
-/// innermost statement or operand, then the closing text as often.
+/// innermost statement, operand or declarator name, then the closing text
+/// as often.
 struct Shape {
     name: &'static str,
     open: &'static str,
     inner: &'static str,
     close: &'static str,
-    /// Whether the shape nests statements (else an expression in
-    /// `x = ...;`).
-    statement: bool,
+    at: At,
 }
 
-static SHAPES: [Shape; 8] = [
+/// Where a shape nests.
+enum At {
+    /// In the statements of `f`'s body.
+    Statement,
+    /// In the expression of `x = ...;`.
+    Expression,
+    /// In the declarator of a local, `int ...;`.
+    Declarator,
+    /// In a chain of typedefs before `f`, each naming a pointer to the one
+    /// before it, whose last one types a local (`open`, `inner` and
+    /// `close` are unused).
+    TypedefChain,
+}
+
+static SHAPES: [Shape; 10] = [
     Shape {
         name: "blocks",
         open: "{ ",
         inner: "x = 2;",
         close: "} ",
-        statement: true,
+        at: At::Statement,
     },
     Shape {
         name: "if bodies",
         open: "if (x) { ",
         inner: "x = 2;",
         close: "} ",
-        statement: true,
+        at: At::Statement,
     },
     Shape {
         name: "loops",
         open: "while (x < 2) ",
         inner: "x++;",
         close: "",
-        statement: true,
+        at: At::Statement,
     },
     Shape {
         name: "parentheses",
         open: "(",
         inner: "2",
         close: ")",
-        statement: false,
+        at: At::Expression,
     },
     Shape {
         name: "unary minus",
         open: "- ",
         inner: "2",
         close: "",
-        statement: false,
+        at: At::Expression,
     },
     Shape {
         name: "casts",
         open: "(int)",
         inner: "2",
         close: "",
-        statement: false,
+        at: At::Expression,
     },
     Shape {
         name: "assignments",
         open: "x = ",
         inner: "2",
         close: "",
-        statement: false,
+        at: At::Expression,
     },
     Shape {
         name: "sums",
         open: "",
         inner: "2",
         close: " + 0",
-        statement: false,
+        at: At::Expression,
+    },
+    Shape {
+        name: "pointer declarators",
+        open: "*",
+        inner: "p",
+        close: "",
+        at: At::Declarator,
+    },
+    Shape {
+        name: "typedef chains",
+        open: "",
+        inner: "",
+        close: "",
+        at: At::TypedefChain,
     },
 ];
 
@@ -92,12 +121,20 @@ fn program(shape: &Shape, depth: usize) -> String {
         shape.inner,
         shape.close.repeat(depth)
     );
-    let body = if shape.statement {
-        nested
-    } else {
-        format!("x = {nested};")
+    let mut typedefs = String::new();
+    let body = match shape.at {
+        At::Statement => nested,
+        At::Expression => format!("x = {nested};"),
+        At::Declarator => format!("int {nested};"),
+        At::TypedefChain => {
+            typedefs.push_str("typedef int t0;\n");
+            for k in 1..=depth {
+                typedefs.push_str(&format!("typedef t{} *t{k};\n", k - 1));
+            }
+            format!("t{depth} p;")
+        }
     };
-    format!("int f(void) {{\n  int x = 1;\n  {body}\n  return x;\n}}\n")
+    format!("{typedefs}int f(void) {{\n  int x = 1;\n  {body}\n  return x;\n}}\n")
 }
 
 /// Run `work` on a thread with a worker's 2 MiB stack.
@@ -132,12 +169,16 @@ fn the_deepest_accepted_program_runs_on_a_worker_stack() {
             accepted.expect("one level of nesting is accepted")
         });
         // Every shape holds one or two levels per nesting step, so the
-        // budget allows at least a third of its levels in each.
+        // budget allows at least a third of its levels in each; a type has
+        // the whole of its own budget, wherever it is written.
         assert!(
             deepest >= MAX_NESTING as usize / 3,
             "{}: only {deepest} levels accepted",
             shape.name
         );
+        if matches!(shape.at, At::Declarator | At::TypedefChain) {
+            assert_eq!(deepest, MAX_NESTING as usize, "{}", shape.name);
+        }
         let src = program(shape, deepest);
         let (vm, oracle) = on_worker_stack(move || {
             let program = devil_minic::compile("deep.c", &src).expect("accepted program compiles");

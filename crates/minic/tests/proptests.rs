@@ -141,9 +141,11 @@ proptest! {
     #[test]
     fn fusion_on_and_off_are_identical(e in expr_strategy(), a in any::<i16>(), b in any::<i16>(), fuel in 0u64..600) {
         // Wrap the random expression in the loop shapes the pass targets
-        // (const-bound while, local-bound while, prefix-decrement spin,
-        // port spin) so fused ops actually execute.
-        let src = format!(
+        // (const-bound while, variable-bound while, prefix-decrement spin,
+        // port spin) so fused ops actually execute, once over locals and
+        // once over globals: every variable operand a fused op or a
+        // statement op carries comes in both forms.
+        let over_locals = format!(
             "int f(int a, int b) {{
                 int t = 0;
                 int r = 3;
@@ -156,29 +158,49 @@ proptest! {
             }}",
             expr = e.to_c()
         );
-        let program = devil_minic::compile("t.c", &src).unwrap();
-        let args = [Value::Int(a as i64), Value::Int(b as i64)];
+        let over_globals = format!(
+            "int t;
+            int r;
+            int acc;
+            int lim;
+            int f(int a, int b) {{
+                t = 0;
+                r = 3;
+                acc = 0;
+                lim = b;
+                while (t < 4) {{ t++; acc += {expr}; }}
+                while (t < lim) {{ t++; }}
+                do {{ acc ^= t; }} while (--r > 0);
+                while ((inb(0x1F7) & 0x80) == 0) {{ acc--; }}
+                return acc;
+            }}",
+            expr = e.to_c()
+        );
+        for src in [over_locals, over_globals] {
+            let program = devil_minic::compile("t.c", &src).unwrap();
+            let args = [Value::Int(a as i64), Value::Int(b as i64)];
 
-        let mut ih = NullHost::default();
-        let mut interp = Interpreter::new(&program, &mut ih, fuel);
-        let want = interp.call("f", &args);
-        let want_fuel = interp.fuel_left();
-        let want_cov = interp.coverage().clone();
-        drop(interp);
+            let mut ih = NullHost::default();
+            let mut interp = Interpreter::new(&program, &mut ih, fuel);
+            let want = interp.call("f", &args);
+            let want_fuel = interp.fuel_left();
+            let want_cov = interp.coverage().clone();
+            drop(interp);
 
-        let unfused = program.to_bytecode_unfused();
-        let fused = program.to_bytecode();
-        prop_assert_eq!(unfused.fused_op_count(), 0);
-        prop_assert!(fused.fused_op_count() > 0, "harness loops must fuse");
-        for compiled in [&unfused, &fused] {
-            let mut vh = NullHost::default();
-            let mut vm = Vm::new(compiled, &mut vh, fuel);
-            let got = vm.call("f", &args);
-            prop_assert_eq!(&got, &want, "value diverged for {}", src);
-            prop_assert_eq!(vm.fuel_left(), want_fuel, "fuel diverged for {}", src);
-            prop_assert_eq!(vm.coverage(), &want_cov, "coverage diverged for {}", src);
-            drop(vm);
-            prop_assert_eq!(&vh.log, &ih.log, "console diverged for {}", src);
+            let unfused = program.to_bytecode_unfused();
+            let fused = program.to_bytecode();
+            prop_assert_eq!(unfused.fused_op_count(), 0);
+            prop_assert!(fused.fused_op_count() > 0, "harness loops must fuse");
+            for compiled in [&unfused, &fused] {
+                let mut vh = NullHost::default();
+                let mut vm = Vm::new(compiled, &mut vh, fuel);
+                let got = vm.call("f", &args);
+                prop_assert_eq!(&got, &want, "value diverged for {}", src);
+                prop_assert_eq!(vm.fuel_left(), want_fuel, "fuel diverged for {}", src);
+                prop_assert_eq!(vm.coverage(), &want_cov, "coverage diverged for {}", src);
+                drop(vm);
+                prop_assert_eq!(&vh.log, &ih.log, "console diverged for {}", src);
+            }
         }
     }
 

@@ -345,10 +345,29 @@ fn a_hundred_thousand_deep_submission_is_a_compile_check() {
         "(".repeat(100_000),
         ")".repeat(100_000)
     );
+    rejected_then_clean_boot(&deep, "nesting deeper than");
+}
+
+#[test]
+fn a_hundred_thousand_star_declaration_is_a_compile_check() {
+    // A ~100 KB driver declaring a pointer with 100,000 stars: the
+    // parser's type budget turns it into a spanned compile error, as for
+    // deep expressions.
+    let deep = format!(
+        "int ide_probe(void) {{ int {}p; return 0; }}",
+        "*".repeat(100_000)
+    );
+    rejected_then_clean_boot(&deep, "type nesting deeper than");
+}
+
+/// Submit `deep` to a one-worker `InProcServer`, expect `CompileCheck`
+/// with `message` in its detail, then have the same worker boot the clean
+/// `ide_piix4_c`.
+fn rejected_then_clean_boot(deep: &str, message: &str) {
     let v = find_variant("ide-boot", "ide_piix4_c").expect("catalog driver");
     let server = InProcServer::start(ServeConfig { threads: 1, ..ServeConfig::default() });
     let (mut r, mut w) = server.connect().split();
-    for (id, source) in [(0u64, deep.as_str()), (1, v.source)] {
+    for (id, source) in [(0u64, deep), (1, v.source)] {
         write_frame(&mut w, &Request::Submit(submit_req(id, "ide-boot", "", v.file, source)).encode())
             .unwrap();
         let payload = read_frame(&mut r).unwrap().expect("the submission is answered");
@@ -358,7 +377,7 @@ fn a_hundred_thousand_deep_submission_is_a_compile_check() {
                 let want = if id == 0 { Outcome::CompileCheck } else { Outcome::Boot };
                 assert_eq!(outcome, want, "{detail}");
                 if id == 0 {
-                    assert!(detail.contains("nesting deeper than"), "{detail}");
+                    assert!(detail.contains(message), "{detail}");
                 }
             }
             other => panic!("unexpected response {other:?}"),

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! The flags are those of `devil table3`, parsed by the same
-//! `devil_bench::tables::CampaignArgs`, and every driver the catalog pairs
+//! `devil::cli::CampaignArgs`, and every driver the catalog pairs
 //! with the scenario (default `ide-boot`) is campaigned by the same
 //! `devil_bench::tables::scenario_campaign`, on every available core
 //! unless `--threads` says otherwise: one snapshot-restored machine per
@@ -19,10 +19,9 @@
 //! how many compiles resumed each front-end stage from the cache's
 //! checkpoint of the driver's prefix, and why the others ran in full.
 
+use devil::cli::{usage_error, CampaignArgs};
 use devil::drivers::corpus::find_case;
-use devil_bench::tables::{
-    render_outcome_table, scenario_campaign, usage_error, CampaignArgs, CampaignOptions,
-};
+use devil_bench::tables::{render_outcome_table, scenario_campaign, CampaignOptions};
 
 fn main() {
     let args = CampaignArgs::parse(

@@ -15,6 +15,8 @@
 //! * [`kernel`] — the simulated kernel boot harness and outcome classifier.
 //! * [`drivers`] — the experiment corpus: five Devil specifications and the
 //!   C / CDevil IDE drivers.
+//! * [`cli`] — the command line of the `devil` binary and the
+//!   `mutation_campaign` example.
 //!
 //! ## Quickstart
 //!
@@ -28,6 +30,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+pub mod cli;
 
 pub use devil_core as core;
 pub use devil_drivers as drivers;

@@ -36,12 +36,14 @@
 //! * `selftest` runs both ends over an in-process pipe and exits 1 unless
 //!   every offered submission was answered.
 //!
-//! `devil_bench::tables::CampaignArgs` parses, and documents, every flag;
-//! a subcommand rejects the flags it does not take. A usage error exits 2.
+//! `devil::cli::CampaignArgs` (`src/cli.rs`) parses, and documents, every
+//! flag; a subcommand rejects the flags it does not take. A usage error
+//! exits 2.
 
+use devil::cli::{print_tables, usage_error, CampaignArgs};
 use devil_bench::tables::{
-    self, print_tables, render_outcome_table, render_table1, render_table2, scenario_campaign,
-    scenario_variants, usage_error, CampaignArgs, CampaignOptions, Headline, OutcomeTable,
+    self, render_outcome_table, render_table1, render_table2, scenario_campaign, scenario_variants,
+    CampaignOptions, Headline, OutcomeTable,
 };
 use devil_core::codegen::{generate, CodegenMode};
 use devil_drivers::specs;

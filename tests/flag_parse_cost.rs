@@ -7,7 +7,8 @@
 //! file holds one test, which parses the catalog-free subcommands first,
 //! and a counting allocator measures the bytes each parse allocates.
 
-use devil_bench::tables::{CampaignArgs, CampaignOptions};
+use devil::cli::CampaignArgs;
+use devil_bench::tables::CampaignOptions;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
