@@ -5,11 +5,10 @@
 //! tree and over types, so a deeply nested program could overflow a
 //! worker's stack and abort the process. The parser rejects anything
 //! nested deeper than its budget with a spanned parse error. These tests
-//! find, for each nesting
-//! shape, the deepest program the parser accepts, and check that it
-//! compiles, lowers and runs on both engines within a 2 MiB thread stack
-//! (the size of a spawned campaign or service worker), while one level
-//! deeper, and 100,000 levels deep, is an error.
+//! find, for each nesting shape, the deepest program the parser accepts,
+//! and check that it compiles, lowers and runs on both engines within a
+//! 2 MiB thread stack (the size of a spawned campaign or service worker),
+//! while one level deeper, and 100,000 levels deep, is an error.
 
 use devil_minic::interp::{Interpreter, NullHost};
 use devil_minic::parser::MAX_NESTING;
