@@ -13,10 +13,11 @@
 //!   driver (the machine-reset-only numbers live in the `campaign_reset`
 //!   bench on the NE2000 harness);
 //! * `mutant_pipeline/*` — the full per-mutant pipeline including the
-//!   compile: `ScenarioMachine::run` on the `ide-boot` scenario
-//!   (pre-lexed include cache + VM) vs compile-from-scratch + tree-walker;
-//! * `driver_compile/*` — front-end cost, with and without the include
-//!   cache.
+//!   compile: `ScenarioMachine::run` on the `ide-boot` scenario (include
+//!   cache + VM) vs compile-from-scratch + tree-walker;
+//! * `driver_compile/*` — front-end cost: a full compile, a compile
+//!   resumed from the include cache's front-end checkpoint, and the
+//!   bytecode lowering.
 //!
 //! A full (non `--test`) run records the numbers and the VM-vs-interpreter
 //! speedups under the `boot` key of `BENCH_dispatch.json` (shared with the
@@ -187,7 +188,7 @@ fn emit_json(c: &mut Criterion) {
         criterion::ns_per_iter(rs, "driver_compile/cdevil_driver_cached_includes");
     let entries = criterion::results_json(rs);
     let section = format!(
-        "{{\"workload\": {{\"boot\": \"full simulated IDE boot, tree-walking interpreter vs bytecode VM\", \"mutant_boot\": \"campaign per-mutant unit: snapshot restore + boot of a precompiled driver\", \"mutant_pipeline\": \"per-mutant incl. front end: scratch compile + tree-walk vs ScenarioMachine on ide-boot (include cache + VM)\", \"driver_compile\": \"front-end cost, plus bytecode lowering and the pre-lexed include cache\"}}, \"results\": {entries}, \"speedup\": {{\"boot_c_vm_vs_interp\": {:.2}, \"boot_cdevil_vm_vs_interp\": {:.2}, \"per_mutant_boot_vm_vs_interp\": {:.2}, \"per_mutant_boot_c_vm_vs_interp\": {:.2}, \"per_mutant_pipeline_new_vs_old\": {:.2}, \"cdevil_compile_cached_includes\": {:.2}}}}}",
+        "{{\"workload\": {{\"boot\": \"full simulated IDE boot, tree-walking interpreter vs bytecode VM\", \"mutant_boot\": \"campaign per-mutant unit: snapshot restore + boot of a precompiled driver\", \"mutant_pipeline\": \"per-mutant incl. front end: scratch compile + tree-walk vs ScenarioMachine on ide-boot (include cache + VM)\", \"driver_compile\": \"front-end cost in full and resumed from the include cache's front-end checkpoint, plus bytecode lowering\"}}, \"results\": {entries}, \"speedup\": {{\"boot_c_vm_vs_interp\": {:.2}, \"boot_cdevil_vm_vs_interp\": {:.2}, \"per_mutant_boot_vm_vs_interp\": {:.2}, \"per_mutant_boot_c_vm_vs_interp\": {:.2}, \"per_mutant_pipeline_new_vs_old\": {:.2}, \"cdevil_compile_cached_includes\": {:.2}}}}}",
         boot_c_interp / boot_c_vm,
         boot_cd_interp / boot_cd_vm,
         mut_interp / mut_vm,

@@ -1,116 +1,23 @@
-//! Campaign machine reset throughput: snapshot-restore vs rebuild.
+//! Campaign machine reset: the IDE restore every boot mutant pays.
 //!
-//! The mutation campaigns evaluate thousands of mutants against the same
-//! simulated machine. This bench measures the per-mutant *harness* cost on
-//! the NE2000 campaign — everything except the mutant itself — under the
-//! two strategies:
+//! A mutation campaign builds the simulated machine once per worker and
+//! snapshot-restores it before each mutant. The boot campaigns restore an
+//! IDE machine: a 2 MiB platter plus controller state. `dirty_journal` is
+//! the production path — a boot dirties a couple of sectors, and
+//! restoring the same snapshot again copies only those. `full_platter`
+//! defeats the journal by alternating two (content-identical) snapshots,
+//! so every restore takes the full-copy fallback: exactly the pre-journal
+//! cost.
 //!
-//! * **rebuild_per_mutant** — construct the `IoSpace` (64 K routing
-//!   table), the NE2000 model (16 KiB packet RAM), bind a fresh
-//!   [`DeviceInstance`] (sorting the interning tables), then run the probe
-//!   sequence. This is what `run_parallel` campaigns did before the
-//!   snapshot engine.
-//! * **snapshot_reset** — build all of that once, then per mutant:
-//!   [`IoSpace::restore`] + [`DeviceInstance::reset`] + the same probe.
-//!
-//! A second group isolates the bind cost the ROADMAP calls out (~4 µs for
-//! the NE2000 spec): binding with freshly sorted tables vs binding through
-//! a shared [`SpecTables`].
-//!
-//! A full (non `--test`) run records the numbers and the
-//! reset-vs-rebuild speedup under the `campaign_reset` key of
-//! `BENCH_dispatch.json` (shared with the `bus_dispatch` bench via
-//! `criterion::update_json_section`).
+//! A full (non `--test`) run records the numbers and the journal's
+//! speedup under the `campaign_reset` key of `BENCH_dispatch.json`
+//! (shared with the other benches via `criterion::update_json_section`).
 
 use criterion::{criterion_group, Criterion};
-use devil_core::runtime::{DeviceInstance, SpecTables, StubMode};
-use devil_core::CheckedSpec;
-use devil_drivers::specs;
-use devil_hwsim::devices::{IdeController, Ne2000, SECTOR_SIZE};
-use devil_hwsim::{IoSpace, Snapshot};
+use devil_hwsim::devices::{IdeController, SECTOR_SIZE};
 use devil_kernel::boot::standard_ide_machine;
 use devil_kernel::fs;
 
-const BASE: u16 = 0x300;
-const MAC: [u8; 6] = [0x00, 0x0E, 0xA5, 0x01, 0x02, 0x03];
-
-fn build_machine() -> IoSpace {
-    let mut io = IoSpace::new();
-    io.map(BASE, 0x20, Box::new(Ne2000::new(MAC))).unwrap();
-    io
-}
-
-/// The per-mutant driver workload: the ring/transmit setup sequence an
-/// NE2000 driver runs through its Devil stubs, plus a status read-back.
-fn probe(dev: &mut DeviceInstance<'_>, io: &mut IoSpace) -> u64 {
-    let stop = dev.int_value("stop", 1).unwrap();
-    dev.set(io, "stop", stop).unwrap();
-    let v = dev.int_value("rx_start_page", 0x46).unwrap();
-    dev.set(io, "rx_start_page", v).unwrap();
-    let v = dev.int_value("rx_stop_page", 0x80).unwrap();
-    dev.set(io, "rx_stop_page", v).unwrap();
-    let v = dev.int_value("tx_start_page", 0x40).unwrap();
-    dev.set(io, "tx_start_page", v).unwrap();
-    let v = dev.int_value("boundary", 0x46).unwrap();
-    dev.set(io, "boundary", v).unwrap();
-    let start = dev.int_value("start", 1).unwrap();
-    dev.set(io, "start", start).unwrap();
-    let mut acc = dev.get(io, "boundary").unwrap().raw;
-    acc ^= dev.get(io, "reset_state").unwrap().raw;
-    acc ^ dev.get(io, "dma_done").unwrap().raw
-}
-
-fn bench_campaign_reset(c: &mut Criterion) {
-    let spec: CheckedSpec = specs::compile("ne2000.dil", specs::NE2000).unwrap();
-    let mut g = c.benchmark_group("campaign_reset");
-
-    g.bench_function("rebuild_per_mutant", |b| {
-        b.iter(|| {
-            let mut io = build_machine();
-            let mut dev = DeviceInstance::new(&spec, &[BASE], StubMode::Debug);
-            std::hint::black_box(probe(&mut dev, &mut io))
-        });
-    });
-
-    g.bench_function("snapshot_reset", |b| {
-        let mut io = build_machine();
-        let snap: Snapshot = io.snapshot();
-        let mut dev = DeviceInstance::new(&spec, &[BASE], StubMode::Debug);
-        b.iter(|| {
-            io.restore(&snap).unwrap();
-            dev.reset();
-            std::hint::black_box(probe(&mut dev, &mut io))
-        });
-    });
-
-    g.finish();
-
-    let mut g = c.benchmark_group("ne2000_bind");
-    g.bench_function("fresh_tables", |b| {
-        b.iter(|| std::hint::black_box(DeviceInstance::new(&spec, &[BASE], StubMode::Debug)));
-    });
-    let tables = SpecTables::new(&spec);
-    g.bench_function("shared_tables", |b| {
-        b.iter(|| {
-            std::hint::black_box(DeviceInstance::with_tables(
-                &spec,
-                &tables,
-                &[BASE],
-                StubMode::Debug,
-            ))
-        });
-    });
-    g.finish();
-
-    bench_ide_restore(c);
-}
-
-/// The IDE machine reset the boot campaigns pay per mutant: a 2 MiB
-/// platter plus controller state. `dirty_journal` is the production path —
-/// a boot dirties a couple of sectors, restoring the same snapshot again
-/// copies only those. `full_platter` defeats the journal by alternating
-/// two (content-identical) snapshots, so every restore takes the full-copy
-/// fallback: exactly the pre-journal cost.
 fn bench_ide_restore(c: &mut Criterion) {
     let files = fs::standard_files();
     let mut g = c.benchmark_group("ide_restore");
@@ -148,17 +55,11 @@ fn emit_json(c: &mut Criterion) {
         return;
     }
     let rs = c.results();
-    let rebuild = criterion::ns_per_iter(rs, "campaign_reset/rebuild_per_mutant");
-    let reset = criterion::ns_per_iter(rs, "campaign_reset/snapshot_reset");
-    let bind_fresh = criterion::ns_per_iter(rs, "ne2000_bind/fresh_tables");
-    let bind_shared = criterion::ns_per_iter(rs, "ne2000_bind/shared_tables");
     let ide_dirty = criterion::ns_per_iter(rs, "ide_restore/dirty_journal");
     let ide_full = criterion::ns_per_iter(rs, "ide_restore/full_platter");
     let entries = criterion::results_json(rs);
     let section = format!(
-        "{{\"workload\": {{\"campaign_reset\": \"NE2000 campaign harness: machine + bound debug stubs + 9-access driver probe, rebuilt vs snapshot-restored per mutant\", \"ne2000_bind\": \"DeviceInstance bind of the NE2000 spec, fresh vs shared interning tables\", \"ide_restore\": \"IDE machine reset (2 MiB platter, 2 sectors dirtied): dirty-sector-journal restore vs the full-platter copy fallback\"}}, \"results\": {entries}, \"speedup\": {{\"reset_vs_rebuild\": {:.2}, \"shared_tables_bind_vs_fresh\": {:.2}, \"ide_restore_dirty_vs_full\": {:.2}}}}}",
-        rebuild / reset,
-        bind_fresh / bind_shared,
+        "{{\"workload\": {{\"ide_restore\": \"IDE machine reset (2 MiB platter, 2 sectors dirtied): dirty-sector-journal restore vs the full-platter copy fallback\"}}, \"results\": {entries}, \"speedup\": {{\"ide_restore_dirty_vs_full\": {:.2}}}}}",
         ide_full / ide_dirty,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
@@ -171,7 +72,7 @@ fn emit_json(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_campaign_reset);
+criterion_group!(benches, bench_ide_restore);
 
 fn main() {
     let mut c = Criterion::from_args();

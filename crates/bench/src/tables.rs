@@ -230,9 +230,9 @@ pub fn campaign_spec_revision(v: &DriverVariant, opts: &CampaignOptions) -> u64 
 /// and the hardware's fault plan in `opts`, through the snapshot-reset
 /// engine: one `ScenarioMachine` per worker thread, each mutant evaluated
 /// as restore → compile → drive → classify. Every worker compiles through
-/// one campaign-wide [`IncludeCache`], so the headers are lexed, and the
-/// driver's prefix up to its `#include` is compiled, once per campaign;
-/// the table carries the cache's [`ResumeStats`].
+/// one campaign-wide [`IncludeCache`], so the driver's prefix up to its
+/// `#include` is compiled once per campaign; the table carries the
+/// cache's [`ResumeStats`].
 ///
 /// With a `ledger` (opened with [`campaign_spec_revision`] as its
 /// revision), every classification is appended the moment a worker

@@ -23,7 +23,9 @@
 //!   `relevant` / `fixed_ones` / `fixed_zeros` bit words;
 //! * variable and register names are interned into index tables sorted by
 //!   name, so the string-keyed API resolves a name with a binary search
-//!   over dense IDs instead of a linear scan over `String`s.
+//!   over dense IDs instead of a linear scan over `String`s. Each
+//!   instance sorts and owns its tables: binding is a one-time cost (the
+//!   mutation campaigns run the generated C, and bind no instance).
 //!
 //! After construction, the hot paths — [`DeviceInstance::get_by_id`],
 //! [`DeviceInstance::set_by_id`], [`DeviceInstance::read_register`] and
@@ -36,7 +38,6 @@
 use crate::ast::MappingDir;
 use crate::ir::{CheckedSpec, RegId, VarId, VarType, VariableDef};
 use devil_hwsim::{BusFault, IoBus};
-use std::borrow::Cow;
 use std::fmt;
 
 /// Whether stubs carry the debug machinery.
@@ -173,45 +174,6 @@ struct RegPlan {
     has_pre: bool,
 }
 
-/// Per-specification name-interning tables, computed once and shared by
-/// every [`DeviceInstance`] bound to the same spec.
-///
-/// Binding an instance sorts the variable and register names so the
-/// string-keyed API can binary-search instead of scanning; for campaign
-/// workloads that bind thousands of instances of one spec, that sort is
-/// most of the bind cost. Compute a `SpecTables` once per spec and hand it
-/// to [`DeviceInstance::with_tables`] to pay it exactly once.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecTables {
-    /// Variable indices sorted by variable name (dense-ID interning).
-    vars_by_name: Vec<u32>,
-    /// Register indices sorted by register name.
-    regs_by_name: Vec<u32>,
-}
-
-impl SpecTables {
-    /// Sort `spec`'s variable and register names into interning tables.
-    pub fn new(spec: &CheckedSpec) -> Self {
-        let mut vars_by_name: Vec<u32> = (0..spec.variables.len() as u32).collect();
-        vars_by_name.sort_by(|&a, &b| {
-            spec.variables[a as usize].name.cmp(&spec.variables[b as usize].name)
-        });
-        let mut regs_by_name: Vec<u32> = (0..spec.registers.len() as u32).collect();
-        regs_by_name.sort_by(|&a, &b| {
-            spec.registers[a as usize].name.cmp(&spec.registers[b as usize].name)
-        });
-        SpecTables { vars_by_name, regs_by_name }
-    }
-}
-
-/// Captured mutable state of a [`DeviceInstance`]: the per-register write
-/// cache. Produced by [`DeviceInstance::state`], consumed by
-/// [`DeviceInstance::restore`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstanceState {
-    cache: Vec<u64>,
-}
-
 /// An instantiated device interface: a checked specification bound to
 /// concrete base ports, with per-register write caches and compiled
 /// access plans (see the module docs).
@@ -221,12 +183,10 @@ pub struct DeviceInstance<'s> {
     mode: StubMode,
     cache: Vec<u64>,
     plans: Vec<RegPlan>,
-    /// Variable indices sorted by variable name (dense-ID interning);
-    /// owned when bound with [`DeviceInstance::new`], borrowed when the
-    /// tables are shared via [`DeviceInstance::with_tables`].
-    vars_by_name: Cow<'s, [u32]>,
+    /// Variable indices sorted by variable name (dense-ID interning).
+    vars_by_name: Vec<u32>,
     /// Register indices sorted by register name.
-    regs_by_name: Cow<'s, [u32]>,
+    regs_by_name: Vec<u32>,
 }
 
 impl<'s> DeviceInstance<'s> {
@@ -238,71 +198,6 @@ impl<'s> DeviceInstance<'s> {
     /// Panics if `bases` does not provide exactly one base per parameter —
     /// that is a harness bug, not a runtime condition.
     pub fn new(spec: &'s CheckedSpec, bases: &[u16], mode: StubMode) -> Self {
-        let tables = SpecTables::new(spec);
-        Self::bind(
-            spec,
-            Cow::Owned(tables.vars_by_name),
-            Cow::Owned(tables.regs_by_name),
-            bases,
-            mode,
-        )
-    }
-
-    /// Bind `spec` like [`DeviceInstance::new`], but reuse precomputed
-    /// interning `tables` instead of re-sorting the names — the cheap bind
-    /// path for campaigns instantiating one spec thousands of times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bases` does not provide exactly one base per parameter,
-    /// or if `tables` was computed from a spec with different variable or
-    /// register counts.
-    pub fn with_tables(
-        spec: &'s CheckedSpec,
-        tables: &'s SpecTables,
-        bases: &[u16],
-        mode: StubMode,
-    ) -> Self {
-        assert_eq!(
-            tables.vars_by_name.len(),
-            spec.variables.len(),
-            "interning tables belong to a different specification"
-        );
-        assert_eq!(
-            tables.regs_by_name.len(),
-            spec.registers.len(),
-            "interning tables belong to a different specification"
-        );
-        // Same counts can still hide tables from another spec; a wrong
-        // permutation would silently break binary-search name resolution,
-        // so verify the sort order where binds are not perf-critical.
-        debug_assert!(
-            tables
-                .vars_by_name
-                .windows(2)
-                .all(|w| spec.variables[w[0] as usize].name <= spec.variables[w[1] as usize].name)
-                && tables
-                    .regs_by_name
-                    .windows(2)
-                    .all(|w| spec.registers[w[0] as usize].name <= spec.registers[w[1] as usize].name),
-            "interning tables are not sorted for this specification's names"
-        );
-        Self::bind(
-            spec,
-            Cow::Borrowed(tables.vars_by_name.as_slice()),
-            Cow::Borrowed(tables.regs_by_name.as_slice()),
-            bases,
-            mode,
-        )
-    }
-
-    fn bind(
-        spec: &'s CheckedSpec,
-        vars_by_name: Cow<'s, [u32]>,
-        regs_by_name: Cow<'s, [u32]>,
-        bases: &[u16],
-        mode: StubMode,
-    ) -> Self {
         assert_eq!(
             bases.len(),
             spec.ports.len(),
@@ -326,6 +221,10 @@ impl<'s> DeviceInstance<'s> {
                 has_pre: !r.pre.is_empty(),
             })
             .collect();
+        let mut vars_by_name: Vec<u32> = (0..spec.variables.len() as u32).collect();
+        vars_by_name.sort_by_key(|&i| &spec.variables[i as usize].name);
+        let mut regs_by_name: Vec<u32> = (0..spec.registers.len() as u32).collect();
+        regs_by_name.sort_by_key(|&i| &spec.registers[i as usize].name);
         DeviceInstance {
             spec,
             mode,
@@ -344,29 +243,6 @@ impl<'s> DeviceInstance<'s> {
     /// The stub mode.
     pub fn mode(&self) -> StubMode {
         self.mode
-    }
-
-    /// Forget all cached register state, as if the instance had just been
-    /// bound. Allocation-free; the campaign engine calls this when reusing
-    /// one bound instance across mutants.
-    pub fn reset(&mut self) {
-        self.cache.fill(0);
-    }
-
-    /// Capture the instance's mutable state (the register write cache).
-    pub fn state(&self) -> InstanceState {
-        InstanceState { cache: self.cache.clone() }
-    }
-
-    /// Restore state captured by [`DeviceInstance::state`] from an
-    /// identically shaped instance. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `state` was captured from an instance of a different
-    /// specification (register counts differ).
-    pub fn restore(&mut self, state: &InstanceState) {
-        self.cache.copy_from_slice(&state.cache);
     }
 
     /// Resolve a variable name to its dense ID without allocating.
@@ -879,53 +755,6 @@ device logitech_busmouse (base : bit[8] port @ {0..3})
         let _ = m; // signature latch asserted via get above in other test
         let back = dev.get(&mut io, "signature").unwrap();
         assert_eq!(back.raw, 0x5A);
-    }
-
-    #[test]
-    fn shared_tables_resolve_names_identically() {
-        let (mut io, _, spec) = setup(StubMode::Debug);
-        let tables = SpecTables::new(&spec);
-        let mut owned = DeviceInstance::new(&spec, &[BASE], StubMode::Debug);
-        let mut shared = DeviceInstance::with_tables(&spec, &tables, &[BASE], StubMode::Debug);
-        for name in ["signature", "dx", "dy", "buttons", "config", "interrupt", "index"] {
-            assert_eq!(owned.var_id(name).ok(), shared.var_id(name).ok(), "{name}");
-        }
-        assert!(shared.var_id("nope").is_err());
-        // Same behaviour end to end.
-        let v = shared.int_value("signature", 0x3C).unwrap();
-        shared.set(&mut io, "signature", v).unwrap();
-        assert_eq!(owned.get(&mut io, "signature").unwrap().raw, 0x3C);
-    }
-
-    #[test]
-    #[should_panic(expected = "different specification")]
-    fn foreign_tables_are_rejected() {
-        let (_, _, spec) = setup(StubMode::Debug);
-        let other = crate::check::check(
-            &parse("device d (b : bit[8] port @ {0..0}) { register r = b @ 0 : bit[8]; variable v = r : int(8); }")
-                .unwrap(),
-        )
-        .unwrap();
-        let tables = SpecTables::new(&other);
-        let _ = DeviceInstance::with_tables(&spec, &tables, &[BASE], StubMode::Debug);
-    }
-
-    #[test]
-    fn state_capture_restores_the_write_cache() {
-        let (mut io, _, spec) = setup(StubMode::Debug);
-        let mut dev = DeviceInstance::new(&spec, &[BASE], StubMode::Debug);
-        let dis = dev.value_of("interrupt", "DISABLE").unwrap();
-        dev.set(&mut io, "interrupt", dis).unwrap();
-        let saved = dev.state();
-        // Diverge the cache, then rewind it.
-        let ena = dev.value_of("interrupt", "ENABLE").unwrap();
-        dev.set(&mut io, "interrupt", ena).unwrap();
-        assert_ne!(dev.state(), saved);
-        dev.restore(&saved);
-        assert_eq!(dev.state(), saved);
-        // And reset() forgets everything, like a fresh bind.
-        dev.reset();
-        assert_eq!(dev.state(), DeviceInstance::new(&spec, &[BASE], StubMode::Debug).state());
     }
 
     #[test]

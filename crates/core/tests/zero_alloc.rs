@@ -191,11 +191,10 @@ device ide_min (dp : bit[16] port @ {0..0}, cmd : bit[8] port @ {2..7})
         "IDE register hot path allocated {allocs} times (checksum {checksum:#x})"
     );
 
-    // --- campaign reset: machine restore + instance state rewind ---------
-    // The per-mutant reset loop of the campaign engine: dirty the stub
-    // cache and the machine, then rewind both. Must never allocate.
+    // --- campaign reset: machine restore --------------------------------
+    // The per-mutant reset loop of the campaign engine: dirty the machine
+    // through the stubs, then rewind it. Must never allocate.
     let machine_snap = io.snapshot();
-    let instance_state = dev.state();
     let (allocs, checksum) = allocations_during(|| {
         let mut acc = 0u64;
         for round in 0..1_000u64 {
@@ -203,8 +202,6 @@ device ide_min (dp : bit[16] port @ {0..0}, cmd : bit[8] port @ {2..7})
             dev.set_by_id(&mut io, count, count_val).unwrap();
             acc ^= dev.read_register(&mut io, status).unwrap();
             io.restore(&machine_snap).unwrap();
-            dev.restore(&instance_state);
-            dev.reset();
         }
         acc
     });

@@ -641,12 +641,12 @@ pub struct ScenarioMachine<S: Scenario> {
     io: IoSpace,
     pristine: Snapshot,
     fuel: u64,
-    /// Pre-lexed include headers, built lazily on the first mutant that
-    /// compiles against a given include set and reused while the set is
-    /// unchanged — which in a mutation campaign is every mutant, since
-    /// only the driver file is spliced. The first mutant compiled through
-    /// it also records the front-end checkpoint of the driver's prefix up
-    /// to its `#include`, which later mutants resume from.
+    /// The include cache, built lazily on the first mutant that compiles
+    /// against a given include set and reused while the set is unchanged
+    /// — which in a mutation campaign is every mutant, since only the
+    /// driver file is spliced. The first mutant compiled through it
+    /// records the front-end checkpoint of the driver's prefix up to its
+    /// `#include`, which later mutants resume from.
     include_cache: Option<IncludeCache>,
 }
 
@@ -658,8 +658,8 @@ impl<S: Scenario> ScenarioMachine<S> {
         ScenarioMachine { scenario, io, pristine, fuel, include_cache: None }
     }
 
-    /// Evaluate one mutant: compile it (headers served from the pre-lexed
-    /// include cache), rewind the machine to its pristine snapshot, drive
+    /// Evaluate one mutant: compile it (resuming from the include cache's
+    /// front-end checkpoint), rewind the machine to its pristine snapshot, drive
     /// the scenario through the bytecode VM, and classify — including the
     /// dead-code refinement. Produces exactly the same classification as
     /// the rebuild-per-mutant path ([`run_mutant_in`]), without rebuilding
@@ -682,8 +682,9 @@ impl<S: Scenario> ScenarioMachine<S> {
     /// shared [`IncludeCache`], and bounding the drive by an optional
     /// wall-clock [`Deadline`] (an overrun classifies as
     /// [`Outcome::Deadline`]). The cache is `Sync`: build it once per
-    /// campaign and let every worker's machine borrow it, so the header
-    /// set is lexed once per *campaign* instead of once per worker.
+    /// campaign and let every worker's machine borrow it, so the driver's
+    /// prefix up to its `#include` is compiled once per *campaign*
+    /// instead of once per worker.
     pub fn run_cached(
         &mut self,
         file_name: &str,

@@ -64,7 +64,6 @@
 //! `vm_exec` bench use as the A/B baseline.
 
 use crate::ast::*;
-use crate::coverage;
 use crate::interp::FaultKind;
 use crate::types::{CType, StructId};
 use crate::value::{Place, Value};
@@ -556,8 +555,6 @@ pub struct CompiledProgram {
     /// Superinstruction descriptors referenced by [`Op::FusedBr`]; empty
     /// until [`fuse`] runs.
     pub(crate) fused: Vec<FusedOp>,
-    /// Per-file maximum source line, for coverage sizing.
-    pub(crate) line_bounds: Vec<u32>,
     /// Participating file names (index = `file_id`).
     pub(crate) files: Vec<String>,
 }
@@ -664,7 +661,6 @@ pub(crate) fn lower_with(program: &Program, inline: bool) -> CompiledProgram {
         field_coerces: lw.field_coerces,
         switches: lw.switches,
         fused: Vec::new(),
-        line_bounds: coverage::line_bounds(&program.unit),
         files: program.unit.files.clone(),
     }
 }

@@ -1,20 +1,14 @@
 //! Line-coverage bitmap shared by the tree-walking interpreter and the
 //! bytecode VM.
 //!
-//! The interpreter used to record executed lines in a `HashSet<u32>` of
-//! packed `(file_id, line)` ids — one hash per executed AST node, plus a
-//! full set clone when the boot harness extracted the result. Coverage is
-//! on the hottest path there is (every fuel burn records a line), so this
-//! module replaces the set with per-file bitmaps sized once per program:
-//! an insert is an unpack, an index and an `|=`; extraction is a move.
-//!
-//! The bitmap is sized at compile time from the maximum source line each
-//! participating file contributes to the AST ([`Coverage::for_unit`]).
-//! Inserts beyond the sized range grow the bitmap (they can only come from
-//! synthesized tokens, which carry in-range lines today — growth is a
-//! defensive slow path, not a design point).
+//! Executed lines are packed `(file_id, line)` ids, kept as one bitmap
+//! per file. Coverage is on the hottest path there is (every fuel burn
+//! records a line), so an insert is an unpack, an index and an `|=`, and
+//! extraction is a move. Every run starts from an empty map
+//! ([`Coverage::new`]); an insert past the end of a file's bitmap, or for
+//! a file not seen yet, grows it on a cold path, so each bitmap ends the
+//! run as long as the greatest line it holds.
 
-use crate::ast::Unit;
 use crate::token::unpack_line;
 
 /// Executed-line set over packed `(file_id, line)` ids (see
@@ -26,27 +20,9 @@ pub struct Coverage {
 }
 
 impl Coverage {
-    /// An empty coverage map with no pre-sized files.
+    /// An empty coverage map.
     pub fn new() -> Self {
         Coverage::default()
-    }
-
-    /// Pre-size for a checked unit: one bitmap per participating file,
-    /// sized to the greatest line any of its AST nodes carries.
-    pub fn for_unit(unit: &Unit) -> Self {
-        let bounds = line_bounds(unit);
-        Coverage::with_bounds(&bounds)
-    }
-
-    /// Pre-size from explicit per-file maximum line numbers (index =
-    /// `file_id`), as recorded by the bytecode compiler.
-    pub fn with_bounds(bounds: &[u32]) -> Self {
-        Coverage {
-            files: bounds
-                .iter()
-                .map(|max| vec![0u64; (*max as usize + 64) / 64])
-                .collect(),
-        }
     }
 
     /// Record a packed line as executed.
@@ -154,134 +130,6 @@ impl PartialEq for Coverage {
 
 impl Eq for Coverage {}
 
-/// Maximum 1-based source line per file id appearing anywhere in the AST —
-/// the sizing input for [`Coverage::with_bounds`]. Index = `file_id`.
-pub fn line_bounds(unit: &Unit) -> Vec<u32> {
-    let mut bounds = vec![0u32; unit.files.len()];
-    let mut note = |packed: u32| {
-        let (fid, line) = unpack_line(packed);
-        if bounds.len() <= fid as usize {
-            bounds.resize(fid as usize + 1, 0);
-        }
-        let slot = &mut bounds[fid as usize];
-        *slot = (*slot).max(line);
-    };
-    for item in unit.items() {
-        match item {
-            crate::ast::Item::Global(g) => {
-                note(g.line);
-                if let Some(init) = &g.init {
-                    scan_init(init, &mut note);
-                }
-            }
-            crate::ast::Item::Proto(p) => note(p.line),
-            crate::ast::Item::Func(f) => {
-                note(f.line);
-                scan_block(&f.body, &mut note);
-            }
-        }
-    }
-    bounds
-}
-
-fn scan_init(init: &crate::ast::Init, note: &mut impl FnMut(u32)) {
-    match init {
-        crate::ast::Init::Expr(e) => scan_expr(e, note),
-        crate::ast::Init::List(items) => items.iter().for_each(|e| scan_expr(e, note)),
-    }
-}
-
-fn scan_block(b: &crate::ast::Block, note: &mut impl FnMut(u32)) {
-    b.stmts.iter().for_each(|s| scan_stmt(s, note));
-}
-
-fn scan_stmt(s: &crate::ast::Stmt, note: &mut impl FnMut(u32)) {
-    use crate::ast::Stmt;
-    match s {
-        Stmt::Decl { init, line, .. } => {
-            note(*line);
-            if let Some(init) = init {
-                scan_init(init, note);
-            }
-        }
-        Stmt::Expr(e) => scan_expr(e, note),
-        Stmt::If { cond, then_blk, else_blk } => {
-            scan_expr(cond, note);
-            scan_block(then_blk, note);
-            if let Some(eb) = else_blk {
-                scan_block(eb, note);
-            }
-        }
-        Stmt::While { cond, body } | Stmt::DoWhile { body, cond } => {
-            scan_expr(cond, note);
-            scan_block(body, note);
-        }
-        Stmt::For { init, cond, step, body } => {
-            if let Some(init) = init {
-                scan_stmt(init, note);
-            }
-            if let Some(c) = cond {
-                scan_expr(c, note);
-            }
-            if let Some(st) = step {
-                scan_expr(st, note);
-            }
-            scan_block(body, note);
-        }
-        Stmt::Switch { expr, arms, line } => {
-            note(*line);
-            scan_expr(expr, note);
-            for arm in arms {
-                arm.stmts.iter().for_each(|st| scan_stmt(st, note));
-            }
-        }
-        Stmt::Return(e, line) => {
-            note(*line);
-            if let Some(e) = e {
-                scan_expr(e, note);
-            }
-        }
-        Stmt::Break(line) | Stmt::Continue(line) => note(*line),
-        Stmt::Block(b) => scan_block(b, note),
-        Stmt::Empty => {}
-    }
-}
-
-fn scan_expr(e: &crate::ast::Expr, note: &mut impl FnMut(u32)) {
-    use crate::ast::Expr;
-    note(e.line());
-    match e {
-        Expr::IntLit { .. }
-        | Expr::CharLit { .. }
-        | Expr::StrLit { .. }
-        | Expr::Ident { .. }
-        | Expr::SizeofType { .. } => {}
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
-            scan_expr(expr, note)
-        }
-        Expr::Binary { lhs, rhs, .. }
-        | Expr::Assign { lhs, rhs, .. }
-        | Expr::Comma { lhs, rhs } => {
-            scan_expr(lhs, note);
-            scan_expr(rhs, note);
-        }
-        Expr::Cond { cond, then_e, else_e, .. } => {
-            scan_expr(cond, note);
-            scan_expr(then_e, note);
-            scan_expr(else_e, note);
-        }
-        Expr::Call { callee, args, .. } => {
-            scan_expr(callee, note);
-            args.iter().for_each(|a| scan_expr(a, note));
-        }
-        Expr::Index { base, index, .. } => {
-            scan_expr(base, note);
-            scan_expr(index, note);
-        }
-        Expr::Member { base, .. } => scan_expr(base, note),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,7 +137,7 @@ mod tests {
 
     #[test]
     fn insert_contains_roundtrip() {
-        let mut c = Coverage::with_bounds(&[100, 50]);
+        let mut c = Coverage::new();
         assert!(c.is_empty());
         c.insert(pack_line(0, 7));
         c.insert(pack_line(1, 50));
@@ -303,15 +151,15 @@ mod tests {
 
     #[test]
     fn out_of_range_insert_grows() {
-        let mut c = Coverage::with_bounds(&[4]);
+        let mut c = Coverage::new();
         c.insert(pack_line(3, 9999));
         assert!(c.contains(pack_line(3, 9999)));
     }
 
     #[test]
     fn equality_ignores_sizing() {
-        let mut a = Coverage::with_bounds(&[100]);
-        let mut b = Coverage::with_bounds(&[1000, 30]);
+        let mut a = Coverage::new();
+        let mut b = Coverage::new();
         a.insert(pack_line(0, 42));
         b.insert(pack_line(0, 42));
         assert_eq!(a, b);
@@ -321,7 +169,7 @@ mod tests {
 
     #[test]
     fn iter_yields_sorted_packed_lines() {
-        let mut c = Coverage::with_bounds(&[100, 100]);
+        let mut c = Coverage::new();
         for p in [pack_line(1, 3), pack_line(0, 64), pack_line(0, 2)] {
             c.insert(p);
         }
@@ -333,7 +181,7 @@ mod tests {
     fn line_zero_round_trips() {
         // Line 0 never comes from real tokens (lines are 1-based), but the
         // bitmap must not treat it specially: bit 0 of word 0.
-        let mut c = Coverage::with_bounds(&[10]);
+        let mut c = Coverage::new();
         assert!(!c.contains(pack_line(0, 0)));
         c.insert(pack_line(0, 0));
         assert!(c.contains(pack_line(0, 0)));
@@ -343,10 +191,9 @@ mod tests {
 
     #[test]
     fn lines_past_the_last_word_grow_and_query_clean() {
-        // `with_bounds(&[64])` sizes two words (lines 0..=127). Lines past
-        // the last word must query false without panicking, and insert
-        // through the grow path.
-        let mut c = Coverage::with_bounds(&[64]);
+        // An empty map holds no words. Lines past the last word must
+        // query false without panicking, and insert through the grow path.
+        let mut c = Coverage::new();
         assert!(!c.contains(pack_line(0, 128)));
         assert!(!c.contains(pack_line(0, 100_000)));
         c.insert(pack_line(0, 128)); // first bit of the word past the end
@@ -361,9 +208,9 @@ mod tests {
     fn merge_of_differently_sized_bitmaps() {
         // Small ∪ large and large ∪ small must agree, grow correctly, and
         // leave the source untouched.
-        let mut small = Coverage::with_bounds(&[10]);
+        let mut small = Coverage::new();
         small.insert(pack_line(0, 3));
-        let mut large = Coverage::with_bounds(&[500, 100]);
+        let mut large = Coverage::new();
         large.insert(pack_line(0, 400));
         large.insert(pack_line(1, 64));
 
@@ -387,23 +234,11 @@ mod tests {
 
     #[test]
     fn merge_is_idempotent() {
-        let mut c = Coverage::with_bounds(&[64]);
+        let mut c = Coverage::new();
         c.insert(pack_line(0, 5));
         let copy = c.clone();
         c.merge(&copy);
         assert_eq!(c, copy);
         assert_eq!(c.count(), 1);
-    }
-
-    #[test]
-    fn bounds_cover_every_ast_line() {
-        let p = crate::compile(
-            "t.c",
-            "int g = 3;\nint f(int x) {\n  if (x) {\n    return 1;\n  }\n  return 2;\n}",
-        )
-        .unwrap();
-        let bounds = line_bounds(&p.unit);
-        assert_eq!(bounds.len(), 1);
-        assert!(bounds[0] >= 6, "{bounds:?}");
     }
 }

@@ -239,7 +239,7 @@ impl<'a, H: Host> Interpreter<'a, H> {
             globals_ready: false,
             scopes: Vec::new(),
             frame_bases: Vec::new(),
-            coverage: Coverage::for_unit(&program.unit),
+            coverage: Coverage::new(),
             depth: 0,
         }
     }

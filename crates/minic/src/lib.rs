@@ -133,15 +133,15 @@ pub fn compile_with_includes(
     Ok(Program { unit, structs })
 }
 
-/// Like [`compile_with_includes`], resolving includes against a pre-lexed
-/// [`pp::IncludeCache`] — the mutation-campaign fast path, where thousands
-/// of mutated drivers compile against one unchanged header set. Build the
-/// cache once (it is `Sync`; campaign workers can share it): the headers
-/// are lexed once, and the main file's prefix up to its last `#include`
-/// is preprocessed, parsed and checked once, by the first compile through
-/// the cache (see [Front-end checkpoints](crate#front-end-checkpoints)).
-/// Later compiles of the same file starting with the same prefix bytes
-/// compile only what follows it.
+/// Like [`compile_with_includes`], over a [`pp::IncludeCache`]'s include
+/// set — the mutation-campaign fast path, where thousands of mutated
+/// drivers compile against one unchanged header set. Build the cache once
+/// (it is `Sync`; campaign workers can share it): the main file's prefix
+/// up to its last `#include` is preprocessed, parsed and checked once, by
+/// the first compile through the cache (see
+/// [Front-end checkpoints](crate#front-end-checkpoints)). Later compiles
+/// of the same file starting with the same prefix bytes compile only what
+/// follows it; any other source compiles in full.
 ///
 /// # Errors
 ///

@@ -7,7 +7,7 @@
 use crate::ast::*;
 use crate::error::{CError, CPhase};
 use crate::token::{CTok, CToken, Punct};
-use crate::types::{CType, StructDef, StructTable};
+use crate::types::{CType, StructDef, StructId, StructTable};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,6 +23,11 @@ use std::sync::Arc;
 /// (declarator stars, array suffixes, a typedef naming a deep type, the
 /// type name of a cast or `sizeof`). Where the type is written does not
 /// count against the statement budget.
+///
+/// Structs held by value have a third budget of the same size: a value
+/// of a struct may nest at most this many structs and arrays, counting
+/// its own level, however its definitions are spread over the unit. A
+/// struct that holds itself by value nests without end and is rejected.
 ///
 /// The checker, lowering and the interpreter recurse over the tree the
 /// parser builds, and every pass clones, compares and drops types
@@ -69,14 +74,54 @@ pub(crate) fn parse_from<'s>(
         pos: 0,
         depth: 0,
         structs: start.structs.clone(),
+        struct_depths: HashMap::new(),
+        completed: false,
         typedefs: Cow::Borrowed(&start.typedefs),
     };
     let mut items = Vec::new();
     while !p.at_eof() {
         p.top_level(&mut items)?;
     }
+    if p.completed {
+        // A body given to a struct declared earlier can deepen every
+        // struct that holds it, measured or not.
+        p.struct_depths.clear();
+        for id in (0..p.structs.len()).map(StructId) {
+            p.admit_struct(id)?;
+        }
+    }
     let unit = Unit::new(start.items.clone(), items, p.structs, files);
     Ok((unit, p.typedefs))
+}
+
+/// How many structs and arrays a value of `ty` nests, or `None` past
+/// [`MAX_NESTING`]. `outer` levels already hold the value, which stops
+/// the walk around a struct that holds itself; `known` keeps the depth of
+/// every struct measured.
+fn value_depth(
+    structs: &StructTable,
+    ty: &CType,
+    outer: u32,
+    known: &mut HashMap<StructId, u32>,
+) -> Option<u32> {
+    let inner = match ty {
+        CType::Struct(id) if known.contains_key(id) => return Some(known[id]),
+        CType::Array(..) | CType::Struct(_) if outer >= MAX_NESTING => return None,
+        CType::Array(elem, _) => value_depth(structs, elem, outer + 1, known)?,
+        CType::Struct(id) => {
+            let mut deepest = 0;
+            for (_, field) in &structs.get(*id).fields {
+                deepest = deepest.max(value_depth(structs, field, outer + 1, known)?);
+            }
+            deepest
+        }
+        CType::Void | CType::Int { .. } | CType::Ptr(_) => return Some(0),
+    };
+    let depth = (inner < MAX_NESTING).then_some(inner + 1)?;
+    if let CType::Struct(id) = ty {
+        known.insert(*id, depth);
+    }
+    Some(depth)
 }
 
 struct Parser<'s> {
@@ -85,6 +130,11 @@ struct Parser<'s> {
     /// Nesting levels held now (see [`MAX_NESTING`]).
     depth: u32,
     structs: StructTable,
+    /// How many structs and arrays a value of each struct measured so
+    /// far nests (see [`value_depth`]).
+    struct_depths: HashMap<StructId, u32>,
+    /// Whether a struct declared without a body got one later.
+    completed: bool,
     typedefs: Cow<'s, HashMap<String, CType>>,
 }
 
@@ -250,7 +300,15 @@ impl Parser<'_> {
             let (tag, _) = self.expect_ident("struct tag")?;
             if self.is_punct(Punct::LBrace) {
                 let fields = self.struct_body()?;
+                let declared = self.structs.lookup(&tag);
+                if declared.is_some_and(|id| self.structs.get(id).fields.is_empty()) {
+                    // The depths measured so far may have counted this
+                    // struct as empty.
+                    self.completed = true;
+                    self.struct_depths.clear();
+                }
                 let id = self.structs.define(StructDef { name: tag, fields });
+                self.admit_struct(id)?;
                 CType::Struct(id)
             } else {
                 let id = self
@@ -300,6 +358,15 @@ impl Parser<'_> {
             return Err(self.error(format!("type nesting deeper than {MAX_NESTING} levels")));
         }
         Ok(())
+    }
+
+    /// Admit struct `id`, or fail at the current token once a value of it
+    /// would nest more than [`MAX_NESTING`] structs and arrays.
+    fn admit_struct(&mut self, id: StructId) -> Result<(), CError> {
+        match value_depth(&self.structs, &CType::Struct(id), 0, &mut self.struct_depths) {
+            Some(_) => Ok(()),
+            None => Err(self.error(format!("struct nesting deeper than {MAX_NESTING} levels"))),
+        }
     }
 
     /// Pointer stars after the base type.

@@ -36,73 +36,27 @@ enum Macro {
     Function { params: Vec<String>, body: Vec<CToken> },
 }
 
-/// Pre-lexed include files, reusable across many compiles of *mutated*
-/// drivers against the *same* headers — the hot shape of a mutation
-/// campaign, where only the driver file changes per mutant while the
-/// generated stub header (often the bulk of the token stream) is
-/// byte-identical every time.
-///
-/// Each entry caches the include's comment stripping, logical-line
-/// assembly and tokenisation; directives are kept as text and replayed, so
-/// macro definitions still land in the including unit's macro table.
-/// Caching is *sound-by-construction*: an include is only cached when it
-/// contains no conditional directives (`#ifdef` families can skip lines,
-/// and skipped lines must never be eagerly lexed) and lexes cleanly;
-/// anything else falls back to the uncached path. Tokens are stamped with
-/// the `file_id` assigned on first inclusion; in the (pathological) event
-/// a later compile assigns a different id, the entry is bypassed rather
-/// than served stale.
-///
-/// The cache also holds the main file's front-end checkpoint (see
+/// The include set a campaign compiles every mutant of one driver
+/// against, and the driver's front-end checkpoint (see
 /// [`crate::compile_with_cache`]): the first compile through the cache
-/// pins its prefix, and counts of how later compiles used it are kept in
-/// [`IncludeCache::resume_stats`].
+/// pins the main file's prefix, up to its last `#include`, and counts of
+/// how later compiles used it are kept in [`IncludeCache::resume_stats`].
 ///
-/// The cache is immutable after construction (`OnceLock` per entry and
-/// for the checkpoint; the counts are atomics) and `Sync`, so one
-/// instance can serve every worker of a `mutagen::Campaign`
-/// simultaneously.
+/// The cache is immutable after construction (a `OnceLock` holds the
+/// checkpoint; the counts are atomics) and `Sync`, so one instance can
+/// serve every worker of a `mutagen::Campaign` simultaneously.
 #[derive(Debug, Default)]
 pub struct IncludeCache {
-    entries: Vec<CacheEntry>,
+    includes: Vec<(String, String)>,
     pub(crate) checkpoint: OnceLock<Option<Checkpoint>>,
     pub(crate) counters: Counters,
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    name: String,
-    text: String,
-    lexed: OnceLock<Option<PreLexed>>,
-}
-
-#[derive(Debug)]
-struct PreLexed {
-    file_id: u16,
-    lines: Vec<PLLine>,
-}
-
-#[derive(Debug)]
-enum PLLine {
-    /// An ordinary line, fully tokenised.
-    Toks(Vec<CToken>),
-    /// A directive: the text after `#`, replayed at include time.
-    Directive { line: u32, off: usize, rest: String },
-}
-
 impl IncludeCache {
-    /// Build a cache over `(name, text)` include files. Lexing happens
-    /// lazily on each include's first use.
+    /// Build a cache over `(name, text)` include files.
     pub fn new(includes: &[(&str, &str)]) -> Self {
         IncludeCache {
-            entries: includes
-                .iter()
-                .map(|(n, t)| CacheEntry {
-                    name: n.to_string(),
-                    text: t.to_string(),
-                    lexed: OnceLock::new(),
-                })
-                .collect(),
+            includes: includes.iter().map(|(n, t)| (n.to_string(), t.to_string())).collect(),
             ..IncludeCache::default()
         }
     }
@@ -116,55 +70,19 @@ impl IncludeCache {
     /// Whether the cache holds any include file at all — without one, no
     /// prefix can end in an `#include` that compiles.
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.includes.is_empty()
     }
 
     /// Whether this cache was built over exactly these include files.
     pub fn matches(&self, includes: &[(&str, &str)]) -> bool {
-        self.entries.len() == includes.len()
-            && self
-                .entries
-                .iter()
-                .zip(includes)
-                .all(|(e, (n, t))| e.name == *n && e.text == *t)
+        self.includes.len() == includes.len()
+            && self.includes.iter().zip(includes).all(|((n, t), (m, u))| n == m && t == u)
     }
 
     /// The include set as borrowed `(name, text)` pairs.
     pub fn includes(&self) -> Vec<(&str, &str)> {
-        self.entries
-            .iter()
-            .map(|e| (e.name.as_str(), e.text.as_str()))
-            .collect()
+        self.includes.iter().map(|(n, t)| (n.as_str(), t.as_str())).collect()
     }
-
-    fn entry(&self, name: &str) -> Option<&CacheEntry> {
-        self.entries.iter().find(|e| e.name == name)
-    }
-}
-
-/// Tokenise an include eagerly, or report it uncacheable (`None`).
-fn prelex(name: &str, file_id: u16, source: &str) -> Option<PreLexed> {
-    let (text, _) = strip_block_comments(source);
-    let mut lines = Vec::new();
-    for (line, off, text) in logical_lines(&text, LineStart::TOP) {
-        let trimmed = text.trim_start();
-        if let Some(rest) = trimmed.strip_prefix('#') {
-            let rest = rest.trim_start();
-            let (directive, _) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
-            if matches!(directive, "ifdef" | "ifndef" | "else" | "endif") {
-                // Conditional inclusion can skip lines, and skipped lines
-                // are never lexed — eager lexing would change semantics.
-                return None;
-            }
-            lines.push(PLLine::Directive { line, off, rest: rest.to_string() });
-        } else {
-            match lex_line(name, file_id, line, off, &text) {
-                Ok(toks) => lines.push(PLLine::Toks(toks)),
-                Err(_) => return None, // let the uncached path re-raise it
-            }
-        }
-    }
-    Some(PreLexed { file_id, lines })
 }
 
 /// Run the preprocessor over `source`, resolving `#include "name"` against
@@ -183,12 +101,13 @@ pub fn preprocess(
     source: &str,
     includes: &[(&str, &str)],
 ) -> Result<(Vec<CToken>, Vec<String>), CError> {
-    preprocess_impl(file, source, includes, None)
+    let mut pp = Preprocessor::new(includes, Cow::Owned(HashMap::new()), vec![file.to_string()]);
+    pp.file(file, 0, source, LineStart::TOP)?;
+    pp.finish(file, source)
 }
 
-/// Like [`preprocess`], resolving `#include` against a pre-lexed
-/// [`IncludeCache`] — the campaign fast path, where only the driver file
-/// changes between compiles.
+/// [`preprocess`] over an [`IncludeCache`]'s include set — the whole
+/// unit, without its front-end checkpoint.
 ///
 /// # Errors
 ///
@@ -198,19 +117,7 @@ pub fn preprocess_cached(
     source: &str,
     cache: &IncludeCache,
 ) -> Result<(Vec<CToken>, Vec<String>), CError> {
-    let includes = cache.includes();
-    preprocess_impl(file, source, &includes, Some(cache))
-}
-
-fn preprocess_impl(
-    file: &str,
-    source: &str,
-    includes: &[(&str, &str)],
-    cache: Option<&IncludeCache>,
-) -> Result<(Vec<CToken>, Vec<String>), CError> {
-    let mut pp = Preprocessor::new(includes, cache, Cow::Owned(HashMap::new()), vec![file.to_string()]);
-    pp.file(file, 0, source, LineStart::TOP)?;
-    pp.finish(file, source)
+    preprocess(file, source, &cache.includes())
 }
 
 /// A preprocessed unit: its token stream, and its file names (index =
@@ -239,7 +146,7 @@ pub(crate) fn preprocess_prefix(
     cache: &IncludeCache,
 ) -> Result<(PrefixState, Expanded), CError> {
     let includes = cache.includes();
-    let mut pp = Preprocessor::new(&includes, Some(cache), Cow::Owned(HashMap::new()), vec![file.to_string()]);
+    let mut pp = Preprocessor::new(&includes, Cow::Owned(HashMap::new()), vec![file.to_string()]);
     pp.file(file, 0, prefix, LineStart::TOP)?;
     let files = pp.files.clone();
     let tokens = pp.finish(file, prefix)?;
@@ -269,7 +176,7 @@ pub(crate) fn preprocess_rest(
     prefix_len: usize,
     state: &PrefixState,
 ) -> Result<Result<Expanded, CError>, Guard> {
-    let mut pp = Preprocessor::new(&[], None, Cow::Borrowed(&state.macros), state.files.clone());
+    let mut pp = Preprocessor::new(&[], Cow::Borrowed(&state.macros), state.files.clone());
     pp.frozen = true;
     let lexed = pp.file(file, 0, &source[prefix_len..], state.rest);
     if pp.declined {
@@ -307,7 +214,6 @@ pub(crate) fn prefix_cut(source: &str) -> Option<usize> {
 
 struct Preprocessor<'a> {
     includes: &'a [(&'a str, &'a str)],
-    cache: Option<&'a IncludeCache>,
     /// Borrowed from a checkpoint when resuming, owned otherwise.
     macros: Cow<'a, HashMap<String, Macro>>,
     /// Resuming after a checkpoint's cut: a directive stops the run and
@@ -425,13 +331,11 @@ fn strip_block_comments(src: &str) -> (String, bool) {
 impl<'a> Preprocessor<'a> {
     fn new(
         includes: &'a [(&'a str, &'a str)],
-        cache: Option<&'a IncludeCache>,
         macros: Cow<'a, HashMap<String, Macro>>,
         files: Vec<String>,
     ) -> Self {
         Preprocessor {
             includes,
-            cache,
             macros,
             frozen: false,
             declined: false,
@@ -531,31 +435,6 @@ impl<'a> Preprocessor<'a> {
         Ok(())
     }
 
-    /// Replay a pre-lexed (conditional-free) include: splice its token
-    /// lines and process its directives against the current macro table.
-    fn file_prelexed(&mut self, name: &str, pl: &PreLexed) -> Result<(), CError> {
-        self.depth += 1;
-        if self.depth > 16 {
-            return Err(CError::new(CPhase::Preprocess, name, 1, "include depth exceeded"));
-        }
-        for l in &pl.lines {
-            match l {
-                PLLine::Toks(toks) => self.raw.extend(toks.iter().cloned()),
-                PLLine::Directive { line, off, rest } => {
-                    let (directive, args) =
-                        rest.split_once(char::is_whitespace).unwrap_or((rest.as_str(), ""));
-                    debug_assert!(
-                        !matches!(directive, "ifdef" | "ifndef" | "else" | "endif"),
-                        "prelex rejects conditional includes"
-                    );
-                    self.active_directive(name, pl.file_id, *line, *off, directive, args)?;
-                }
-            }
-        }
-        self.depth -= 1;
-        Ok(())
-    }
-
     /// Handle one *active* non-conditional directive.
     fn active_directive(
         &mut self,
@@ -594,28 +473,14 @@ impl<'a> Preprocessor<'a> {
                         format!("include file \"{inner}\" not found"),
                     ));
                 };
-                let owned = text.to_string();
-                let inner_name = inner.to_string();
-                let inner_id = match self.files.iter().position(|f| f == &inner_name) {
+                let inner_id = match self.files.iter().position(|f| f == inner) {
                     Some(i) => i as u16,
                     None => {
-                        self.files.push(inner_name.clone());
+                        self.files.push(inner.to_string());
                         (self.files.len() - 1) as u16
                     }
                 };
-                if let Some(cache) = self.cache {
-                    if let Some(entry) = cache.entry(&inner_name) {
-                        let lexed = entry
-                            .lexed
-                            .get_or_init(|| prelex(&inner_name, inner_id, &entry.text));
-                        if let Some(pl) = lexed {
-                            if pl.file_id == inner_id {
-                                return self.file_prelexed(&inner_name, pl);
-                            }
-                        }
-                    }
-                }
-                self.file(&inner_name, inner_id, &owned, LineStart::TOP)
+                self.file(inner, inner_id, text, LineStart::TOP)
             }
             other => Err(CError::new(
                 CPhase::Preprocess,
@@ -1062,8 +927,8 @@ mod tests {
 
     #[test]
     fn conditional_includes_bypass_the_cache() {
-        // The include defines A only under #ifndef; the cache must not
-        // eagerly lex (or mis-replay) the conditional structure.
+        // The include defines `a` only under #ifndef; the skipped branch
+        // is never lexed, through a cache or not.
         let header = "#ifndef SKIP\nint a;\n#else\nbad bad bad ###\n#endif";
         let driver = "#include \"h.h\"\nint use(void) { return a; }";
         let includes = [("h.h", header)];

@@ -211,10 +211,7 @@ pub(crate) fn compile(file: &str, source: &str, cache: &IncludeCache) -> Result<
 /// Every stage over the whole unit: the fallback, and the oracle the
 /// resumed stages are tested against.
 fn compile_in_full(file: &str, source: &str, cache: &IncludeCache) -> Result<Program, CError> {
-    let tokens = pp::preprocess_cached(file, source, cache)?;
-    let unit = parser::parse(tokens)?;
-    let structs = check::check(&unit)?;
-    Ok(Program { unit, structs })
+    crate::compile_with_includes(file, source, &cache.includes())
 }
 
 #[cfg(test)]

@@ -181,7 +181,7 @@ impl<'a, H: Host> Vm<'a, H> {
             fuel,
             deadline: None,
             deadline_ticks: u32::MAX,
-            coverage: Coverage::with_bounds(&program.line_bounds),
+            coverage: Coverage::new(),
             objects: Vec::new(),
             free: Vec::new(),
             globals: vec![None; program.globals.len()],

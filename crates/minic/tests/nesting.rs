@@ -1,5 +1,6 @@
-//! The parser's nesting budgets (`parser::MAX_NESTING`), one for
-//! statements and expressions and one for types.
+//! The parser's nesting budgets (`parser::MAX_NESTING`): one for
+//! statements and expressions, one for types, and one for structs held by
+//! value.
 //!
 //! The checker, lowering and the interpreter recurse over the syntax
 //! tree and over types, so a deeply nested program could overflow a
@@ -38,9 +39,13 @@ enum At {
     /// before it, whose last one types a local (`open`, `inner` and
     /// `close` are unused).
     TypedefChain,
+    /// In a chain of struct definitions before `f`, each holding the one
+    /// before it by value, whose last one types two locals, one copied to
+    /// the other (`open`, `inner` and `close` are unused).
+    StructChain,
 }
 
-static SHAPES: [Shape; 10] = [
+static SHAPES: [Shape; 11] = [
     Shape {
         name: "blocks",
         open: "{ ",
@@ -111,6 +116,13 @@ static SHAPES: [Shape; 10] = [
         close: "",
         at: At::TypedefChain,
     },
+    Shape {
+        name: "struct chains",
+        open: "",
+        inner: "",
+        close: "",
+        at: At::StructChain,
+    },
 ];
 
 fn program(shape: &Shape, depth: usize) -> String {
@@ -131,6 +143,13 @@ fn program(shape: &Shape, depth: usize) -> String {
                 typedefs.push_str(&format!("typedef t{} *t{k};\n", k - 1));
             }
             format!("t{depth} p;")
+        }
+        At::StructChain => {
+            typedefs.push_str("struct s1 { int a; };\n");
+            for k in 2..=depth {
+                typedefs.push_str(&format!("struct s{k} {{ struct s{} f; }};\n", k - 1));
+            }
+            format!("struct s{depth} v;\n  struct s{depth} w;\n  w = v;")
         }
     };
     format!("{typedefs}int f(void) {{\n  int x = 1;\n  {body}\n  return x;\n}}\n")
@@ -175,7 +194,7 @@ fn the_deepest_accepted_program_runs_on_a_worker_stack() {
             "{}: only {deepest} levels accepted",
             shape.name
         );
-        if matches!(shape.at, At::Declarator | At::TypedefChain) {
+        if matches!(shape.at, At::Declarator | At::TypedefChain | At::StructChain) {
             assert_eq!(deepest, MAX_NESTING as usize, "{}", shape.name);
         }
         let src = program(shape, deepest);
@@ -210,5 +229,34 @@ fn a_hundred_thousand_levels_is_a_parse_error() {
     for shape in &SHAPES {
         let src = program(shape, 100_000);
         assert!(on_worker_stack(move || too_deep(&src)), "{}", shape.name);
+    }
+}
+
+/// `depth` structs, each holding the one defined after it by value, and a
+/// local of the first.
+fn forward_struct_chain(depth: usize) -> String {
+    let mut src = String::new();
+    for k in 1..depth {
+        src.push_str(&format!("struct s{k} {{ struct s{} f; }};\n", k + 1));
+    }
+    src + &format!("struct s{depth} {{ int a; }};\nint f(void) {{\n  struct s1 v;\n  return 0;\n}}\n")
+}
+
+#[test]
+fn structs_nest_by_value_within_the_budget_however_they_are_defined() {
+    let budget = MAX_NESTING as usize;
+    let deepest = forward_struct_chain(budget);
+    assert!(!on_worker_stack(move || too_deep(&deepest)), "{budget} levels are accepted");
+    // One level past the budget, a struct holding itself, and two holding
+    // each other (one through an array) all nest too deep.
+    for src in [
+        forward_struct_chain(budget + 1),
+        "struct a { struct a f; };\nint f(void) {\n  struct a x;\n  return 0;\n}\n".into(),
+        "struct b;\nstruct a { struct b f; };\nstruct b { struct a g[2]; };\n\
+         int f(void) {\n  struct a x;\n  return 0;\n}\n"
+            .into(),
+    ] {
+        let shown = src.lines().next().unwrap_or_default().to_string();
+        assert!(on_worker_stack(move || too_deep(&src)), "{shown}");
     }
 }

@@ -1,11 +1,15 @@
 //! Property tests for minic: a differential check of expression semantics
 //! against Rust's own 32-bit integer arithmetic, a bytecode-VM-vs-
-//! tree-walker equivalence property, plus front-end totality.
+//! tree-walker equivalence property, front-end totality, and the coverage
+//! map against a set of lines.
 
 use devil_minic::interp::{Interpreter, NullHost};
+use devil_minic::token::pack_line;
 use devil_minic::value::{wrap_int, Value};
 use devil_minic::vm::Vm;
+use devil_minic::Coverage;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A random arithmetic expression over two variables, as C text and as a
 /// Rust closure, for differential evaluation.
@@ -331,5 +335,52 @@ proptest! {
             drop(vm);
             prop_assert_eq!(&vh.log, &ih.log, "console diverged at fuel {} for {}", fuel, src);
         }
+    }
+}
+
+/// Packed lines, and a coverage map and a set fed them in order, each
+/// line twice.
+fn covered(lines: &[(u16, u32)]) -> (Coverage, BTreeSet<u32>) {
+    let mut cov = Coverage::new();
+    let mut set = BTreeSet::new();
+    for &(fid, line) in lines.iter().chain(lines) {
+        cov.insert(pack_line(fid, line));
+        set.insert(pack_line(fid, line));
+    }
+    (cov, set)
+}
+
+proptest! {
+    /// A coverage map grown from empty by packed lines of several files,
+    /// in any order and with repeats, is the set of those lines: it
+    /// agrees with a `BTreeSet` on `contains`, `count`, `is_empty`, `iter`
+    /// order, equality and `merge`.
+    #[test]
+    fn coverage_grown_from_empty_is_a_line_set(
+        a in prop::collection::vec((0u16..4, 0u32..700), 0..60),
+        b in prop::collection::vec((0u16..4, 0u32..700), 0..60),
+    ) {
+        let (ca, sa) = covered(&a);
+        let (cb, sb) = covered(&b);
+        let mut merged = ca.clone();
+        merged.merge(&cb);
+        let union: BTreeSet<u32> = sa.union(&sb).copied().collect();
+        for (cov, set) in [(&ca, &sa), (&cb, &sb), (&merged, &union)] {
+            prop_assert_eq!(cov.count(), set.len());
+            prop_assert_eq!(cov.is_empty(), set.is_empty());
+            prop_assert_eq!(cov.iter().collect::<Vec<_>>(), set.iter().copied().collect::<Vec<_>>());
+            for fid in 0..5 {
+                for line in 0..800 {
+                    let packed = pack_line(fid, line);
+                    prop_assert_eq!(cov.contains(packed), set.contains(&packed));
+                }
+            }
+        }
+        prop_assert_eq!(ca == cb, sa == sb);
+        let reversed: Vec<(u16, u32)> = a.iter().rev().copied().collect();
+        prop_assert!(covered(&reversed).0 == ca);
+        let mut other = cb.clone();
+        other.merge(&ca);
+        prop_assert!(other == merged);
     }
 }

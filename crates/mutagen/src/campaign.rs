@@ -137,13 +137,13 @@ pub fn effective_threads(threads: usize) -> usize {
 /// pool, same workspace reuse, same ordering guarantees.
 ///
 /// Both closures only need `Sync`, so compile artifacts that are immutable
-/// for the whole campaign — a pre-lexed header set
-/// (`devil_minic::pp::IncludeCache`), a lowered baseline program, shared
-/// spec interning tables — should be built **once, outside the campaign**,
-/// and borrowed by every worker through closure capture, rather than
-/// rebuilt per workspace. The kernel crate's `ScenarioMachine::run_cached`
-/// is the canonical example: one header lexing pass serves every worker's
-/// thousands of mutant compiles.
+/// for the whole campaign — an include cache with its front-end
+/// checkpoint (`devil_minic::pp::IncludeCache`), a lowered baseline
+/// program — should be built **once, outside the campaign**, and borrowed
+/// by every worker through closure capture, rather than rebuilt per
+/// workspace. The kernel crate's `ScenarioMachine::run_cached` is the
+/// canonical example: one compile of the driver's header prefix serves
+/// every worker's thousands of mutant compiles.
 ///
 /// ```
 /// use devil_mutagen::{Campaign, Mutant};

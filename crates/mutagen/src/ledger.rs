@@ -22,7 +22,8 @@
 //! payload starts with a tag byte: `1` = outcome (key, wire code,
 //! detail), `2` = strike (file, source fingerprint), `3` = evict
 //! (key tombstone). Integers are little-endian; strings are
-//! `u32 len + UTF-8`. Records are only ever appended, each with a single
+//! `u32 len + UTF-8` ([`crate::codec`], shared with the service
+//! protocol). Records are only ever appended, each with a single
 //! `write_all` — there is no user-space buffering, so a `kill -9` can
 //! tear at most the one record being written.
 //!
@@ -60,6 +61,7 @@
 //! (b) classified under the current spec revision, and (c) not since
 //! evicted.
 
+use crate::codec::{put_str, put_u32, put_u64, Malformed, Reader};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -548,91 +550,43 @@ enum Record {
 /// Parse the record starting at `off`; `None` on any framing, checksum or
 /// payload defect — the caller truncates from `off`.
 fn parse_record(bytes: &[u8], off: usize) -> Option<(Record, usize)> {
-    let header = bytes.get(off..off + 12)?;
-    let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
+    let mut header = Reader::new(bytes.get(off..off + 12)?);
+    let len = header.u32().ok()? as usize;
     if len > MAX_RECORD as usize {
         return None;
     }
-    let check = u64::from_le_bytes(header[4..12].try_into().ok()?);
+    let check = header.u64().ok()?;
     let payload = bytes.get(off + 12..off + 12 + len)?;
     if fnv1a_wide(payload) != check {
         return None;
     }
-    let mut rd = Rd { bytes: payload, off: 0 };
+    Some((parse_payload(payload).ok()?, off + 12 + len))
+}
+
+fn parse_payload(payload: &[u8]) -> Result<Record, Malformed> {
+    let mut rd = Reader::new(payload);
     let record = match rd.u8()? {
-        TAG_OUTCOME => {
-            let key = rd.key()?;
-            let code = rd.u8()?;
-            let detail = rd.str()?;
-            Record::Outcome { key, code, detail }
-        }
+        TAG_OUTCOME => Record::Outcome { key: get_key(&mut rd)?, code: rd.u8()?, detail: rd.str()? },
         TAG_STRIKE => Record::Strike { file: rd.str()?, fingerprint: rd.u64()? },
-        TAG_EVICT => Record::Evict { key: rd.key()? },
-        _ => return None,
+        TAG_EVICT => Record::Evict { key: get_key(&mut rd)? },
+        _ => return Err(Malformed),
     };
     // A checksum-valid payload with trailing bytes means a framing bug;
     // refuse it rather than guess.
-    if rd.off != payload.len() {
-        return None;
-    }
-    Some((record, off + 12 + len))
+    rd.finish()?;
+    Ok(record)
 }
 
-struct Rd<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl Rd<'_> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.off)?;
-        self.off += 1;
-        Some(b)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.bytes.get(self.off..self.off + 4)?;
-        self.off += 4;
-        Some(u32::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.bytes.get(self.off..self.off + 8)?;
-        self.off += 8;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let b = self.bytes.get(self.off..self.off.checked_add(len)?)?;
-        self.off += len;
-        String::from_utf8(b.to_vec()).ok()
-    }
-
-    fn key(&mut self) -> Option<LedgerKey> {
-        Some(LedgerKey {
-            file: self.str()?,
-            source: self.u64()?,
-            scenario: self.str()?,
-            plan: self.str()?,
-            plan_seed: self.u64()?,
-            dead_line: self.u32()?,
-            spec_rev: self.u64()?,
-        })
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+fn get_key(rd: &mut Reader<'_>) -> Result<LedgerKey, Malformed> {
+    Ok(LedgerKey {
+        file: rd.str()?,
+        source: rd.u64()?,
+        scenario: rd.str()?,
+        plan: rd.str()?,
+        plan_seed: rd.u64()?,
+        dead_line: rd.u32()?,
+        spec_rev: rd.u64()?,
+    })
 }
 
 fn put_key(out: &mut Vec<u8>, key: &LedgerKey) {

@@ -26,6 +26,7 @@
 
 pub mod c;
 pub mod campaign;
+pub mod codec;
 pub mod devil;
 pub mod ledger;
 pub mod literal;

@@ -10,6 +10,9 @@
 //! string  := len:u32le utf8-bytes
 //! ```
 //!
+//! Payload fields use the outcome ledger's codec
+//! ([`devil_mutagen::codec`]).
+//!
 //! Requests carry a client-chosen `req_id`; every submission produces
 //! **exactly one** response bearing the same id — a classified
 //! [`Outcome`], a `Shed` rejection when the server's admission queue is
@@ -32,6 +35,7 @@
 //! stability guarantees.
 
 use devil_kernel::Outcome;
+use devil_mutagen::codec::{put_str, put_u32, put_u64, Reader};
 use std::io::{self, Read, Write};
 
 /// Frames above this are rejected as malformed (largest legitimate frame
@@ -203,62 +207,6 @@ pub enum Response {
 
 // ------------------------------------------------------------ encoding
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        let Some(end) = end else {
-            return Err(malformed("frame truncated"));
-        };
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("invalid utf-8"))
-    }
-
-    fn finish(self) -> io::Result<()> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(malformed("trailing bytes in frame"))
-        }
-    }
-}
-
 fn malformed(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
@@ -294,17 +242,17 @@ impl Request {
 
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> io::Result<Request> {
-        let mut c = Cursor { data: payload, pos: 0 };
+        let mut c = Reader::new(payload);
         let req = match c.u8()? {
             REQ_SUBMIT => Request::Submit(SubmitMutant {
                 req_id: c.u64()?,
-                scenario: c.string()?,
-                plan: c.string()?,
+                scenario: c.str()?,
+                plan: c.str()?,
                 plan_seed: c.u64()?,
-                file: c.string()?,
+                file: c.str()?,
                 dead_line: c.u32()?,
                 deadline_ms: c.u32()?,
-                source: c.string()?,
+                source: c.str()?,
             }),
             REQ_STATS => Request::Stats { req_id: c.u64()? },
             REQ_DRAIN => Request::Drain { req_id: c.u64()?, grace_ms: c.u32()? },
@@ -376,14 +324,14 @@ impl Response {
 
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> io::Result<Response> {
-        let mut c = Cursor { data: payload, pos: 0 };
+        let mut c = Reader::new(payload);
         let rep = match c.u8()? {
             REP_OUTCOME => {
                 let req_id = c.u64()?;
                 let code = c.u8()?;
                 let outcome = Outcome::from_code(code)
                     .ok_or_else(|| malformed(&format!("bad outcome code {code}")))?;
-                Response::Outcome { req_id, outcome, detail: c.string()? }
+                Response::Outcome { req_id, outcome, detail: c.str()? }
             }
             REP_SHED => Response::Shed { req_id: c.u64()? },
             REP_STATS => {
@@ -407,14 +355,14 @@ impl Response {
                 let n = c.u32()?;
                 for _ in 0..n {
                     stats.quarantined.push(QuarantinedPair {
-                        file: c.string()?,
+                        file: c.str()?,
                         fingerprint: c.u64()?,
                         strikes: c.u32()?,
                     });
                 }
                 Response::Stats { req_id, stats }
             }
-            REP_ERR => Response::Err { req_id: c.u64()?, message: c.string()? },
+            REP_ERR => Response::Err { req_id: c.u64()?, message: c.str()? },
             REP_EXPIRED => Response::Expired { req_id: c.u64()? },
             REP_DRAINING => Response::Draining { req_id: c.u64()? },
             tag => return Err(malformed(&format!("unknown response tag {tag}"))),

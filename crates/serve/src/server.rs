@@ -7,10 +7,10 @@
 //! pieces in one `thread::scope`:
 //!
 //! * **open** — resume the outcome ledger, replay its strikes into the
-//!   quarantine, and build one shared pre-lexed [`IncludeCache`] per
-//!   driver file, warmed so every CDevil catalog mutant compiles only
-//!   what follows the driver's header prefix (`STATS` counts the
-//!   compiles that resumed and those that ran in full);
+//!   quarantine, and build one shared [`IncludeCache`] per driver file,
+//!   warmed so every CDevil catalog mutant compiles only what follows
+//!   the driver's header prefix (`STATS` counts the compiles that
+//!   resumed and those that ran in full);
 //! * **accept** — a reader and a writer thread per connection; replies
 //!   stream back in completion order;
 //! * **read and admit** — a valid submission first goes through the
@@ -294,9 +294,10 @@ impl DrainHandle {
 }
 
 /// Request routing, built once per server from the process's scenario
-/// catalog: one shared pre-lexed include cache per driver file, over the
-/// headers the catalog pairs with it. A submission names a catalog
-/// scenario by its base name; its fault plan travels in its own fields.
+/// catalog: one shared include cache per driver file, over the headers
+/// the catalog pairs with it, holding that driver's front-end
+/// checkpoint. A submission names a catalog scenario by its base name;
+/// its fault plan travels in its own fields.
 struct Routes {
     caches: HashMap<&'static str, Arc<IncludeCache>>,
 }

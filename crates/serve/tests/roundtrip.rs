@@ -360,6 +360,19 @@ fn a_hundred_thousand_star_declaration_is_a_compile_check() {
     rejected_then_clean_boot(&deep, "type nesting deeper than");
 }
 
+#[test]
+fn a_hundred_thousand_struct_chain_is_a_compile_check() {
+    // A ~3.6 MB driver defining 100,000 structs, each holding the one
+    // before it by value: the parser's struct budget rejects the 65th
+    // definition, as for deep expressions and types.
+    let mut deep = String::from("struct s1 { int a; };\n");
+    for k in 2..=100_000 {
+        deep.push_str(&format!("struct s{k} {{ struct s{} f; }};\n", k - 1));
+    }
+    deep.push_str("int ide_probe(void) { struct s100000 v; return 0; }\n");
+    rejected_then_clean_boot(&deep, "struct nesting deeper than");
+}
+
 /// Submit `deep` to a one-worker `InProcServer`, expect `CompileCheck`
 /// with `message` in its detail, then have the same worker boot the clean
 /// `ide_piix4_c`.
