@@ -2,6 +2,7 @@
 //! the Devil and C models (the front half of Tables 2–4).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use devil_core::codegen::CodegenMode;
 use devil_drivers::{ide, specs};
 use devil_mutagen::c::{CMutationModel, CStyle};
 use devil_mutagen::devil::DevilMutationModel;
@@ -26,7 +27,7 @@ fn bench_c_model(c: &mut Criterion) {
     g.bench_function("ide_c_sites", |b| {
         b.iter(|| CMutationModel::new(std::hint::black_box(ide::IDE_C_DRIVER), &[], CStyle::PlainC));
     });
-    let hdr = ide::ide_debug_header();
+    let hdr = ide::ide_header(CodegenMode::Debug);
     g.bench_function("ide_cdevil_sites", |b| {
         b.iter(|| {
             CMutationModel::new(

@@ -10,8 +10,9 @@
 //! `devil table3`/`devil table4` can emit a paper-style table for every
 //! `corpus::scenario_names()` entry, not just the IDE boot. A campaign
 //! samples the catalog driver's own mutant population
-//! (`DriverVariant::mutants`) whatever stub flavour it compiles against.
+//! (`DriverVariant::mutants`) whatever stubs it compiles against.
 
+use devil_core::codegen::CodegenMode;
 use devil_drivers::corpus::{find_case, scenario_catalog, DriverVariant};
 use devil_drivers::{ide, specs};
 use devil_hwsim::FaultPlan;
@@ -111,20 +112,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 
 // ------------------------------------------------------------ Tables 3 & 4
 
-/// Which stub header flavour a CDevil campaign compiles against — the
-/// ablation axis of DESIGN.md §5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StubFlavor {
-    /// Full debug stubs: struct types + run-time assertions (Table 4).
-    #[default]
-    Debug,
-    /// Struct types but assertions stripped (`--no-asserts`): measures
-    /// what the type encoding alone buys.
-    DebugNoAsserts,
-    /// Production stubs (`--weak-types`): integer typedefs, nothing else.
-    Production,
-}
-
 /// Options for a driver campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
@@ -136,8 +123,10 @@ pub struct CampaignOptions {
     pub threads: usize,
     /// Interpreter fuel per boot.
     pub fuel: u64,
-    /// Stub flavour for the CDevil campaign (ignored for the C driver).
-    pub stub_flavor: StubFlavor,
+    /// The stubs a CDevil IDE campaign compiles against (ignored for the
+    /// other drivers): the debug stubs of Table 4, or an ablation of
+    /// DESIGN.md §5 (`--no-asserts`, `--weak-types`).
+    pub stub_mode: CodegenMode,
     /// Run the campaign on deterministically flaky hardware under this
     /// fault plan (`None` = fault-free hardware, the classic tables).
     pub fault_plan: Option<FaultPlan>,
@@ -150,7 +139,7 @@ impl Default for CampaignOptions {
             seed: DEFAULT_SEED,
             threads: 0,
             fuel: DEFAULT_FUEL,
-            stub_flavor: StubFlavor::Debug,
+            stub_mode: CodegenMode::Debug,
             fault_plan: None,
         }
     }
@@ -194,30 +183,25 @@ impl OutcomeTable {
 }
 
 /// The include set a catalog variant compiles against: its catalog
-/// headers (the debug stubs), except that the Table 4 ablation flavours
+/// headers (the debug stubs), except that the Table 4 ablations
 /// regenerate the IDE CDevil glue's header, the only one they swap.
-fn variant_headers(v: &DriverVariant, flavor: StubFlavor) -> Vec<(String, String)> {
-    if flavor == StubFlavor::Debug || v.file != ide::IDE_CDEVIL_FILE {
+fn variant_headers(v: &DriverVariant, mode: CodegenMode) -> Vec<(String, String)> {
+    if mode == CodegenMode::Debug || v.file != ide::IDE_CDEVIL_FILE {
         return v.headers.clone();
     }
-    let header = if flavor == StubFlavor::Production {
-        ide::ide_production_header()
-    } else {
-        ide::ide_no_assert_header()
-    };
-    vec![(ide::IDE_HEADER_NAME.to_string(), header)]
+    vec![(ide::IDE_HEADER_NAME.to_string(), ide::ide_header(mode))]
 }
 
 /// The spec-revision fingerprint a ledgered campaign stamps its entries
 /// with: the workspace-wide revision (`devil_drivers::corpus::spec_revision`
 /// — `.dil` specs, engine version, fuel) *plus* the headers this variant
-/// actually compiles against under the chosen stub flavour. Folding the
+/// actually compiles against under the chosen stub mode. Folding the
 /// headers in means a Table 4 ablation (`--no-asserts`, `--weak-types`)
 /// can share a ledger file with the debug-stub run without ever serving
 /// its outcomes: the revisions differ, so foreign entries are stale, not
 /// wrong.
 pub fn campaign_spec_revision(v: &DriverVariant, opts: &CampaignOptions) -> u64 {
-    let headers = variant_headers(v, opts.stub_flavor);
+    let headers = variant_headers(v, opts.stub_mode);
     let spec_pairs = specs::all();
     let pairs = spec_pairs
         .iter()
@@ -248,12 +232,12 @@ pub fn scenario_campaign(
 ) -> OutcomeTable {
     // The mutant set always comes from the *catalog* headers (the debug
     // stubs for the IDE glue): the §5 ablations swap only what the
-    // mutants compile against, so every flavour samples the same seeded
-    // mutant population and the tables stay comparable across flavours.
+    // mutants compile against, so every ablation samples the same seeded
+    // mutant population and the tables stay comparable across them.
     let all_mutants = v.mutants();
     let generated = all_mutants.len();
     let mutants = sample(all_mutants, opts.fraction, opts.seed);
-    let headers = variant_headers(v, opts.stub_flavor);
+    let headers = variant_headers(v, opts.stub_mode);
     let inc_refs: Vec<(&str, &str)> =
         headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
     let cache = IncludeCache::new(&inc_refs);
@@ -560,7 +544,7 @@ mod tests {
             seed: 7,
             threads: 4,
             fuel: 600_000,
-            stub_flavor: StubFlavor::Debug,
+            stub_mode: CodegenMode::Debug,
             fault_plan: None,
         };
         let t = scenario_campaign("ide-boot", &ide_boot_variant(CStyle::PlainC), &opts, None);

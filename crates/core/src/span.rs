@@ -92,13 +92,6 @@ impl SourceFile {
         &self.text
     }
 
-    /// Text covered by `span` (clamped to the file).
-    pub fn slice(&self, span: Span) -> &str {
-        let end = span.end.min(self.text.len());
-        let start = span.start.min(end);
-        &self.text[start..end]
-    }
-
     /// Resolve a byte offset to a line/column pair.
     pub fn line_col(&self, offset: usize) -> LineCol {
         let offset = offset.min(self.text.len());
@@ -182,13 +175,6 @@ mod tests {
         let s = f.render_snippet(Span::new(9, 11));
         assert!(s.contains("x.dil:1:10"), "{s}");
         assert!(s.contains("^^"), "{s}");
-    }
-
-    #[test]
-    fn slice_clamps() {
-        let f = SourceFile::new("t", "hello");
-        assert_eq!(f.slice(Span::new(1, 3)), "el");
-        assert_eq!(f.slice(Span::new(3, 100)), "lo");
     }
 
     #[test]

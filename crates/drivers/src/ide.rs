@@ -146,8 +146,8 @@ int ide_write(int lba)
 /* DEVIL_MUT_END */
 "#;
 
-/// The CDevil glue driver (Table 4 subject). Compile it together with
-/// [`ide_debug_header`] via [`cdevil_includes`].
+/// The CDevil glue driver (Table 4 subject). Compile it together with the
+/// debug [`ide_header`] via [`cdevil_includes`].
 pub const IDE_CDEVIL_DRIVER: &str = r#"/* CDevil glue over the Devil-generated PIIX4 stubs (debug mode). */
 unsigned short io_buf[256];
 
@@ -279,41 +279,18 @@ int ide_write(int lba)
 /* DEVIL_MUT_END */
 "#;
 
-/// Generate the debug-mode stub header for the IDE specification.
+/// Generate the stub header for the IDE specification in `mode`: the
+/// debug stubs the catalog compiles against, or the `devil table4`
+/// ablations' (`--no-asserts`, `--weak-types`).
 ///
 /// # Panics
 ///
 /// Panics if the bundled specification fails to compile — a corpus bug
 /// caught by the crate's tests.
-pub fn ide_debug_header() -> String {
+pub fn ide_header(mode: CodegenMode) -> String {
     let checked = crate::specs::compile("ide_piix4.dil", crate::specs::IDE_PIIX4)
         .expect("bundled IDE spec compiles");
-    let stubs = generate(&checked, CodegenMode::Debug);
-    wrap_header(stubs)
-}
-
-/// Generate the assertion-stripped debug header (`devil table4
-/// --no-asserts`): struct-encoded types, no run-time checks.
-///
-/// # Panics
-///
-/// Panics if the bundled specification fails to compile.
-pub fn ide_no_assert_header() -> String {
-    let checked = crate::specs::compile("ide_piix4.dil", crate::specs::IDE_PIIX4)
-        .expect("bundled IDE spec compiles");
-    let stubs = generate(&checked, CodegenMode::DebugNoAsserts);
-    wrap_header(stubs)
-}
-
-/// Generate the production-mode stub header (for the ablation benches).
-///
-/// # Panics
-///
-/// Panics if the bundled specification fails to compile.
-pub fn ide_production_header() -> String {
-    let checked = crate::specs::compile("ide_piix4.dil", crate::specs::IDE_PIIX4)
-        .expect("bundled IDE spec compiles");
-    let stubs = generate(&checked, CodegenMode::Production);
+    let stubs = generate(&checked, mode);
     wrap_header(stubs)
 }
 
@@ -335,7 +312,7 @@ fn wrap_header(mut stubs: String) -> String {
 
 /// The include set for compiling the CDevil driver.
 pub fn cdevil_includes() -> Vec<(String, String)> {
-    vec![(IDE_HEADER_NAME.to_string(), ide_debug_header())]
+    vec![(IDE_HEADER_NAME.to_string(), ide_header(CodegenMode::Debug))]
 }
 
 #[cfg(test)]
@@ -414,7 +391,7 @@ mod tests {
     fn production_header_also_compiles_the_glue() {
         // The same glue source builds against production stubs (mk_/dil_eq
         // collapse to plain integer forms).
-        let hdr = ide_production_header();
+        let hdr = ide_header(CodegenMode::Production);
         let incs = vec![(IDE_HEADER_NAME.to_string(), hdr)];
         devil_minic::compile_with_includes(
             IDE_CDEVIL_FILE,

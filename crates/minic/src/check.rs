@@ -265,11 +265,9 @@ impl<'u> Checker<'u> {
     fn complete_type(&self, ty: &CType, line: u32) -> Result<(), CError> {
         match ty {
             CType::Struct(id) => {
-                if self.structs.get(*id).fields.is_empty() {
-                    return Err(err(
-                        line,
-                        format!("storage of incomplete type `struct {}`", self.structs.get(*id).name),
-                    ));
+                let def = self.structs.get(*id);
+                if def.layout.is_none() {
+                    return Err(err(line, format!("storage of incomplete type `struct {}`", def.name)));
                 }
                 Ok(())
             }

@@ -7,7 +7,7 @@
 use crate::ast::*;
 use crate::error::{CError, CPhase};
 use crate::token::{CTok, CToken, Punct};
-use crate::types::{CType, StructDef, StructId, StructTable};
+use crate::types::{CType, StructId, StructTable};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,8 +26,10 @@ use std::sync::Arc;
 ///
 /// Structs held by value have a third budget of the same size: a value
 /// of a struct may nest at most this many structs and arrays, counting
-/// its own level, however its definitions are spread over the unit. A
-/// struct that holds itself by value nests without end and is rejected.
+/// its own level. A struct holds by value only structs defined before it,
+/// as in C, so its depth is final when its body is read and is recorded
+/// in its [`Layout`](crate::types::Layout); the body one level too deep
+/// is the error.
 ///
 /// The checker, lowering and the interpreter recurse over the tree the
 /// parser builds, and every pass clones, compares and drops types
@@ -37,6 +39,22 @@ use std::sync::Arc;
 /// lowers and runs the program on both engines within a 2 MiB thread
 /// stack; nested statements cost the most, at about 20 KiB a level.
 pub const MAX_NESTING: u32 = 64;
+
+/// The largest object type the parser builds, in bytes as
+/// [`CType::size_bytes`] counts them: an array type or a struct body
+/// larger than this is a parse error at the token after it.
+///
+/// Zeroing an object builds a value for each field and array element it
+/// holds, and each of those takes at least a byte (see
+/// [`Layout::size`](crate::types::Layout::size)), so this bound and the
+/// struct depth budget bound what zeroing, copying or lowering any one
+/// object costs. They do not bound a unit's total storage: many objects,
+/// each under the bound, make memory grow linearly with the input. The
+/// largest object in any catalog driver is a 1 KiB array. At this bound
+/// the costliest shape measured, a chain of structs each holding two of
+/// the one before, allocates 20 MB and takes 33 ms to lower and run once
+/// on the VM in a release build.
+pub const MAX_OBJECT_BYTES: usize = 64 << 10;
 
 /// Parse a preprocessed token stream into a [`Unit`].
 ///
@@ -74,54 +92,14 @@ pub(crate) fn parse_from<'s>(
         pos: 0,
         depth: 0,
         structs: start.structs.clone(),
-        struct_depths: HashMap::new(),
-        completed: false,
         typedefs: Cow::Borrowed(&start.typedefs),
     };
     let mut items = Vec::new();
     while !p.at_eof() {
         p.top_level(&mut items)?;
     }
-    if p.completed {
-        // A body given to a struct declared earlier can deepen every
-        // struct that holds it, measured or not.
-        p.struct_depths.clear();
-        for id in (0..p.structs.len()).map(StructId) {
-            p.admit_struct(id)?;
-        }
-    }
     let unit = Unit::new(start.items.clone(), items, p.structs, files);
     Ok((unit, p.typedefs))
-}
-
-/// How many structs and arrays a value of `ty` nests, or `None` past
-/// [`MAX_NESTING`]. `outer` levels already hold the value, which stops
-/// the walk around a struct that holds itself; `known` keeps the depth of
-/// every struct measured.
-fn value_depth(
-    structs: &StructTable,
-    ty: &CType,
-    outer: u32,
-    known: &mut HashMap<StructId, u32>,
-) -> Option<u32> {
-    let inner = match ty {
-        CType::Struct(id) if known.contains_key(id) => return Some(known[id]),
-        CType::Array(..) | CType::Struct(_) if outer >= MAX_NESTING => return None,
-        CType::Array(elem, _) => value_depth(structs, elem, outer + 1, known)?,
-        CType::Struct(id) => {
-            let mut deepest = 0;
-            for (_, field) in &structs.get(*id).fields {
-                deepest = deepest.max(value_depth(structs, field, outer + 1, known)?);
-            }
-            deepest
-        }
-        CType::Void | CType::Int { .. } | CType::Ptr(_) => return Some(0),
-    };
-    let depth = (inner < MAX_NESTING).then_some(inner + 1)?;
-    if let CType::Struct(id) = ty {
-        known.insert(*id, depth);
-    }
-    Some(depth)
 }
 
 struct Parser<'s> {
@@ -130,19 +108,12 @@ struct Parser<'s> {
     /// Nesting levels held now (see [`MAX_NESTING`]).
     depth: u32,
     structs: StructTable,
-    /// How many structs and arrays a value of each struct measured so
-    /// far nests (see [`value_depth`]).
-    struct_depths: HashMap<StructId, u32>,
-    /// Whether a struct declared without a body got one later.
-    completed: bool,
     typedefs: Cow<'s, HashMap<String, CType>>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
 struct DeclFlags {
     is_const: bool,
-    #[allow(dead_code)]
-    is_static: bool,
 }
 
 impl Parser<'_> {
@@ -263,9 +234,11 @@ impl Parser<'_> {
         loop {
             if self.eat_kw("const") {
                 flags.is_const = true;
-            } else if self.eat_kw("static") {
-                flags.is_static = true;
-            } else if self.eat_kw("inline") || self.eat_kw("extern") || self.eat_kw("volatile") {
+            } else if self.eat_kw("static")
+                || self.eat_kw("inline")
+                || self.eat_kw("extern")
+                || self.eat_kw("volatile")
+            {
                 // accepted and ignored
             } else {
                 break;
@@ -298,25 +271,12 @@ impl Parser<'_> {
             }
             self.bump();
             let (tag, _) = self.expect_ident("struct tag")?;
+            let id = self.structs.declare(&tag);
             if self.is_punct(Punct::LBrace) {
                 let fields = self.struct_body()?;
-                let declared = self.structs.lookup(&tag);
-                if declared.is_some_and(|id| self.structs.get(id).fields.is_empty()) {
-                    // The depths measured so far may have counted this
-                    // struct as empty.
-                    self.completed = true;
-                    self.struct_depths.clear();
-                }
-                let id = self.structs.define(StructDef { name: tag, fields });
-                self.admit_struct(id)?;
-                CType::Struct(id)
-            } else {
-                let id = self
-                    .structs
-                    .lookup(&tag)
-                    .unwrap_or_else(|| self.structs.define(StructDef { name: tag, fields: vec![] }));
-                CType::Struct(id)
+                self.define_struct(id, fields)?;
             }
+            CType::Struct(id)
         } else if let CTok::Ident(s) = &self.cur().tok {
             if signedness.is_some() {
                 // `unsigned` / `signed` alone means int.
@@ -360,13 +320,35 @@ impl Parser<'_> {
         Ok(())
     }
 
-    /// Admit struct `id`, or fail at the current token once a value of it
-    /// would nest more than [`MAX_NESTING`] structs and arrays.
-    fn admit_struct(&mut self, id: StructId) -> Result<(), CError> {
-        match value_depth(&self.structs, &CType::Struct(id), 0, &mut self.struct_depths) {
-            Some(_) => Ok(()),
-            None => Err(self.error(format!("struct nesting deeper than {MAX_NESTING} levels"))),
+    /// Fail at the current token if `ty` is a struct with no body yet: an
+    /// object of it has no size, as `what` (a field or an array element)
+    /// needs.
+    fn require_complete(&self, ty: &CType, what: std::fmt::Arguments<'_>) -> Result<(), CError> {
+        match ty {
+            CType::Struct(id) if self.structs.get(*id).layout.is_none() => Err(self.error(format!(
+                "{what} has incomplete type `struct {}`",
+                self.structs.get(*id).name
+            ))),
+            _ => Ok(()),
         }
+    }
+
+    /// Give struct `id` the body just read, or fail at the current token
+    /// if it has one already or its value would nest more than
+    /// [`MAX_NESTING`] structs and arrays or take more than
+    /// [`MAX_OBJECT_BYTES`].
+    fn define_struct(&mut self, id: StructId, fields: Vec<(String, CType)>) -> Result<(), CError> {
+        let Some(layout) = self.structs.define(id, fields) else {
+            let name = &self.structs.get(id).name;
+            return Err(self.error(format!("redefinition of `struct {name}`")));
+        };
+        if layout.depth > MAX_NESTING {
+            return Err(self.error(format!("struct nesting deeper than {MAX_NESTING} levels")));
+        }
+        if layout.size > MAX_OBJECT_BYTES {
+            return Err(self.error(format!("struct larger than {MAX_OBJECT_BYTES} bytes")));
+        }
+        Ok(())
     }
 
     /// Pointer stars after the base type.
@@ -393,6 +375,7 @@ impl Parser<'_> {
                 let ty = self.pointers(base.clone())?;
                 let (name, _) = self.expect_ident("field name")?;
                 let ty = self.array_suffix(ty)?;
+                self.require_complete(&ty, format_args!("field `{name}`"))?;
                 fields.push((name, ty));
                 if !self.eat_punct(Punct::Comma) {
                     break;
@@ -403,20 +386,26 @@ impl Parser<'_> {
         Ok(fields)
     }
 
+    /// An optional `[N]` after a declarator: an array of `N` `ty`s, which
+    /// must be a complete type and at most [`MAX_OBJECT_BYTES`] in all.
     fn array_suffix(&mut self, ty: CType) -> Result<CType, CError> {
-        if self.is_punct(Punct::LBracket) {
-            self.admit_type_level(&ty)?;
-            self.bump();
-            let n = match &self.cur().tok {
-                CTok::Int { value, .. } => *value as usize,
-                other => return Err(self.error(format!("expected array length, found {other}"))),
-            };
-            self.bump();
-            self.expect_punct(Punct::RBracket)?;
-            Ok(CType::Array(Box::new(ty), n))
-        } else {
-            Ok(ty)
+        if !self.is_punct(Punct::LBracket) {
+            return Ok(ty);
         }
+        self.admit_type_level(&ty)?;
+        self.require_complete(&ty, format_args!("array element"))?;
+        self.bump();
+        let n = match &self.cur().tok {
+            CTok::Int { value, .. } => usize::try_from(*value).unwrap_or(usize::MAX),
+            other => return Err(self.error(format!("expected array length, found {other}"))),
+        };
+        self.bump();
+        self.expect_punct(Punct::RBracket)?;
+        let ty = CType::Array(Box::new(ty), n);
+        if ty.size_bytes(&self.structs) > MAX_OBJECT_BYTES {
+            return Err(self.error(format!("array larger than {MAX_OBJECT_BYTES} bytes")));
+        }
+        Ok(ty)
     }
 
     /// A full abstract type name (for casts and sizeof).

@@ -127,7 +127,7 @@ impl Checkpoint {
         let (items, structs) = unit.into_shared();
         let incomplete = (0..structs.len())
             .map(StructId)
-            .filter(|&id| structs.get(id).fields.is_empty())
+            .filter(|&id| structs.get(id).layout.is_none())
             .collect();
         Some(Checkpoint {
             file: file.to_string(),
@@ -151,7 +151,7 @@ impl Checkpoint {
         if self
             .incomplete
             .iter()
-            .any(|&id| !unit.structs.get(id).fields.is_empty())
+            .any(|&id| unit.structs.get(id).layout.is_some())
         {
             return Some(Guard::StructCompletion);
         }

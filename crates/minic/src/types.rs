@@ -1,5 +1,6 @@
 //! The C type representation used by the checker and interpreter.
 
+use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a struct definition in the [`StructTable`].
@@ -73,19 +74,16 @@ impl CType {
         }
     }
 
-    /// Size in bytes (arrays included), used by `sizeof`.
+    /// Size in bytes, as `sizeof` reports it: a struct's is read from its
+    /// [`Layout`] (0 while it is declared only), and an array element
+    /// takes at least one byte (see [`Layout::size`]).
     pub fn size_bytes(&self, structs: &StructTable) -> usize {
         match self {
             CType::Void => 0,
             CType::Int { bits, .. } => (*bits as usize) / 8,
             CType::Ptr(_) => 4,
-            CType::Array(t, n) => t.size_bytes(structs) * n,
-            CType::Struct(id) => structs
-                .get(*id)
-                .fields
-                .iter()
-                .map(|(_, t)| t.size_bytes(structs))
-                .sum(),
+            CType::Array(t, n) => t.size_bytes(structs).max(1).saturating_mul(*n),
+            CType::Struct(id) => structs.get(*id).layout.map_or(0, |l| l.size),
         }
     }
 
@@ -125,13 +123,31 @@ impl fmt::Display for TypeDisplay<'_> {
     }
 }
 
-/// A struct definition.
+/// What a struct's body fixes when its closing `}` is read. Every field
+/// a struct holds by value names a struct defined before it, so nothing
+/// defined later can change a layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    /// How many structs and arrays a value of the struct nests, counting
+    /// its own level.
+    pub depth: u32,
+    /// Size in bytes: the sum of its fields' sizes, with no padding. A
+    /// field, like an array element, takes at least one byte, so the size
+    /// bounds the values either engine stores for the struct even where
+    /// it holds empty structs or zero-length arrays. Sums saturate.
+    pub size: usize,
+}
+
+/// A struct tag of the unit, declared only or defined.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructDef {
     /// Tag name (e.g. `Drive_t_`).
     pub name: String,
-    /// Ordered fields.
+    /// Ordered fields; empty while declared only.
     pub fields: Vec<(String, CType)>,
+    /// The layout its body fixed, or `None` while the struct is declared
+    /// only: the one test for an incomplete struct.
+    pub layout: Option<Layout>,
 }
 
 impl StructDef {
@@ -141,10 +157,13 @@ impl StructDef {
     }
 }
 
-/// All struct definitions of a translation unit.
+/// All struct tags of a translation unit, by id in order of first mention,
+/// with a tag index so declaring or looking up a tag costs one hash probe.
+/// A tag gets at most one body.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StructTable {
     defs: Vec<StructDef>,
+    ids: HashMap<String, StructId>,
 }
 
 impl StructTable {
@@ -153,24 +172,49 @@ impl StructTable {
         Self::default()
     }
 
-    /// Intern a struct definition, returning its id. Re-registering a tag
-    /// returns the existing id with fields updated if previously empty
-    /// (forward declaration support).
-    pub fn define(&mut self, def: StructDef) -> StructId {
-        if let Some(i) = self.defs.iter().position(|d| d.name == def.name) {
-            if self.defs[i].fields.is_empty() {
-                self.defs[i] = def;
-            }
-            StructId(i)
-        } else {
-            self.defs.push(def);
-            StructId(self.defs.len() - 1)
+    /// The id of tag `name`, declared with no body if it is new.
+    pub fn declare(&mut self, name: &str) -> StructId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
         }
+        let id = StructId(self.defs.len());
+        self.defs.push(StructDef { name: name.to_string(), fields: Vec::new(), layout: None });
+        self.ids.insert(name.to_string(), id);
+        id
+    }
+
+    /// Give the declared struct `id` its body, and return the layout that
+    /// fixes; or, if `id` has a body already, return `None` and change
+    /// nothing. Each field's depth and size are read from the layouts of
+    /// the structs it holds by value, so a struct held by value must be
+    /// defined first; one that is not counts as empty.
+    pub fn define(&mut self, id: StructId, fields: Vec<(String, CType)>) -> Option<Layout> {
+        if self.get(id).layout.is_some() {
+            return None;
+        }
+        let mut layout = Layout { depth: 1, size: 0 };
+        for (_, ty) in &fields {
+            let mut depth = 1;
+            let mut elem = ty;
+            while let CType::Array(inner, _) = elem {
+                depth += 1;
+                elem = inner;
+            }
+            if let CType::Struct(held) = elem {
+                depth += self.get(*held).layout.map_or(0, |l| l.depth);
+            }
+            layout.depth = layout.depth.max(depth);
+            layout.size = layout.size.saturating_add(ty.size_bytes(self).max(1));
+        }
+        let def = &mut self.defs[id.0];
+        def.fields = fields;
+        def.layout = Some(layout);
+        Some(layout)
     }
 
     /// Look up a tag.
     pub fn lookup(&self, name: &str) -> Option<StructId> {
-        self.defs.iter().position(|d| d.name == name).map(StructId)
+        self.ids.get(name).copied()
     }
 
     /// Fetch a definition.
@@ -182,12 +226,12 @@ impl StructTable {
         &self.defs[id.0]
     }
 
-    /// Number of definitions.
+    /// Number of tags.
     pub fn len(&self) -> usize {
         self.defs.len()
     }
 
-    /// Whether no structs are defined.
+    /// Whether no tag is declared.
     pub fn is_empty(&self) -> bool {
         self.defs.is_empty()
     }
@@ -208,8 +252,8 @@ mod tests {
     #[test]
     fn distinct_structs_rejected() {
         let mut t = StructTable::new();
-        let a = t.define(StructDef { name: "A".into(), fields: vec![] });
-        let b = t.define(StructDef { name: "B".into(), fields: vec![] });
+        let a = t.declare("A");
+        let b = t.declare("B");
         assert!(CType::Struct(a).accepts(&CType::Struct(a)));
         assert!(!CType::Struct(a).accepts(&CType::Struct(b)));
     }
@@ -253,13 +297,39 @@ mod tests {
     #[test]
     fn forward_declaration_fills_in() {
         let mut t = StructTable::new();
-        let id = t.define(StructDef { name: "S".into(), fields: vec![] });
-        let id2 = t.define(StructDef {
-            name: "S".into(),
-            fields: vec![("x".into(), CType::int())],
-        });
-        assert_eq!(id, id2);
+        let id = t.declare("S");
+        assert_eq!(t.get(id).layout, None, "declared only");
+        assert_eq!(t.lookup("S"), Some(id));
+        assert_eq!(t.declare("S"), id);
+        let layout = t.define(id, vec![("x".into(), CType::int())]);
+        assert_eq!(layout, Some(Layout { depth: 1, size: 4 }));
+        assert_eq!(t.define(id, vec![]), None, "a tag gets one body");
+        assert_eq!(t.get(id).layout, layout);
         assert_eq!(t.get(id).fields.len(), 1);
+        assert_eq!(CType::Struct(id).size_bytes(&t), 4);
+    }
+
+    #[test]
+    fn layouts_read_the_structs_held_by_value() {
+        let mut t = StructTable::new();
+        let empty = t.declare("E");
+        assert_eq!(t.define(empty, vec![]), Some(Layout { depth: 1, size: 0 }));
+        let inner = t.declare("I");
+        let bytes = CType::Array(Box::new(CType::Int { signed: false, bits: 8 }), 3);
+        assert_eq!(t.define(inner, vec![("b".into(), bytes)]), Some(Layout { depth: 2, size: 3 }));
+        let outer = t.declare("O");
+        let pair = CType::Array(Box::new(CType::Struct(inner)), 2);
+        let fields = vec![
+            ("pair".into(), pair),
+            ("e".into(), CType::Struct(empty)),
+            ("p".into(), CType::Ptr(Box::new(CType::Struct(outer)))),
+        ];
+        // Two `I`s, one byte for the empty struct, a pointer.
+        assert_eq!(t.define(outer, fields), Some(Layout { depth: 4, size: 11 }));
+        let empties = CType::Array(Box::new(CType::Struct(empty)), 5);
+        assert_eq!(empties.size_bytes(&t), 5, "an element takes at least a byte");
+        let huge = CType::Array(Box::new(CType::Struct(outer)), usize::MAX);
+        assert_eq!(huge.size_bytes(&t), usize::MAX, "saturates");
     }
 
     #[test]

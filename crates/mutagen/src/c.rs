@@ -361,11 +361,6 @@ impl CMutationModel {
         }
         out
     }
-
-    /// Total number of mutants.
-    pub fn mutant_count(&self) -> usize {
-        self.replacements.iter().map(Vec::len).sum()
-    }
 }
 
 /// Heuristic binary-operator context: the previous token ends an operand.

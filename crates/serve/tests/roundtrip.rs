@@ -373,6 +373,30 @@ fn a_hundred_thousand_struct_chain_is_a_compile_check() {
     rejected_then_clean_boot(&deep, "struct nesting deeper than");
 }
 
+#[test]
+fn a_billion_int_local_is_a_compile_check() {
+    // A 58-byte driver whose local would ask lowering for 24 GB and abort
+    // the process: the parser's object-size bound turns it into a spanned
+    // compile error.
+    rejected_then_clean_boot(
+        "int ide_probe(void) { int a[1000000000]; return 0; }",
+        "array larger than",
+    );
+}
+
+#[test]
+fn a_sixty_level_doubling_chain_is_a_compile_check() {
+    // Each struct holds two of the one before, so a value of the last
+    // would be 2^60 bytes, and lowering one costs four times as much
+    // every two levels: the size bound rejects the 17th struct's body.
+    let mut src = String::from("struct s0 { char c; };\n");
+    for k in 1..=60 {
+        src.push_str(&format!("struct s{k} {{ struct s{0} a; struct s{0} b; }};\n", k - 1));
+    }
+    src.push_str("int ide_probe(void) { struct s60 v; return 0; }\n");
+    rejected_then_clean_boot(&src, "struct larger than");
+}
+
 /// Submit `deep` to a one-worker `InProcServer`, expect `CompileCheck`
 /// with `message` in its detail, then have the same worker boot the clean
 /// `ide_piix4_c`.

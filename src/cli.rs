@@ -7,8 +7,9 @@
 
 use devil_bench::tables::{
     campaign_spec_revision, parse_seed, render_outcome_table, scenario_campaign, scenario_variants,
-    CampaignOptions, StubFlavor,
+    CampaignOptions,
 };
+use devil_core::codegen::CodegenMode;
 use devil_drivers::corpus::{find_case, scenario_names, DriverVariant};
 use devil_hwsim::{FaultPlan, DEFAULT_FAULT_SEED};
 use devil_mutagen::c::CStyle;
@@ -110,8 +111,8 @@ impl CampaignArgs {
             match (flag, value) {
                 ("--all", None) => parsed.opts.fraction = 1.0,
                 ("--resume", None) => parsed.resume = true,
-                ("--weak-types", None) => parsed.opts.stub_flavor = StubFlavor::Production,
-                ("--no-asserts", None) => parsed.opts.stub_flavor = StubFlavor::DebugNoAsserts,
+                ("--weak-types", None) => parsed.opts.stub_mode = CodegenMode::Production,
+                ("--no-asserts", None) => parsed.opts.stub_mode = CodegenMode::DebugNoAsserts,
                 ("--all" | "--resume" | "--weak-types" | "--no-asserts", Some(_)) => {
                     return Err(format!("`{flag}` takes no value"));
                 }
@@ -232,10 +233,10 @@ pub fn usage_error(msg: &str) -> ! {
 /// the scenario, each after its ledger counts when `--ledger` is given.
 pub fn print_tables(args: &CampaignArgs, title: &str, style: CStyle, paper: &str) {
     let (scenario, opts) = (&args.scenario, &args.opts);
-    let ablation = match opts.stub_flavor {
-        StubFlavor::Debug => "",
-        StubFlavor::Production => ", WEAK TYPES ablation",
-        StubFlavor::DebugNoAsserts => ", NO ASSERTS ablation",
+    let ablation = match opts.stub_mode {
+        CodegenMode::Debug => "",
+        CodegenMode::Production => ", WEAK TYPES ablation",
+        CodegenMode::DebugNoAsserts => ", NO ASSERTS ablation",
     };
     let hardware = match &opts.fault_plan {
         Some(p) => format!(", fault plan `{}` seed {:#x}", p.name(), p.seed()),
@@ -314,7 +315,7 @@ mod tests {
         let a = parse(&[], EVERY_FLAG).unwrap();
         assert_eq!(a.scenario, "ide-boot");
         assert_eq!((a.opts.fraction, a.opts.seed, a.opts.threads), (0.25, DEFAULT_SEED, 0));
-        assert_eq!(a.opts.stub_flavor, StubFlavor::Debug);
+        assert_eq!(a.opts.stub_mode, CodegenMode::Debug);
         assert!(a.opts.fault_plan.is_none() && a.ledger.is_none() && !a.resume);
         let defaults = CampaignOptions { fraction: 0.05, seed: 42, ..CampaignOptions::default() };
         let a = CampaignArgs::parse(Vec::new(), defaults, EVERY_FLAG).unwrap();
@@ -340,7 +341,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.scenario, "mouse-stream");
         assert_eq!((a.opts.fraction, a.opts.seed, a.opts.threads), (0.5, 0x1F, 3));
-        assert_eq!(a.opts.stub_flavor, StubFlavor::Production);
+        assert_eq!(a.opts.stub_mode, CodegenMode::Production);
         let plan = a.opts.fault_plan.expect("fault plan set");
         assert_eq!((plan.name(), plan.seed()), ("bus-noise", 0x2A));
         assert_eq!(a.ledger, Some(PathBuf::from("out.bin")));
@@ -348,7 +349,7 @@ mod tests {
 
         let a = parse(&["--all", "--no-asserts", "--seed=1234"], EVERY_FLAG).unwrap();
         assert_eq!((a.opts.fraction, a.opts.seed), (1.0, 1234));
-        assert_eq!(a.opts.stub_flavor, StubFlavor::DebugNoAsserts);
+        assert_eq!(a.opts.stub_mode, CodegenMode::DebugNoAsserts);
         let a = parse(&["--seed=0XDE71"], EVERY_FLAG).unwrap();
         assert_eq!(a.opts.seed, 0xDE71, "both hex prefixes");
     }

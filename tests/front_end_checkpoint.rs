@@ -11,6 +11,9 @@
 //! builds (the tier-1 run) a small seeded sample. And arbitrary remainders
 //! appended to the clean prefix — random bytes, token soup, operator
 //! splices — since the service compiles untrusted C through this path.
+//!
+//! Release builds also pin what the front end answers for every catalog
+//! compile, so a change to it that moves any verdict fails.
 
 use devil::core::codegen::{generate, CodegenMode};
 use devil::drivers::{busmouse, ide, specs};
@@ -39,9 +42,9 @@ fn drivers() -> Vec<Driver> {
             file: ide::IDE_CDEVIL_FILE,
             source: ide::IDE_CDEVIL_DRIVER,
             header_name: ide::IDE_HEADER_NAME,
-            debug: ide::ide_debug_header(),
-            no_asserts: ide::ide_no_assert_header(),
-            production: ide::ide_production_header(),
+            debug: ide::ide_header(CodegenMode::Debug),
+            no_asserts: ide::ide_header(CodegenMode::DebugNoAsserts),
+            production: ide::ide_header(CodegenMode::Production),
         },
         Driver {
             file: busmouse::BM_CDEVIL_FILE,
@@ -109,6 +112,99 @@ fn every_cdevil_mutant_resumes_and_matches_the_full_compile() {
             assert_eq!(stats.full(), 0, "{}: {stats:?}", d.file);
         }
     }
+}
+
+/// What the front end answers for one driver's population against one
+/// header: how many sources compile, how many each phase rejects
+/// (preprocess, lex, parse, check), and an FNV-1a over the error texts in
+/// population order.
+#[derive(Debug, PartialEq, Eq)]
+struct Verdicts {
+    driver: &'static str,
+    header: &'static str,
+    compiled: u64,
+    rejected: [u64; 4],
+    errors_fnv: u64,
+}
+
+/// Compile the clean `source`, then every mutant in `mutants`, through
+/// one fresh cache over `includes`, as a campaign does.
+fn verdicts(
+    (driver, header): (&'static str, &'static str),
+    file: &str,
+    source: &str,
+    mutants: &[devil::mutagen::Mutant],
+    includes: &[(&str, &str)],
+) -> Verdicts {
+    let cache = IncludeCache::new(includes);
+    let sources = std::iter::once(source).chain(mutants.iter().map(|m| m.source.as_str()));
+    let mut v = Verdicts { driver, header, compiled: 0, rejected: [0; 4], errors_fnv: 0 };
+    let mut errors = String::new();
+    for source in sources {
+        match compile_with_cache(file, source, &cache) {
+            Ok(_) => v.compiled += 1,
+            Err(e) => {
+                let phase = [CPhase::Preprocess, CPhase::Lex, CPhase::Parse, CPhase::Check];
+                v.rejected[phase.iter().position(|&p| p == e.phase).expect("a phase")] += 1;
+                errors.push_str(&format!("{e}\n"));
+            }
+        }
+    }
+    v.errors_fnv = devil::mutagen::ledger::fnv1a(errors.as_bytes());
+    v
+}
+
+/// The front end's answer for every catalog driver and each of its
+/// mutants against its catalog headers, and for the IDE CDevil population
+/// against the no-asserts and production headers too, pinned. A change
+/// to the front end that moves any compile from `Ok` to `Err`, from one
+/// phase to another, or to another message, fails here.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "compiles 40,141 sources; run in release")]
+fn every_catalog_compile_keeps_its_pinned_verdict() {
+    let mut seen = Vec::new();
+    let mut got = Vec::new();
+    for case in devil::drivers::corpus::scenario_catalog() {
+        for v in &case.drivers {
+            if seen.contains(&v.label) {
+                continue;
+            }
+            seen.push(v.label);
+            let mutants = v.mutants();
+            let mut headers = vec![("catalog", v.headers.clone())];
+            if v.file == ide::IDE_CDEVIL_FILE {
+                for (header, mode) in [
+                    ("no-asserts", CodegenMode::DebugNoAsserts),
+                    ("production", CodegenMode::Production),
+                ] {
+                    let text = ide::ide_header(mode);
+                    headers.push((header, vec![(ide::IDE_HEADER_NAME.to_string(), text)]));
+                }
+            }
+            for (header, includes) in headers {
+                let refs: Vec<(&str, &str)> =
+                    includes.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+                got.push(verdicts((v.label, header), v.file, v.source, &mutants, &refs));
+            }
+        }
+    }
+    let pin = |driver, header, compiled, rejected, errors_fnv| Verdicts {
+        driver,
+        header,
+        compiled,
+        rejected,
+        errors_fnv,
+    };
+    let pinned = [
+        pin("ide_piix4_c", "catalog", 4419, [0, 32, 502, 943], 0xb516dfe42ec732f2),
+        pin("ide_piix4_cdevil", "catalog", 3313, [69, 33, 234, 3361], 0xdab0eeeea0a3619d),
+        pin("ide_piix4_cdevil", "no-asserts", 3331, [69, 33, 219, 3358], 0x138a84886741cb40),
+        pin("ide_piix4_cdevil", "production", 3873, [51, 33, 232, 2821], 0x7c0b310a0eeb1379),
+        pin("busmouse_c", "catalog", 2020, [90, 2, 152, 179], 0x614c50ba50066624),
+        pin("busmouse_cdevil", "catalog", 600, [9, 2, 52, 225], 0x3a2630bb8e337548),
+        pin("ne2000_c", "catalog", 7731, [0, 37, 660, 1456], 0xd0ccedc5a00f6381),
+    ];
+    assert_eq!(got, pinned);
 }
 
 /// The clean IDE driver split at its cut, and a cache whose checkpoint

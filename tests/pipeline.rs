@@ -128,7 +128,7 @@ fn weak_types_ablation_collapses_compile_detection() {
     let bad = ide::IDE_CDEVIL_DRIVER.replace("set_Drive(MASTER);", "set_Drive(IDENTIFY);");
     let weak = [(
         ide::IDE_HEADER_NAME.to_string(),
-        ide::ide_production_header(),
+        ide::ide_header(CodegenMode::Production),
     )];
     let weak_ref: Vec<(&str, &str)> =
         weak.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
