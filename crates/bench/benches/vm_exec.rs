@@ -13,19 +13,27 @@
 //!   full PR-4 path.
 //! * `vm_exec/poll_loop_{fused,unfused}` — a bare polling loop, for the
 //!   ns-per-fuel-unit number the ROADMAP tracks.
+//! * `lowering/<driver>_full` against `lowering/<driver>_<function>` —
+//!   for each IDE driver, a full `Program::to_bytecode` of the clean
+//!   driver against a `LowerCache` warmed with it lowering a mutant of one
+//!   driver function (a different mutant each iteration, so every one
+//!   re-lowers the function and the callers that inlined it): the
+//!   lowering stage a campaign pays per mutant, before and after the cache.
 //!
 //! A full (non `--test`) run records the numbers and the speedups under
 //! the `vm_exec` key of `BENCH_dispatch.json` (shared with the other
 //! benches via `criterion::update_json_section`).
 
 use criterion::{criterion_group, Criterion};
-use devil_drivers::corpus::build_scenario;
+use devil_drivers::corpus::{build_scenario, find_case};
 use devil_drivers::{ide, ne2000};
 use devil_kernel::boot::DEFAULT_FUEL;
 use devil_kernel::fs;
 use devil_kernel::scenario::{Outcome, ScenarioMachine};
 use devil_kernel::scenarios::IdeBootScenario;
+use devil_minic::bytecode::LowerCache;
 use devil_minic::interp::NullHost;
+use devil_minic::pp::IncludeCache;
 use devil_minic::value::Value;
 use devil_minic::vm::Vm;
 use devil_minic::{CompiledProgram, Program};
@@ -104,6 +112,57 @@ fn bench_vm_exec(c: &mut Criterion) {
     g.finish();
 }
 
+/// Up to four compiled mutants per function of `clean` that they change,
+/// by function name, in population order.
+fn mutants_by_function(
+    v: &devil_drivers::corpus::DriverVariant,
+    clean: &Program,
+    cache: &IncludeCache,
+) -> Vec<(String, Vec<Program>)> {
+    let mut by_function: Vec<(String, Vec<Program>)> = Vec::new();
+    for m in v.mutants() {
+        let Ok(p) = devil_minic::compile_with_cache(v.file, &m.source, cache) else { continue };
+        let Some(f) = p.unit.functions().zip(clean.unit.functions()).find(|(a, b)| a != b) else {
+            continue;
+        };
+        let name = f.0.name.clone();
+        match by_function.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, ps)) if ps.len() < 4 => ps.push(p),
+            Some(_) => {}
+            None => by_function.push((name, vec![p])),
+        }
+    }
+    by_function.retain(|(_, ps)| ps.len() > 1);
+    by_function
+}
+
+fn bench_lowering(c: &mut Criterion) {
+    let mut g = c.benchmark_group("lowering");
+    g.sample_size(20);
+    for v in &find_case("ide-boot").expect("ide-boot is in the catalog").drivers {
+        let refs: Vec<(&str, &str)> =
+            v.headers.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+        let cache = IncludeCache::new(&refs);
+        let clean = devil_minic::compile_with_cache(v.file, v.source, &cache).unwrap();
+        let label = v.label;
+        g.bench_function(format!("{label}_full"), |b| {
+            b.iter(|| clean.to_bytecode());
+        });
+        for (function, mutants) in mutants_by_function(v, &clean, &cache) {
+            // Lowered twice, so every clean item has been reused and no
+            // mutant's version displaces it.
+            let mut lowering = LowerCache::new();
+            lowering.lower(&clean);
+            lowering.lower(&clean);
+            let mut next = mutants.iter().cycle();
+            g.bench_function(format!("{label}_{function}"), |b| {
+                b.iter(|| lowering.lower(next.next().expect("a cycle never ends")));
+            });
+        }
+    }
+    g.finish();
+}
+
 fn emit_json(c: &mut Criterion) {
     if c.is_test_mode() {
         return;
@@ -140,7 +199,7 @@ fn emit_json(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_vm_exec);
+criterion_group!(benches, bench_vm_exec, bench_lowering);
 
 fn main() {
     let mut c = Criterion::from_args();

@@ -70,6 +70,7 @@
 use crate::kapi::MachineHost;
 use devil_hwsim::snap::Snapshot;
 use devil_hwsim::IoSpace;
+use devil_minic::bytecode::LowerCache;
 use devil_minic::interp::{Interpreter, RunError};
 use devil_minic::pp::IncludeCache;
 use devil_minic::value::Value;
@@ -623,10 +624,25 @@ pub fn run_mutant_in<S: Scenario>(
 ///
 /// Builds the scenario's machine **once** ([`Scenario::build`]), captures
 /// its pristine state as a [`Snapshot`], and then evaluates each mutant as
-/// *restore → compile → drive → classify* — the per-mutant reset is a
-/// (journal-assisted) memcpy instead of a machine reconstruction. Use one
-/// `ScenarioMachine` per worker thread, e.g. as the workspace of a
-/// `devil_mutagen::Campaign`:
+/// *compile → lower → restore → drive → classify*:
+///
+/// * compile resumes from the front-end checkpoint of the driver's
+///   `#include` prefix (the machine's own include cache for
+///   [`ScenarioMachine::run`], a shared one for
+///   [`ScenarioMachine::run_cached`]);
+/// * lowering goes through the machine's [`LowerCache`], so the first
+///   mutant of a driver lowers every function and each later one lowers
+///   only the functions it changed and those that inlined them — what a
+///   campaign pays per mutant is the changed function, not the 200-odd
+///   stub-header functions;
+/// * the per-mutant reset is a (journal-assisted) memcpy instead of a
+///   machine reconstruction.
+///
+/// Every step gives exactly what the one-shot [`run_mutant_in`] gives.
+/// The lowering cache holds `Rc`s, so a machine stays on the thread that
+/// built it: use one `ScenarioMachine` per worker thread, e.g. as the
+/// workspace of a `devil_mutagen::Campaign`, which builds each worker's
+/// workspace on that worker:
 ///
 /// ```ignore
 /// let outcomes = Campaign::new(
@@ -648,6 +664,8 @@ pub struct ScenarioMachine<S: Scenario> {
     /// records the front-end checkpoint of the driver's prefix up to its
     /// `#include`, which later mutants resume from.
     include_cache: Option<IncludeCache>,
+    /// Every lowering of `run` and `run_cached` goes through it.
+    lowering: LowerCache,
 }
 
 impl<S: Scenario> ScenarioMachine<S> {
@@ -655,12 +673,20 @@ impl<S: Scenario> ScenarioMachine<S> {
     pub fn with_scenario(mut scenario: S, fuel: u64) -> Self {
         let io = scenario.build();
         let pristine = io.snapshot();
-        ScenarioMachine { scenario, io, pristine, fuel, include_cache: None }
+        ScenarioMachine {
+            scenario,
+            io,
+            pristine,
+            fuel,
+            include_cache: None,
+            lowering: LowerCache::new(),
+        }
     }
 
     /// Evaluate one mutant: compile it (resuming from the include cache's
-    /// front-end checkpoint), rewind the machine to its pristine snapshot, drive
-    /// the scenario through the bytecode VM, and classify — including the
+    /// front-end checkpoint), lower it through the machine's lowering
+    /// cache, rewind the machine to its pristine snapshot, drive the
+    /// scenario through the bytecode VM, and classify — including the
     /// dead-code refinement. Produces exactly the same classification as
     /// the rebuild-per-mutant path ([`run_mutant_in`]), without rebuilding
     /// anything.
@@ -727,7 +753,8 @@ impl<S: Scenario> ScenarioMachine<S> {
         dead_site: Option<u32>,
         deadline: Option<Deadline>,
     ) -> (Outcome, Detail) {
-        let report = self.run_compiled_bounded(&program.to_bytecode(), deadline);
+        let compiled = self.lowering.lower(program);
+        let report = self.run_compiled_bounded(&compiled, deadline);
         refine_dead_code(program, report, file_name, dead_site)
     }
 

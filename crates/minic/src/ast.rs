@@ -49,6 +49,12 @@ impl Unit {
         &self.items
     }
 
+    /// The shared prefix items (empty for a unit parsed in full). Two units
+    /// whose prefixes are the same allocation hold the same prefix items.
+    pub(crate) fn prefix(&self) -> &Arc<[Item]> {
+        &self.prefix
+    }
+
     /// Split a unit parsed in full into its items (as one shareable
     /// slice) and its struct table — how a front-end checkpoint keeps a
     /// parsed prefix.

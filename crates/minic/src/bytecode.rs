@@ -8,6 +8,20 @@
 //! constants — which [`crate::vm::Vm`] then executes with a single
 //! flat-dispatch loop.
 //!
+//! # One body per item
+//!
+//! Each function and each global initialiser lowers on its own into a
+//! body that owns its tables: constants, burn sequences, templates,
+//! coercion lists, switch tables and superinstructions. The VM reads the
+//! tables of the body it is running. An item's lowering therefore depends
+//! only on its own definition, the definitions of the functions it calls
+//! (the inliner reads them), and the program's shape: its function and
+//! global name lists, its struct table and its file list. Name lookups
+//! (callees, globals, struct members) go through indexes built once per
+//! shape. [`Program::to_bytecode`] lowers every item; a [`LowerCache`]
+//! lowers only the items whose inputs it has not seen, and shares the
+//! rest by `Rc`, with an equal result.
+//!
 //! # Equivalence contract
 //!
 //! The VM must be *observationally identical* to the tree-walker: same
@@ -38,8 +52,8 @@
 //! Driver boots are dominated by polling loops — `while (t < 20000)`,
 //! `while ((inb(port) & BUSY) != 0)`, `while (--retries > 0)` — whose
 //! bodies lower to 4–8 tiny ops per iteration, each paying a full
-//! dispatch round. A post-lowering peephole pass ([`fuse`]) collapses the
-//! dominant shapes into single *superinstructions*:
+//! dispatch round. A post-lowering peephole pass (`crate::fuse`) collapses
+//! the dominant shapes into single *superinstructions*:
 //!
 //! * **load + compare + branch** (`t < 20000` loop conditions),
 //! * **load + binop-const + compare + branch** (`(s & 0x80) == 0`),
@@ -48,8 +62,8 @@
 //!   `inb`/`inw`/`inl` with a constant port), and
 //! * the for-loop step+back-jump pair (`i++` + `Jump`).
 //!
-//! Each fused op is described by a `FusedOp` in a side table
-//! ([`CompiledProgram`]`::fused`), keeping `Op` itself small; the
+//! Each fused op is described by a `FusedOp` in a side table of its
+//! function's body, keeping `Op` itself small; the
 //! branchless flavour (`FuseEnd::Push`) also folds interior
 //! `Line*;Load;BinConst` runs of straight-line code. The pass preserves
 //! the equivalence contract **exactly**: every fused op replays the burn
@@ -70,6 +84,10 @@ use crate::value::{Place, Value};
 use crate::Program;
 use std::collections::HashMap;
 use std::rc::Rc;
+
+mod cache;
+
+pub use cache::LowerCache;
 
 /// Store-coercion applied when a value lands in a typed object — the
 /// lowered form of `Interpreter::coerce_store` (integer targets truncate,
@@ -99,7 +117,7 @@ impl Coerce {
 
 /// Lowered cast target — just enough of [`CType`] to replicate
 /// `Interpreter::eval`'s cast arm.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CastKind {
     /// Cast to an integer type.
     Int {
@@ -194,8 +212,10 @@ pub(crate) enum Var {
 
 /// One VM instruction. `line` payloads are packed `(file_id, line)` ids
 /// (see [`crate::token::pack_line`]); `target`s are absolute indices into
-/// the owning function's op vector; `var`s are [`Var`] operands.
-#[derive(Debug, Clone)]
+/// the owning function's op vector; `var`s are [`Var`] operands; table
+/// indexes (`cidx`, `seq`, `template`, `coerces`, `table`, `idx`) index
+/// the owning [`Body`]'s tables.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Op {
     /// Burn fuel + record coverage for one AST node entry.
     Line(u32),
@@ -348,7 +368,7 @@ pub(crate) enum Op {
 /// A source, a stage's rhs or an end that names a plain variable carries
 /// one [`Var`], local or global alike; the member and indexed forms
 /// (`FieldLocal`, `StoreField`, `StoreIndexLocal`) match locals only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FusedOp {
     /// Leading `Op::Line` burns, in program order.
     pub(crate) pre: Box<[u32]>,
@@ -432,7 +452,7 @@ pub(crate) enum FuseEnd {
 }
 
 /// The value-producing head of a [`FusedOp`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FuseSrc {
     /// `Op::LoadVar` (burns `line`; arrays decay; an unset variable faults).
     Var { var: Var, line: u32 },
@@ -464,7 +484,7 @@ pub(crate) enum FuseSrc {
 
 /// One folded binary stage of a [`FusedOp`] — the `Op::BinConst` (or
 /// `Op::LoadVar` + `Op::Bin`) it replaces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FuseStage {
     /// The operator.
     pub(crate) op: BinOp,
@@ -476,7 +496,7 @@ pub(crate) struct FuseStage {
 
 /// Right-hand operand of a [`FuseStage`]; every flavour burns `line`
 /// before the value materialises, exactly like the op it replaces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FuseRhs {
     /// Interned constant (`Op::BinConst`'s `rhs_line` burn).
     Const { cidx: u32, line: u32 },
@@ -490,7 +510,7 @@ pub(crate) enum FuseRhs {
 /// How a global's object is assembled from its evaluated initialisers —
 /// the lowered form of `Interpreter::ensure_globals` (which, unlike local
 /// declarations, stores aggregate items *uncoerced*).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum GFinish {
     /// No initialiser: clone the zero template.
     Zero { template: u32 },
@@ -502,11 +522,28 @@ pub(crate) enum GFinish {
     Struct { template: u32, items: u16 },
 }
 
+/// A lowered body: a function's or a global initialiser's ops and the
+/// tables they index. Each body owns its tables, so an item lowers to the
+/// same body whatever else its program holds, and a body is shared, not
+/// copied, by every program that reuses it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Body {
+    pub(crate) ops: Vec<Op>,
+    pub(crate) consts: Vec<Value>,
+    pub(crate) burn_seqs: Vec<Box<[u32]>>,
+    pub(crate) templates: Vec<Box<[Value]>>,
+    pub(crate) field_coerces: Vec<Box<[Coerce]>>,
+    pub(crate) switches: Vec<SwitchTable>,
+    /// Superinstruction descriptors referenced by [`Op::FusedBr`]; empty
+    /// until the [`fuse`] pass runs.
+    pub(crate) fused: Vec<FusedOp>,
+}
+
 /// A lowered function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BFunc {
     pub(crate) name: String,
-    pub(crate) ops: Vec<Op>,
+    pub(crate) body: Body,
     /// Frame size in slots (params first).
     pub(crate) slots: u16,
     /// Per-parameter store coercions.
@@ -516,10 +553,10 @@ pub(crate) struct BFunc {
 }
 
 /// A lowered global: initialiser evaluation ops plus assembly recipe.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BGlobal {
     pub(crate) name: String,
-    pub(crate) ops: Vec<Op>,
+    pub(crate) body: Body,
     pub(crate) finish: GFinish,
     /// Packed declaration line — faults during initialisation are
     /// re-stamped to this local line, as `eval_const` does.
@@ -527,7 +564,7 @@ pub(crate) struct BGlobal {
 }
 
 /// One lowered `switch`: first-matching-arm dispatch table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SwitchTable {
     pub(crate) cases: Vec<(i64, u32)>,
     pub(crate) default: Option<u32>,
@@ -541,20 +578,15 @@ pub(crate) struct SwitchTable {
 
 /// A program lowered to bytecode, ready for [`crate::vm::Vm`].
 ///
-/// Produced by [`lower`] (or [`Program::to_bytecode`]); immutable and
-/// freely shareable across boots of the same mutant.
-#[derive(Debug, Clone)]
+/// Produced by [`Program::to_bytecode`] or a [`LowerCache`]; immutable and
+/// freely shareable across boots of the same mutant. Its functions and
+/// globals are reference-counted, each owning its tables, so programs
+/// lowered through one cache share every item they did not change, and
+/// two programs compare equal exactly when every item lowered alike.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
-    pub(crate) funcs: Vec<BFunc>,
-    pub(crate) globals: Vec<BGlobal>,
-    pub(crate) consts: Vec<Value>,
-    pub(crate) burn_seqs: Vec<Box<[u32]>>,
-    pub(crate) templates: Vec<Box<[Value]>>,
-    pub(crate) field_coerces: Vec<Box<[Coerce]>>,
-    pub(crate) switches: Vec<SwitchTable>,
-    /// Superinstruction descriptors referenced by [`Op::FusedBr`]; empty
-    /// until [`fuse`] runs.
-    pub(crate) fused: Vec<FusedOp>,
+    pub(crate) funcs: Vec<Rc<BFunc>>,
+    pub(crate) globals: Vec<Rc<BGlobal>>,
     /// Participating file names (index = `file_id`).
     pub(crate) files: Vec<String>,
 }
@@ -586,25 +618,28 @@ impl CompiledProgram {
         self.funcs.len()
     }
 
-    /// Number of superinstructions the [`fuse`] pass produced — zero for
+    /// Number of superinstructions the fusion pass produced — zero for
     /// an unfused program (diagnostics; the zero-alloc and fusion tests
     /// use this to prove the fast path is actually exercised).
     pub fn fused_op_count(&self) -> usize {
-        self.fused.len()
+        self.funcs.iter().map(|f| f.body.fused.len()).sum()
     }
 }
 
-/// Run the superinstruction peephole pass over a lowered program in
-/// place — see the module docs and `crate::fuse`. Idempotent.
-pub use crate::fuse::fuse;
+use crate::fuse::fuse;
 
 impl Program {
-    /// Lower this checked program to bytecode and apply the
-    /// superinstruction [`fuse`] pass — the production path.
+    /// Lower this checked program to bytecode, inlining small calls and
+    /// applying the superinstruction fusion pass — the production
+    /// encoding. Every item takes the [`LowerCache`]'s miss path, so this
+    /// is what a cache returns for a program it has never seen.
+    ///
+    /// Lowering is total for checker-approved programs; shapes the checker
+    /// rejects (and which therefore cannot reach a [`crate::vm::Vm`]
+    /// through [`crate::compile`]) lower to the same runtime fault the
+    /// tree-walker raises.
     pub fn to_bytecode(&self) -> CompiledProgram {
-        let mut compiled = lower(self);
-        fuse(&mut compiled);
-        compiled
+        lower_program(self, true)
     }
 
     /// Lower without the superinstruction pass or the call-inlining pass
@@ -612,56 +647,99 @@ impl Program {
     /// tests cover both dispatch paths and the `vm_exec` bench has a
     /// faithful A/B baseline.
     pub fn to_bytecode_unfused(&self) -> CompiledProgram {
-        lower_with(self, false)
+        lower_program(self, false)
     }
 }
 
-/// Lower a checked program to bytecode.
-///
-/// Lowering is total for checker-approved programs; shapes the checker
-/// rejects (and which therefore cannot reach a [`crate::vm::Vm`] through
-/// [`crate::compile`]) lower to the same runtime fault the tree-walker
-/// raises.
-pub fn lower(program: &Program) -> CompiledProgram {
-    lower_with(program, true)
+/// Lower every item of `program` on the miss path.
+fn lower_program(program: &Program, optimise: bool) -> CompiledProgram {
+    let names = Names::of(program);
+    let lw = Lowering::new(program, &names, optimise);
+    CompiledProgram {
+        globals: program.unit.globals().map(|g| Rc::new(lw.global(g).0)).collect(),
+        funcs: (0..lw.funcs.len()).map(|i| Rc::new(lw.function(i).0)).collect(),
+        files: program.unit.files.clone(),
+    }
 }
 
-/// [`lower`] with the call-inlining pass switched off — together with
-/// skipping [`fuse`], this reproduces the PR-4 encoding exactly, which is
-/// what [`Program::to_bytecode_unfused`] serves as the differential/bench
-/// baseline.
-pub(crate) fn lower_with(program: &Program, inline: bool) -> CompiledProgram {
-    let mut lw = Lower {
-        program,
-        inline,
-        builtin_sigs: crate::check::builtin_signatures(),
-        consts: Vec::new(),
-        int_consts: HashMap::new(),
-        str_consts: HashMap::new(),
-        burn_seqs: Vec::new(),
-        templates: Vec::new(),
-        field_coerces: Vec::new(),
-        switches: Vec::new(),
-        global_names: program.unit.globals().map(|g| g.name.clone()).collect(),
-        ops: Vec::new(),
-        scopes: Vec::new(),
-        ctxs: Vec::new(),
-        next_slot: 0,
-        inline_stack: Vec::new(),
-        resolve_floor: 0,
-    };
-    let globals = program.unit.globals().map(|g| lw.lower_global(g)).collect();
-    let funcs = program.unit.functions().map(|f| lw.lower_function(f)).collect();
-    CompiledProgram {
-        funcs,
-        globals,
-        consts: lw.consts,
-        burn_seqs: lw.burn_seqs,
-        templates: lw.templates,
-        field_coerces: lw.field_coerces,
-        switches: lw.switches,
-        fused: Vec::new(),
-        files: program.unit.files.clone(),
+/// The name lookups lowering makes, built once per program shape (its
+/// function and global name lists and its struct table) instead of
+/// scanned at every use. The first definition of a name wins, as a scan
+/// in declaration order finds it.
+#[derive(Debug)]
+pub(crate) struct Names {
+    /// Function index by name.
+    funcs: HashMap<String, u16>,
+    /// Global index by name.
+    globals: HashMap<String, u16>,
+    /// Field position by member name, taken from the first struct in
+    /// table order that has such a field — `Interpreter::field_index_of`'s
+    /// answer (positions agree across the generated stub types by
+    /// construction).
+    fields: HashMap<String, u16>,
+}
+
+impl Names {
+    pub(crate) fn of(program: &Program) -> Names {
+        fn index<'a>(names: impl Iterator<Item = &'a String>) -> HashMap<String, u16> {
+            let mut map = HashMap::new();
+            for (i, name) in names.enumerate() {
+                map.entry(name.clone()).or_insert(i as u16);
+            }
+            map
+        }
+        let mut fields = HashMap::new();
+        for id in 0..program.structs.len() {
+            let def = program.structs.get(StructId(id));
+            for (i, (name, _)) in def.fields.iter().enumerate() {
+                fields.entry(name.clone()).or_insert(i as u16);
+            }
+        }
+        Names {
+            funcs: index(program.unit.functions().map(|f| &f.name)),
+            globals: index(program.unit.globals().map(|g| &g.name)),
+            fields,
+        }
+    }
+}
+
+/// One program as the miss path lowers its items: the program, its
+/// [`Names`], and its functions by index.
+pub(crate) struct Lowering<'p> {
+    program: &'p Program,
+    names: &'p Names,
+    funcs: Vec<&'p Function>,
+    /// Whether small calls are inlined ([`Lower::should_inline`]) and
+    /// function bodies fused; off only for `to_bytecode_unfused`.
+    optimise: bool,
+}
+
+impl<'p> Lowering<'p> {
+    pub(crate) fn new(program: &'p Program, names: &'p Names, optimise: bool) -> Self {
+        Lowering { program, names, funcs: program.unit.functions().collect(), optimise }
+    }
+
+    /// Lower function `fidx` (and fuse it when optimising). Also returns
+    /// the indexes of the functions whose definitions the lowering read
+    /// (every callee it resolved, inlined or not, and theirs when
+    /// inlined): the lowering is a function of the program's shape, the
+    /// function's own definition and those.
+    pub(crate) fn function(&self, fidx: usize) -> (BFunc, Vec<u16>) {
+        let mut lw = Lower::new(self);
+        let mut f = lw.lower_function(self.funcs[fidx]);
+        if self.optimise {
+            fuse(&mut f.body);
+        }
+        (f, lw.reads)
+    }
+
+    /// Lower one global's initialiser (never fused: initialisers are
+    /// checker-enforced constant expressions with no loops to win back),
+    /// with the functions its lowering read, as for [`Lowering::function`].
+    pub(crate) fn global(&self, g: &Global) -> (BGlobal, Vec<u16>) {
+        let mut lw = Lower::new(self);
+        let g = lw.lower_global(g);
+        (g, lw.reads)
     }
 }
 
@@ -705,32 +783,42 @@ struct Ctx {
     continue_target: Option<u32>,
 }
 
-struct Lower<'p> {
-    program: &'p Program,
-    /// Whether small calls are flattened ([`Lower::should_inline`]).
-    inline: bool,
-    builtin_sigs: HashMap<String, crate::check::Sig>,
-    consts: Vec<Value>,
+/// The state of lowering one item: the body being built, with its
+/// interning maps, and the scopes, contexts and inline chain of the code
+/// being emitted.
+struct Lower<'a> {
+    cx: &'a Lowering<'a>,
+    body: Body,
     int_consts: HashMap<i64, u32>,
     str_consts: HashMap<String, u32>,
-    burn_seqs: Vec<Box<[u32]>>,
-    templates: Vec<Box<[Value]>>,
-    field_coerces: Vec<Box<[Coerce]>>,
-    switches: Vec<SwitchTable>,
-    global_names: Vec<String>,
-    // Per-function state:
-    ops: Vec<Op>,
     scopes: Vec<LScope>,
     ctxs: Vec<Ctx>,
     next_slot: u16,
     /// Function indices currently being inlined (cycle guard).
-    inline_stack: Vec<usize>,
+    inline_stack: Vec<u16>,
     /// Name resolution stops at this scope index — an inlined body must
     /// see its own frame and the globals, never the caller's locals.
     resolve_floor: usize,
+    /// Every function whose definition this lowering read, once each.
+    reads: Vec<u16>,
 }
 
-impl<'p> Lower<'p> {
+impl<'a> Lower<'a> {
+    fn new(cx: &'a Lowering<'a>) -> Self {
+        Lower {
+            cx,
+            body: Body::default(),
+            int_consts: HashMap::new(),
+            str_consts: HashMap::new(),
+            scopes: Vec::new(),
+            ctxs: Vec::new(),
+            next_slot: 0,
+            inline_stack: Vec::new(),
+            resolve_floor: 0,
+            reads: Vec::new(),
+        }
+    }
+
     // ----- tables ---------------------------------------------------------
 
     fn intern(&mut self, v: Value) -> u32 {
@@ -739,56 +827,52 @@ impl<'p> Lower<'p> {
                 if let Some(&idx) = self.int_consts.get(i) {
                     return idx;
                 }
-                let idx = self.consts.len() as u32;
+                let idx = self.body.consts.len() as u32;
                 self.int_consts.insert(*i, idx);
-                self.consts.push(v);
+                self.body.consts.push(v);
                 idx
             }
             Value::Str(s) => {
                 if let Some(&idx) = self.str_consts.get(s.as_ref()) {
                     return idx;
                 }
-                let idx = self.consts.len() as u32;
+                let idx = self.body.consts.len() as u32;
                 self.str_consts.insert(s.to_string(), idx);
-                self.consts.push(v);
+                self.body.consts.push(v);
                 idx
             }
             _ => {
-                if let Some(i) = self.consts.iter().position(|c| *c == v) {
+                if let Some(i) = self.body.consts.iter().position(|c| *c == v) {
                     return i as u32;
                 }
-                self.consts.push(v);
-                self.consts.len() as u32 - 1
+                self.body.consts.push(v);
+                self.body.consts.len() as u32 - 1
             }
         }
     }
 
     fn intern_seq(&mut self, seq: Vec<u32>) -> u32 {
-        if let Some(i) = self.burn_seqs.iter().position(|s| s.as_ref() == seq.as_slice()) {
+        if let Some(i) = self.body.burn_seqs.iter().position(|s| s.as_ref() == seq.as_slice()) {
             return i as u32;
         }
-        self.burn_seqs.push(seq.into_boxed_slice());
-        self.burn_seqs.len() as u32 - 1
+        self.body.burn_seqs.push(seq.into_boxed_slice());
+        self.body.burn_seqs.len() as u32 - 1
     }
 
     fn intern_coerces(&mut self, coerces: Vec<Coerce>) -> u32 {
-        if let Some(i) = self
-            .field_coerces
-            .iter()
-            .position(|c| c.as_ref() == coerces.as_slice())
-        {
+        if let Some(i) = self.body.field_coerces.iter().position(|c| c.as_ref() == coerces.as_slice()) {
             return i as u32;
         }
-        self.field_coerces.push(coerces.into_boxed_slice());
-        self.field_coerces.len() as u32 - 1
+        self.body.field_coerces.push(coerces.into_boxed_slice());
+        self.body.field_coerces.len() as u32 - 1
     }
 
     fn intern_template(&mut self, t: Vec<Value>) -> u32 {
-        if let Some(i) = self.templates.iter().position(|s| s.as_ref() == t.as_slice()) {
+        if let Some(i) = self.body.templates.iter().position(|s| s.as_ref() == t.as_slice()) {
             return i as u32;
         }
-        self.templates.push(t.into_boxed_slice());
-        self.templates.len() as u32 - 1
+        self.body.templates.push(t.into_boxed_slice());
+        self.body.templates.len() as u32 - 1
     }
 
     /// Zero value of a type — must mirror `Interpreter::zero_of` exactly
@@ -799,22 +883,16 @@ impl<'p> Lower<'p> {
             CType::Ptr(_) => Value::Ptr(None),
             CType::Array(e, n) => Value::Struct(Rc::new(vec![self.zero_of(e); *n])),
             CType::Struct(id) => {
-                let fields = &self.program.structs.get(*id).fields;
+                let fields = &self.cx.program.structs.get(*id).fields;
                 Value::Struct(Rc::new(fields.iter().map(|(_, t)| self.zero_of(t)).collect()))
             }
         }
     }
 
-    /// First field index matching `name` across *all* struct definitions —
-    /// mirror of `Interpreter::field_index_of` (positions agree across the
-    /// generated stub types by construction).
+    /// First field index matching `name` across *all* struct definitions
+    /// (see [`Names`]).
     fn field_index(&self, name: &str) -> u16 {
-        for i in 0..self.program.structs.len() {
-            if let Some(idx) = self.program.structs.get(StructId(i)).field_index(name) {
-                return idx as u16;
-            }
-        }
-        NO_FIELD
+        self.cx.names.fields.get(name).copied().unwrap_or(NO_FIELD)
     }
 
     /// The variable `name` denotes here: the innermost visible local,
@@ -826,8 +904,7 @@ impl<'p> Lower<'p> {
                 return Some(Var::Local(*slot));
             }
         }
-        let gidx = self.global_names.iter().position(|g| g == name)?;
-        Some(Var::Global(gidx as u16))
+        self.cx.names.globals.get(name).map(|&gidx| Var::Global(gidx))
     }
 
     fn declare(&mut self, name: &str) -> u16 {
@@ -857,7 +934,7 @@ impl<'p> Lower<'p> {
                 Some((Value::Str(Rc::new(value.clone())), vec![*line]))
             }
             Expr::SizeofType { ty, line } => Some((
-                Value::Int(ty.size_bytes(&self.program.structs) as i64),
+                Value::Int(ty.size_bytes(&self.cx.program.structs) as i64),
                 vec![*line],
             )),
             Expr::Ident { name, line } => {
@@ -866,8 +943,8 @@ impl<'p> Lower<'p> {
                 if self.resolve(name).is_some() {
                     return None;
                 }
-                if self.program.unit.function(name).is_some()
-                    || self.builtin_sigs.contains_key(name)
+                if self.cx.names.funcs.contains_key(name)
+                    || crate::check::builtins().declares(name)
                 {
                     let addr = 0x0800_0000u32.wrapping_add(
                         name.bytes()
@@ -949,10 +1026,10 @@ impl<'p> Lower<'p> {
     fn emit_folded(&mut self, v: Value, seq: Vec<u32>) {
         let cidx = self.intern(v);
         if seq.len() == 1 {
-            self.ops.push(Op::Const { cidx, line: seq[0] });
+            self.body.ops.push(Op::Const { cidx, line: seq[0] });
         } else {
             let seq = self.intern_seq(seq);
-            self.ops.push(Op::ConstN { cidx, seq });
+            self.body.ops.push(Op::ConstN { cidx, seq });
         }
     }
 
@@ -970,65 +1047,65 @@ impl<'p> Lower<'p> {
             | Expr::StrLit { .. }
             | Expr::SizeofType { .. } => unreachable!("constant leaves fold"),
             Expr::Ident { name, line } => match self.resolve(name) {
-                Some(var) => self.ops.push(Op::LoadVar { var, line: *line }),
+                Some(var) => self.body.ops.push(Op::LoadVar { var, line: *line }),
                 None => {
                     // Unknown non-function name: checker-rejected; fault
                     // exactly where the tree-walker does.
-                    self.ops.push(Op::Line(*line));
-                    self.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line });
+                    self.body.ops.push(Op::Line(*line));
+                    self.body.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line });
                 }
             },
             Expr::Unary { op, expr, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 match op {
                     UnOp::Neg => {
                         self.emit_expr(expr);
-                        self.ops.push(Op::Neg { line: expr.line() });
+                        self.body.ops.push(Op::Neg { line: expr.line() });
                     }
                     UnOp::Plus => self.emit_expr(expr),
                     UnOp::Not => {
                         self.emit_expr(expr);
-                        self.ops.push(Op::LogicalNot);
+                        self.body.ops.push(Op::LogicalNot);
                     }
                     UnOp::BitNot => {
                         self.emit_expr(expr);
-                        self.ops.push(Op::BitNot { line: expr.line() });
+                        self.body.ops.push(Op::BitNot { line: expr.line() });
                     }
                     UnOp::Deref => {
                         self.emit_lvalue(e);
-                        self.ops.push(Op::ReadPlace { line: *line });
+                        self.body.ops.push(Op::ReadPlace { line: *line });
                     }
                     UnOp::AddrOf => {
                         self.emit_lvalue(expr);
-                        self.ops.push(Op::AddrOf);
+                        self.body.ops.push(Op::AddrOf);
                     }
                 }
             }
             Expr::Binary { op, lhs, rhs, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 match op {
                     BinOp::LogAnd => {
                         self.emit_expr(lhs);
                         let br = self.placeholder();
                         self.emit_expr(rhs);
-                        self.ops.push(Op::CoerceBool);
+                        self.body.ops.push(Op::CoerceBool);
                         let end = self.here();
-                        self.ops[br] = Op::BrFalseConst { target: end };
+                        self.body.ops[br] = Op::BrFalseConst { target: end };
                     }
                     BinOp::LogOr => {
                         self.emit_expr(lhs);
                         let br = self.placeholder();
                         self.emit_expr(rhs);
-                        self.ops.push(Op::CoerceBool);
+                        self.body.ops.push(Op::CoerceBool);
                         let end = self.here();
-                        self.ops[br] = Op::BrTrueConst { target: end };
+                        self.body.ops[br] = Op::BrTrueConst { target: end };
                     }
                     _ => {
                         self.emit_expr(lhs);
                         match self.fold(rhs) {
                             Some((v, seq)) if seq.len() == 1 => {
                                 let cidx = self.intern(v);
-                                self.ops.push(Op::BinConst {
+                                self.body.ops.push(Op::BinConst {
                                     op: *op,
                                     cidx,
                                     rhs_line: seq[0],
@@ -1037,97 +1114,97 @@ impl<'p> Lower<'p> {
                             }
                             Some((v, seq)) => {
                                 self.emit_folded(v, seq);
-                                self.ops.push(Op::Bin { op: *op, line: *line });
+                                self.body.ops.push(Op::Bin { op: *op, line: *line });
                             }
                             None => {
                                 self.emit_expr(rhs);
-                                self.ops.push(Op::Bin { op: *op, line: *line });
+                                self.body.ops.push(Op::Bin { op: *op, line: *line });
                             }
                         }
                     }
                 }
             }
             Expr::Assign { op, lhs, rhs, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 // Evaluation order: value first, then target place.
                 self.emit_expr(rhs);
                 self.emit_lvalue(lhs);
-                self.ops.push(match op {
+                self.body.ops.push(match op {
                     None => Op::Store { line: *line },
                     Some(op) => Op::StoreBin { op: *op, line: *line },
                 });
             }
             Expr::Cond { cond, then_e, else_e, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 self.emit_expr(cond);
                 let br = self.placeholder();
                 self.emit_expr(then_e);
                 let jmp = self.placeholder();
                 let at_else = self.here();
-                self.ops[br] = Op::JumpIfFalse { target: at_else };
+                self.body.ops[br] = Op::JumpIfFalse { target: at_else };
                 self.emit_expr(else_e);
                 let end = self.here();
-                self.ops[jmp] = Op::Jump { target: end };
+                self.body.ops[jmp] = Op::Jump { target: end };
             }
             Expr::Call { callee, args, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 let Expr::Ident { name, .. } = callee.as_ref() else {
-                    self.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line });
+                    self.body.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line });
                     return;
                 };
-                let program = self.program;
-                if let Some(fidx) = program.unit.functions().position(|f| f.name == *name) {
+                let cx = self.cx;
+                if let Some(&fidx) = cx.names.funcs.get(name) {
                     for a in args {
                         self.emit_expr(a);
                     }
-                    let func = program
-                        .unit
-                        .functions()
-                        .nth(fidx)
-                        .expect("function index just resolved");
+                    // Whether inlined or not, the callee's definition
+                    // steers this lowering (`should_inline` reads it).
+                    if !self.reads.contains(&fidx) {
+                        self.reads.push(fidx);
+                    }
+                    let func = cx.funcs[fidx as usize];
                     if self.should_inline(fidx, func, args.len()) {
                         self.emit_inline_call(fidx, func);
                     } else {
-                        self.ops
-                            .push(Op::CallUser { fidx: fidx as u16, argc: args.len() as u8 });
+                        self.body.ops.push(Op::CallUser { fidx, argc: args.len() as u8 });
                     }
                 } else if let Some(which) = builtin_of(name) {
                     for a in args {
                         self.emit_expr(a);
                     }
-                    self.ops.push(Op::CallBuiltin { which, argc: args.len() as u8, line: *line });
+                    self.body.ops.push(Op::CallBuiltin { which, argc: args.len() as u8, line: *line });
                 } else {
                     // Declared-but-undefined prototype: faults before any
                     // argument evaluates, like the tree-walker.
-                    self.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line });
+                    self.body.ops.push(Op::Trap { kind: FaultKind::BadValue, line: *line });
                 }
             }
             Expr::Member { base, field, arrow: false, line } if !is_lvalue_expr(base) => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 self.emit_expr(base);
                 let fidx = self.field_index(field);
-                self.ops.push(Op::MemberValue { fidx, line: *line });
+                self.body.ops.push(Op::MemberValue { fidx, line: *line });
             }
             Expr::Index { line, .. } | Expr::Member { line, .. } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 self.emit_lvalue(e);
-                self.ops.push(Op::ReadPlace { line: *line });
+                self.body.ops.push(Op::ReadPlace { line: *line });
             }
             Expr::Cast { ty, expr, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 self.emit_expr(expr);
-                self.ops.push(Op::Cast { kind: CastKind::of(ty), line: *line });
+                self.body.ops.push(Op::Cast { kind: CastKind::of(ty), line: *line });
             }
             Expr::IncDec { expr, inc, prefix, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 self.emit_lvalue(expr);
-                self.ops.push(Op::IncDec { inc: *inc, prefix: *prefix, line: *line });
+                self.body.ops.push(Op::IncDec { inc: *inc, prefix: *prefix, line: *line });
             }
             Expr::Comma { lhs, rhs } => {
                 // `eval` burns the comma's own (= rhs's) line first.
-                self.ops.push(Op::Line(rhs.line()));
+                self.body.ops.push(Op::Line(rhs.line()));
                 self.emit_expr(lhs);
-                self.ops.push(Op::Pop);
+                self.body.ops.push(Op::Pop);
                 self.emit_expr(rhs);
             }
         }
@@ -1135,30 +1212,30 @@ impl<'p> Lower<'p> {
 
     fn emit_lvalue(&mut self, e: &Expr) {
         match e {
-            Expr::Ident { name, line } => self.ops.push(match self.resolve(name) {
+            Expr::Ident { name, line } => self.body.ops.push(match self.resolve(name) {
                 Some(var) => Op::PlaceVar { var, line: *line },
                 None => Op::Trap { kind: FaultKind::BadValue, line: *line },
             }),
             Expr::Unary { op: UnOp::Deref, expr, line } => {
                 self.emit_expr(expr);
-                self.ops.push(Op::PtrPlace { line: *line });
+                self.body.ops.push(Op::PtrPlace { line: *line });
             }
             Expr::Index { base, index, line } => {
                 self.emit_expr(base);
                 self.emit_expr(index);
-                self.ops.push(Op::IndexPlace { line: *line, idx_line: index.line() });
+                self.body.ops.push(Op::IndexPlace { line: *line, idx_line: index.line() });
             }
             Expr::Member { base, field, arrow, line } => {
                 let fidx = self.field_index(field);
                 if *arrow {
                     self.emit_expr(base);
-                    self.ops.push(Op::PtrPlace { line: *line });
+                    self.body.ops.push(Op::PtrPlace { line: *line });
                 } else {
                     self.emit_lvalue(base);
                 }
-                self.ops.push(Op::MemberStep { fidx, line: *line });
+                self.body.ops.push(Op::MemberStep { fidx, line: *line });
             }
-            other => self.ops.push(Op::Trap {
+            other => self.body.ops.push(Op::Trap {
                 kind: FaultKind::BadValue,
                 line: other.line(),
             }),
@@ -1175,10 +1252,10 @@ impl<'p> Lower<'p> {
     /// (anything else keeps the call's argument-dropping semantics in one
     /// place), no recursion through the current inline chain, bounded
     /// nesting depth, bounded body size.
-    fn should_inline(&self, fidx: usize, func: &Function, argc: usize) -> bool {
+    fn should_inline(&self, fidx: u16, func: &Function, argc: usize) -> bool {
         const MAX_INLINE_DEPTH: usize = 4;
         const MAX_INLINE_STMTS: usize = 16;
-        self.inline
+        self.cx.optimise
             && argc == func.params.len()
             && self.inline_stack.len() < MAX_INLINE_DEPTH
             && !self.inline_stack.contains(&fidx)
@@ -1192,7 +1269,7 @@ impl<'p> Lower<'p> {
     /// closing `InlineExit`, and falling off the end yields 0 — so object
     /// ids, burns, faults and `StackOverflow` sites all match the
     /// tree-walking oracle's out-of-line execution exactly.
-    fn emit_inline_call(&mut self, fidx: usize, func: &Function) {
+    fn emit_inline_call(&mut self, fidx: u16, func: &Function) {
         self.inline_stack.push(fidx);
         let coerces: Vec<Coerce> = func.params.iter().map(|(_, ty)| Coerce::of(ty)).collect();
         let coerces = self.intern_coerces(coerces);
@@ -1205,7 +1282,7 @@ impl<'p> Lower<'p> {
         for (name, _) in &func.params {
             self.declare(name);
         }
-        self.ops.push(Op::InlineEnter {
+        self.body.ops.push(Op::InlineEnter {
             first_slot,
             argc: func.params.len() as u8,
             coerces,
@@ -1225,12 +1302,12 @@ impl<'p> Lower<'p> {
         }
         // Falling off the end returns 0 (without burning), like `Ret`.
         let cidx = self.intern(Value::Int(0));
-        self.ops.push(Op::PushConst { cidx });
+        self.body.ops.push(Op::PushConst { cidx });
         let end = self.here();
         let ctx = self.ctxs.pop().expect("inline ctx pushed");
         self.patch(ctx.break_patches, end);
         debug_assert!(ctx.continue_patches.is_empty());
-        self.ops.push(Op::InlineExit);
+        self.body.ops.push(Op::InlineExit);
         self.scopes.pop();
         self.resolve_floor = saved_floor;
         self.inline_stack.pop();
@@ -1254,18 +1331,18 @@ impl<'p> Lower<'p> {
     // ----- statements -----------------------------------------------------
 
     fn placeholder(&mut self) -> usize {
-        self.ops.push(Op::Jump { target: u32::MAX });
-        self.ops.len() - 1
+        self.body.ops.push(Op::Jump { target: u32::MAX });
+        self.body.ops.len() - 1
     }
 
     fn here(&self) -> u32 {
-        self.ops.len() as u32
+        self.body.ops.len() as u32
     }
 
     fn emit_block(&mut self, b: &Block) {
         let has_decl = b.stmts.iter().any(|s| matches!(s, Stmt::Decl { .. }));
         if has_decl {
-            self.ops.push(Op::EnterScope);
+            self.body.ops.push(Op::EnterScope);
         }
         self.scopes.push(LScope { names: Vec::new(), emitted: has_decl });
         for s in &b.stmts {
@@ -1273,14 +1350,14 @@ impl<'p> Lower<'p> {
         }
         self.scopes.pop();
         if has_decl {
-            self.ops.push(Op::ExitScope);
+            self.body.ops.push(Op::ExitScope);
         }
     }
 
     fn emit_stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::Decl { name, ty, init, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 match (ty, init) {
                     (CType::Array(elem, n), init) => {
                         let template =
@@ -1293,7 +1370,7 @@ impl<'p> Lower<'p> {
                             items = list.len() as u16;
                         }
                         let slot = self.declare(name);
-                        self.ops.push(Op::DeclArray {
+                        self.body.ops.push(Op::DeclArray {
                             slot,
                             template,
                             items,
@@ -1301,7 +1378,7 @@ impl<'p> Lower<'p> {
                         });
                     }
                     (CType::Struct(id), Some(Init::List(list))) => {
-                        let fields = self.program.structs.get(*id).fields.clone();
+                        let fields = self.cx.program.structs.get(*id).fields.clone();
                         let template = self.intern_template(
                             fields.iter().map(|(_, t)| self.zero_of(t)).collect(),
                         );
@@ -1312,7 +1389,7 @@ impl<'p> Lower<'p> {
                             self.emit_expr(it);
                         }
                         let slot = self.declare(name);
-                        self.ops.push(Op::DeclStruct {
+                        self.body.ops.push(Op::DeclStruct {
                             slot,
                             template,
                             items: list.len() as u16,
@@ -1322,12 +1399,12 @@ impl<'p> Lower<'p> {
                     (ty, Some(Init::Expr(e))) => {
                         self.emit_expr(e);
                         let slot = self.declare(name);
-                        self.ops.push(Op::DeclScalar { slot, coerce: Coerce::of(ty) });
+                        self.body.ops.push(Op::DeclScalar { slot, coerce: Coerce::of(ty) });
                     }
                     (ty, _) => {
                         let template = self.intern_template(vec![self.zero_of(ty)]);
                         let slot = self.declare(name);
-                        self.ops.push(Op::DeclZero { slot, template });
+                        self.body.ops.push(Op::DeclZero { slot, template });
                     }
                 }
             }
@@ -1340,14 +1417,14 @@ impl<'p> Lower<'p> {
                     Some(eb) => {
                         let jmp = self.placeholder();
                         let at_else = self.here();
-                        self.ops[br] = Op::JumpIfFalse { target: at_else };
+                        self.body.ops[br] = Op::JumpIfFalse { target: at_else };
                         self.emit_block(eb);
                         let end = self.here();
-                        self.ops[jmp] = Op::Jump { target: end };
+                        self.body.ops[jmp] = Op::Jump { target: end };
                     }
                     None => {
                         let end = self.here();
-                        self.ops[br] = Op::JumpIfFalse { target: end };
+                        self.body.ops[br] = Op::JumpIfFalse { target: end };
                     }
                 }
             }
@@ -1364,9 +1441,9 @@ impl<'p> Lower<'p> {
                     continue_target: Some(start),
                 });
                 self.emit_block(body);
-                self.ops.push(Op::Jump { target: start });
+                self.body.ops.push(Op::Jump { target: start });
                 let end = self.here();
-                self.ops[br] = Op::JumpIfFalse { target: end };
+                self.body.ops[br] = Op::JumpIfFalse { target: end };
                 let ctx = self.ctxs.pop().expect("loop ctx pushed");
                 self.patch(ctx.break_patches, end);
                 debug_assert!(ctx.continue_patches.is_empty());
@@ -1384,7 +1461,7 @@ impl<'p> Lower<'p> {
                 self.emit_block(body);
                 let at_cond = self.here();
                 self.emit_expr(cond);
-                self.ops.push(Op::JumpIfTrue { target: start });
+                self.body.ops.push(Op::JumpIfTrue { target: start });
                 let end = self.here();
                 let ctx = self.ctxs.pop().expect("loop ctx pushed");
                 self.patch(ctx.break_patches, end);
@@ -1393,7 +1470,7 @@ impl<'p> Lower<'p> {
             Stmt::For { init, cond, step, body } => {
                 let has_scope = matches!(init.as_deref(), Some(Stmt::Decl { .. }));
                 if has_scope {
-                    self.ops.push(Op::EnterScope);
+                    self.body.ops.push(Op::EnterScope);
                 }
                 self.scopes.push(LScope { names: Vec::new(), emitted: has_scope });
                 if let Some(init) = init {
@@ -1417,34 +1494,34 @@ impl<'p> Lower<'p> {
                 if let Some(st) = step {
                     self.emit_expr_stmt(st);
                 }
-                self.ops.push(Op::Jump { target: start });
+                self.body.ops.push(Op::Jump { target: start });
                 let end = self.here();
                 if let Some(br) = br {
-                    self.ops[br] = Op::JumpIfFalse { target: end };
+                    self.body.ops[br] = Op::JumpIfFalse { target: end };
                 }
                 let ctx = self.ctxs.pop().expect("loop ctx pushed");
                 self.patch(ctx.break_patches, end);
                 self.patch(ctx.continue_patches, at_step);
                 self.scopes.pop();
                 if has_scope {
-                    self.ops.push(Op::ExitScope);
+                    self.body.ops.push(Op::ExitScope);
                 }
             }
             Stmt::Switch { expr, arms, line } => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 self.emit_expr(expr);
                 let enter_scope = arms
                     .iter()
                     .any(|a| a.stmts.iter().any(|s| matches!(s, Stmt::Decl { .. })));
-                let table = self.switches.len() as u32;
-                self.switches.push(SwitchTable {
+                let table = self.body.switches.len() as u32;
+                self.body.switches.push(SwitchTable {
                     cases: Vec::new(),
                     default: None,
                     end: u32::MAX,
                     enter_scope,
                     line: *line,
                 });
-                self.ops.push(Op::Switch { table });
+                self.body.ops.push(Op::Switch { table });
                 self.ctxs.push(Ctx {
                     kind: CtxKind::Switch,
                     scopes_outside: self.emitted_scopes(),
@@ -1465,13 +1542,13 @@ impl<'p> Lower<'p> {
                 }
                 self.scopes.pop();
                 if enter_scope {
-                    self.ops.push(Op::ExitScope);
+                    self.body.ops.push(Op::ExitScope);
                 }
                 let end = self.here();
                 let ctx = self.ctxs.pop().expect("switch ctx pushed");
                 self.patch(ctx.break_patches, end);
                 debug_assert!(ctx.continue_patches.is_empty());
-                let tbl = &mut self.switches[table as usize];
+                let tbl = &mut self.body.switches[table as usize];
                 tbl.end = end;
                 for (arm, start) in arms.iter().zip(arm_starts) {
                     for l in &arm.labels {
@@ -1487,12 +1564,12 @@ impl<'p> Lower<'p> {
                 }
             }
             Stmt::Return(e, line) => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 match e {
                     Some(e) => self.emit_expr(e),
                     None => {
                         let cidx = self.intern(Value::Int(0));
-                        self.ops.push(Op::PushConst { cidx });
+                        self.body.ops.push(Op::PushConst { cidx });
                     }
                 }
                 // Inside an inlined body, `return` unwinds the scopes it
@@ -1502,20 +1579,20 @@ impl<'p> Lower<'p> {
                     Some(i) => {
                         let unwind = self.emitted_scopes() - self.ctxs[i].scopes_body;
                         for _ in 0..unwind {
-                            self.ops.push(Op::ExitScope);
+                            self.body.ops.push(Op::ExitScope);
                         }
                         let p = self.placeholder();
                         self.ctxs[i].break_patches.push(p);
                     }
-                    None => self.ops.push(Op::Ret),
+                    None => self.body.ops.push(Op::Ret),
                 }
             }
             Stmt::Break(line) => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 if let Some(i) = self.branch_ctx(false) {
                     let unwind = self.emitted_scopes() - self.ctxs[i].scopes_outside;
                     for _ in 0..unwind {
-                        self.ops.push(Op::ExitScope);
+                        self.body.ops.push(Op::ExitScope);
                     }
                     let p = self.placeholder();
                     self.ctxs[i].break_patches.push(p);
@@ -1523,14 +1600,14 @@ impl<'p> Lower<'p> {
                 // `break` outside any loop/switch is checker-rejected.
             }
             Stmt::Continue(line) => {
-                self.ops.push(Op::Line(*line));
+                self.body.ops.push(Op::Line(*line));
                 if let Some(i) = self.branch_ctx(true) {
                     let unwind = self.emitted_scopes() - self.ctxs[i].scopes_body;
                     for _ in 0..unwind {
-                        self.ops.push(Op::ExitScope);
+                        self.body.ops.push(Op::ExitScope);
                     }
                     match self.ctxs[i].continue_target {
-                        Some(t) => self.ops.push(Op::Jump { target: t }),
+                        Some(t) => self.body.ops.push(Op::Jump { target: t }),
                         None => {
                             let p = self.placeholder();
                             self.ctxs[i].continue_patches.push(p);
@@ -1556,9 +1633,9 @@ impl<'p> Lower<'p> {
         match e {
             Expr::Assign { op, lhs, rhs, line } => {
                 if let Some(var) = var(lhs) {
-                    self.ops.push(Op::Line(*line));
+                    self.body.ops.push(Op::Line(*line));
                     self.emit_expr(rhs);
-                    self.ops.push(match op {
+                    self.body.ops.push(match op {
                         None => Op::StoreVarPop { var, line: *line },
                         Some(op) => Op::StoreOpVarPop { var, op: *op, line: *line },
                     });
@@ -1567,32 +1644,26 @@ impl<'p> Lower<'p> {
             }
             Expr::IncDec { expr, inc, line, .. } => {
                 if let Some(var) = var(expr) {
-                    self.ops.push(Op::Line(*line));
-                    self.ops.push(Op::IncDecVarPop { var, inc: *inc, line: *line });
+                    self.body.ops.push(Op::Line(*line));
+                    self.body.ops.push(Op::IncDecVarPop { var, inc: *inc, line: *line });
                     return;
                 }
             }
             _ => {}
         }
         self.emit_expr(e);
-        self.ops.push(Op::Pop);
+        self.body.ops.push(Op::Pop);
     }
 
     fn patch(&mut self, patches: Vec<usize>, target: u32) {
         for p in patches {
-            self.ops[p] = Op::Jump { target };
+            self.body.ops[p] = Op::Jump { target };
         }
     }
 
     // ----- items ----------------------------------------------------------
 
     fn lower_function(&mut self, f: &Function) -> BFunc {
-        self.ops = Vec::new();
-        self.scopes.clear();
-        self.ctxs.clear();
-        self.next_slot = 0;
-        self.inline_stack.clear();
-        self.resolve_floor = 0;
         // The frame scope (params + body top-level decls) is pushed by the
         // call machinery itself, so it is "emitted" without an op.
         self.scopes.push(LScope { names: Vec::new(), emitted: true });
@@ -1608,12 +1679,12 @@ impl<'p> Lower<'p> {
         }
         // Falling off the end returns 0 (without burning fuel).
         let cidx = self.intern(Value::Int(0));
-        self.ops.push(Op::PushConst { cidx });
-        self.ops.push(Op::Ret);
+        self.body.ops.push(Op::PushConst { cidx });
+        self.body.ops.push(Op::Ret);
         self.scopes.pop();
         BFunc {
             name: f.name.clone(),
-            ops: std::mem::take(&mut self.ops),
+            body: std::mem::take(&mut self.body),
             slots: self.next_slot,
             params: params.into_boxed_slice(),
             line: f.line,
@@ -1621,12 +1692,6 @@ impl<'p> Lower<'p> {
     }
 
     fn lower_global(&mut self, g: &Global) -> BGlobal {
-        self.ops = Vec::new();
-        self.scopes.clear();
-        self.ctxs.clear();
-        self.next_slot = 0;
-        self.inline_stack.clear();
-        self.resolve_floor = 0;
         // Mirror `ensure_globals`: aggregates store evaluated items *raw*,
         // scalars coerce; missing initialisers clone the zero template.
         let finish = match (&g.ty, &g.init) {
@@ -1650,7 +1715,7 @@ impl<'p> Lower<'p> {
                 GFinish::Scalar { coerce: Coerce::of(ty) }
             }
             (CType::Struct(id), Some(Init::List(list))) => {
-                let fields = &self.program.structs.get(*id).fields;
+                let fields = &self.cx.program.structs.get(*id).fields;
                 let template =
                     self.intern_template(fields.iter().map(|(_, t)| self.zero_of(t)).collect());
                 for it in list {
@@ -1665,7 +1730,7 @@ impl<'p> Lower<'p> {
         };
         BGlobal {
             name: g.name.clone(),
-            ops: std::mem::take(&mut self.ops),
+            body: std::mem::take(&mut self.body),
             finish,
             line: g.line,
         }
@@ -1763,8 +1828,8 @@ mod tests {
         assert_eq!(c.function_count(), 1);
         assert_eq!(c.globals.len(), 1);
         assert!(c.funcs[0].slots >= 3, "n, i, acc get slots");
-        assert!(matches!(c.funcs[0].ops.last(), Some(Op::Ret)));
-        assert_eq!(c.switches.len(), 1);
+        assert!(matches!(c.funcs[0].body.ops.last(), Some(Op::Ret)));
+        assert_eq!(c.funcs[0].body.switches.len(), 1);
     }
 
     #[test]
@@ -1774,13 +1839,14 @@ mod tests {
         let c = p.to_bytecode_unfused();
         // The whole arithmetic subtree folds to one ConstN carrying the
         // five-node burn sequence (mul, add, 3, 4, 2).
-        let folded = c.funcs[0].ops.iter().find_map(|op| match op {
+        let body = &c.funcs[0].body;
+        let folded = body.ops.iter().find_map(|op| match op {
             Op::ConstN { cidx, seq } => Some((*cidx, *seq)),
             _ => None,
         });
         let (cidx, seq) = folded.expect("constant subtree folds to ConstN");
-        assert_eq!(c.consts[cidx as usize], Value::Int(14));
-        assert_eq!(c.burn_seqs[seq as usize].len(), 5);
+        assert_eq!(body.consts[cidx as usize], Value::Int(14));
+        assert_eq!(body.burn_seqs[seq as usize].len(), 5);
     }
 
     #[test]
@@ -1788,12 +1854,12 @@ mod tests {
         let p = compile("t.c", "int f(void) { return 1 / 0; }").unwrap();
         let c = p.to_bytecode_unfused();
         assert!(
-            c.funcs[0].ops.iter().any(|op| matches!(
+            c.funcs[0].body.ops.iter().any(|op| matches!(
                 op,
                 Op::Bin { op: BinOp::Div, .. } | Op::BinConst { op: BinOp::Div, .. }
             )),
             "faulting division must stay a runtime op: {:?}",
-            c.funcs[0].ops
+            c.funcs[0].body.ops
         );
     }
 
@@ -1805,7 +1871,8 @@ mod tests {
         )
         .unwrap();
         let c = p.to_bytecode();
-        let strs = c
+        let strs = c.funcs[0]
+            .body
             .consts
             .iter()
             .filter(|v| matches!(v, Value::Str(_)))

@@ -777,7 +777,23 @@ impl<'u> Checker<'u> {
                 let r = self.check_expr(rhs)?;
                 Ok(Typed::rvalue(r.ty))
             }
-            Expr::SizeofType { .. } => Ok(Typed::rvalue(CType::int())),
+            Expr::SizeofType { ty, line } => {
+                // gcc: "invalid application of 'sizeof' to incomplete type".
+                let mut elem = ty;
+                while let CType::Array(t, _) = elem {
+                    elem = t;
+                }
+                if let CType::Struct(id) = elem {
+                    let def = self.structs.get(*id);
+                    if def.layout.is_none() {
+                        return Err(err(
+                            *line,
+                            format!("invalid application of `sizeof` to incomplete type `struct {}`", def.name),
+                        ));
+                    }
+                }
+                Ok(Typed::rvalue(CType::int()))
+            }
         }
     }
 
@@ -1075,6 +1091,22 @@ mod tests {
     fn incomplete_struct_storage_is_error() {
         let msg = err_of("struct Fwd; // unsupported; use tag-only reference\nint f(void) { struct Fwd x; return 0; }");
         assert!(msg.contains("incomplete"), "{msg}");
+    }
+
+    #[test]
+    fn sizeof_an_incomplete_struct_is_error() {
+        for src in [
+            "struct U;\nint f(void) {\n return sizeof(struct U); }",
+            "\nint f(void) {\n return sizeof(struct Never); }",
+        ] {
+            let e = compile("t.c", src).unwrap_err();
+            assert_eq!((e.phase, e.line), (CPhase::Check, 3), "{e}");
+            assert!(e.message.contains("invalid application of `sizeof` to incomplete type"), "{e}");
+        }
+        // A pointer to one is complete, and a struct is complete after its body.
+        let src = "struct U; int f(void) { return sizeof(struct U *); }
+                   struct U { int a; }; int g(void) { return sizeof(struct U); }";
+        assert!(compile("t.c", src).is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The superinstruction peephole pass.
 //!
-//! Rewrites each lowered function's op vector, collapsing the polling-loop
+//! Rewrites a lowered function's op vector, collapsing the polling-loop
 //! shapes documented in [`crate::bytecode`] into single [`Op::FusedBr`] /
 //! [`Op::IncDecJmp`] dispatches. The pass is purely structural: every
 //! fused op replays the exact burn sequence, side effects and fault sites
@@ -14,36 +14,32 @@
 //! every branch-in point — explicit jump targets, switch case/default/end
 //! targets — and vetoes any candidate span with an interior target. All
 //! surviving targets are then remapped through the old→new index map
-//! (including this function's switch tables). Loop heads are pattern
+//! (including the function's switch tables). Loop heads are pattern
 //! *starts* by construction (`emit_expr` emits the condition's `Line`
 //! first), so the common back-edges still land on fused ops.
 //!
 //! Global initialisers are never fused: they are checker-enforced
 //! constant expressions with no loops to win back.
 
-use crate::bytecode::{
-    Builtin, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FuseStage, FusedOp, Op, Var,
-};
+use crate::bytecode::{Body, Builtin, FuseEnd, FuseRhs, FuseSrc, FuseStage, FusedOp, Op, Var};
 
-/// Run the pass over every function of a lowered program, in place.
-/// Idempotent: already-fused ops never match a pattern again.
-pub fn fuse(program: &mut CompiledProgram) {
-    for fidx in 0..program.funcs.len() {
-        let ops = std::mem::take(&mut program.funcs[fidx].ops);
-        let (ops, tables) = fuse_ops(ops, program);
-        // Remap this function's switch tables (collected during the scan).
-        for (table, map) in tables {
-            let t = &mut program.switches[table];
-            for (_, s) in &mut t.cases {
-                *s = map[*s as usize];
-            }
-            if let Some(d) = &mut t.default {
-                *d = map[*d as usize];
-            }
-            t.end = map[t.end as usize];
+/// Run the pass over one lowered function body, in place, appending its
+/// superinstructions to the body's own `fused` table. Idempotent:
+/// already-fused ops never match a pattern again.
+pub(crate) fn fuse(body: &mut Body) {
+    let ops = std::mem::take(&mut body.ops);
+    let (ops, map) = fuse_ops(ops, body);
+    // Remap the switch tables through the same index map.
+    for t in &mut body.switches {
+        for (_, s) in &mut t.cases {
+            *s = map[*s as usize];
         }
-        program.funcs[fidx].ops = ops;
+        if let Some(d) = &mut t.default {
+            *d = map[*d as usize];
+        }
+        t.end = map[t.end as usize];
     }
+    body.ops = ops;
 }
 
 /// A matched replacement and the number of input ops it covers.
@@ -58,9 +54,9 @@ enum Rep {
     InlineExitStore { slot: u16, line: u32 },
 }
 
-type TableRemaps = Vec<(usize, std::rc::Rc<[u32]>)>;
-
-fn fuse_ops(ops: Vec<Op>, program: &mut CompiledProgram) -> (Vec<Op>, TableRemaps) {
+/// Fuse `ops` (taken out of `body`, whose tables they index), returning
+/// the new ops and the old→new index map.
+fn fuse_ops(ops: Vec<Op>, body: &mut Body) -> (Vec<Op>, Vec<u32>) {
     let n = ops.len();
     // ----- branch-in points -----------------------------------------------
     let mut is_target = vec![false; n + 1];
@@ -69,7 +65,6 @@ fn fuse_ops(ops: Vec<Op>, program: &mut CompiledProgram) -> (Vec<Op>, TableRemap
             *slot = true;
         }
     };
-    let mut switch_tables = Vec::new();
     for op in &ops {
         match op {
             Op::Jump { target }
@@ -80,14 +75,13 @@ fn fuse_ops(ops: Vec<Op>, program: &mut CompiledProgram) -> (Vec<Op>, TableRemap
             | Op::IncDecJmp { target, .. }
             | Op::InlineExitJmp { target } => mark(*target, &mut is_target),
             Op::FusedBr { idx } => {
-                let f = &program.fused[*idx as usize];
+                let f = &body.fused[*idx as usize];
                 if f.has_target() {
                     mark(f.target, &mut is_target);
                 }
             }
             Op::Switch { table } => {
-                switch_tables.push(*table as usize);
-                let t = &program.switches[*table as usize];
+                let t = &body.switches[*table as usize];
                 for (_, s) in &t.cases {
                     mark(*s, &mut is_target);
                 }
@@ -112,8 +106,8 @@ fn fuse_ops(ops: Vec<Op>, program: &mut CompiledProgram) -> (Vec<Op>, TableRemap
                 }
                 out.push(match rep {
                     Rep::Fused(f) => {
-                        program.fused.push(f);
-                        Op::FusedBr { idx: program.fused.len() as u32 - 1 }
+                        body.fused.push(f);
+                        Op::FusedBr { idx: body.fused.len() as u32 - 1 }
                     }
                     Rep::IncDecJmp { var, inc, line, target } => {
                         Op::IncDecJmp { var, inc, line, target }
@@ -150,7 +144,7 @@ fn fuse_ops(ops: Vec<Op>, program: &mut CompiledProgram) -> (Vec<Op>, TableRemap
             | Op::IncDecJmp { target, .. }
             | Op::InlineExitJmp { target } => *target = map[*target as usize],
             Op::FusedBr { idx } => {
-                let f = &mut program.fused[*idx as usize];
+                let f = &mut body.fused[*idx as usize];
                 if f.has_target() {
                     f.target = map[f.target as usize];
                 }
@@ -158,8 +152,7 @@ fn fuse_ops(ops: Vec<Op>, program: &mut CompiledProgram) -> (Vec<Op>, TableRemap
             _ => {}
         }
     }
-    let map: std::rc::Rc<[u32]> = map.into();
-    (out, switch_tables.into_iter().map(|t| (t, map.clone())).collect())
+    (out, map)
 }
 
 /// Try to match a fusable span starting at `at`. Returns the span length
@@ -555,10 +548,11 @@ mod tests {
         let src = "int f(int n) { int i; int s = 0; for (i = 0; i < n; i++) { s += i; } return s; }";
         let c = compile("t.c", src).unwrap().to_bytecode();
         let has_step = c.funcs[0]
+            .body
             .ops
             .iter()
             .any(|op| matches!(op, Op::IncDecJmp { .. }));
-        assert!(has_step, "for-loop step+jump must fuse: {:?}", c.funcs[0].ops);
+        assert!(has_step, "for-loop step+jump must fuse: {:?}", c.funcs[0].body.ops);
         differential(src, "f", &[Value::Int(10)], &fuel_sweep());
     }
 
@@ -567,7 +561,7 @@ mod tests {
         // `i < n` compares against a *local*, exercising FuseRhs::Var.
         let src = "int f(int n) { int i = 0; while (i < n) { i++; } return i; }";
         let c = compile("t.c", src).unwrap().to_bytecode();
-        let load_rhs = c.fused.iter().any(|f| {
+        let load_rhs = c.funcs[0].body.fused.iter().any(|f| {
             f.stage1
                 .as_ref()
                 .is_some_and(|s| matches!(s.rhs, FuseRhs::Var { var: Var::Local(_), .. }))
@@ -595,11 +589,12 @@ mod tests {
         // a standalone branch op (not inside a fused span).
         let mut checked = 0;
         for f in &c.funcs {
-            for op in &f.ops {
+            let body = &f.body;
+            for op in &body.ops {
                 let target = match op {
                     Op::BrFalseConst { target } | Op::BrTrueConst { target } => *target,
                     Op::FusedBr { idx } => {
-                        let fu = &c.fused[*idx as usize];
+                        let fu = &body.fused[*idx as usize];
                         if !matches!(fu.end, FuseEnd::FalseConst | FuseEnd::TrueConst) {
                             continue;
                         }
@@ -610,11 +605,11 @@ mod tests {
                 checked += 1;
                 assert!(
                     matches!(
-                        f.ops[target as usize],
+                        body.ops[target as usize],
                         Op::JumpIfFalse { .. } | Op::JumpIfTrue { .. }
                     ),
                     "short-circuit target must stay a branch op: {:?}",
-                    f.ops[target as usize]
+                    body.ops[target as usize]
                 );
             }
         }
@@ -659,13 +654,13 @@ mod tests {
         let inl = c
             .funcs
             .iter()
-            .flat_map(|f| &f.ops)
+            .flat_map(|f| &f.body.ops)
             .filter(|o| matches!(o, Op::InlineEnter { .. }))
             .count();
         let calls = c
             .funcs
             .iter()
-            .flat_map(|f| &f.ops)
+            .flat_map(|f| &f.body.ops)
             .filter(|o| matches!(o, Op::CallUser { .. }))
             .count();
         assert!(inl >= 1, "small helper must inline");
@@ -678,7 +673,7 @@ mod tests {
         let calls = c
             .funcs
             .iter()
-            .flat_map(|f| &f.ops)
+            .flat_map(|f| &f.body.ops)
             .filter(|o| matches!(o, Op::CallUser { .. }))
             .count();
         assert!(calls >= 1, "recursive calls must stay out of line");
@@ -689,10 +684,9 @@ mod tests {
         let src = "int f(int n) { int t = 0; while (t < n) { t++; } return t; }";
         let p = compile("t.c", src).unwrap();
         let once = p.to_bytecode();
-        let mut twice = p.to_bytecode();
+        let mut twice = once.funcs[0].body.clone();
         fuse(&mut twice);
-        assert_eq!(once.fused_op_count(), twice.fused_op_count());
-        assert_eq!(once.funcs[0].ops.len(), twice.funcs[0].ops.len());
+        assert_eq!(once.funcs[0].body, twice);
     }
 
     #[test]

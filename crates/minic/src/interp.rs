@@ -772,7 +772,7 @@ impl<'a, H: Host> Interpreter<'a, H> {
                     // crashing the compiler — the silent failure mode the
                     // experiments measure.
                     if self.program.unit.function(name).is_some()
-                        || crate::check::builtin_signatures().contains_key(name)
+                        || crate::check::builtins().declares(name)
                     {
                         let addr = 0x0800_0000u32
                             .wrapping_add(name.bytes().fold(0u32, |a, b| {

@@ -150,9 +150,15 @@ fn lex_string(s: &str) -> Result<(String, usize), String> {
                 out.push(c as char);
                 i += used;
             }
-            c => {
+            c if c.is_ascii() => {
                 out.push(c as char);
                 i += 1;
+            }
+            // A multi-byte UTF-8 sequence, copied through whole.
+            _ => {
+                let c = s[i..].chars().next().expect("`i` is on a character boundary");
+                out.push(c);
+                i += c.len_utf8();
             }
         }
     }

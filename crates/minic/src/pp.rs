@@ -278,7 +278,8 @@ fn logical_lines(text: &str, start: LineStart) -> Vec<(u32, usize, String)> {
 /// flag says whether the scan ended at rest: outside every comment,
 /// string and character constant.
 fn strip_block_comments(src: &str) -> (String, bool) {
-    let mut out = String::with_capacity(src.len());
+    // Bytes, so a multi-byte UTF-8 sequence is copied through whole.
+    let mut out: Vec<u8> = Vec::with_capacity(src.len());
     let b = src.as_bytes();
     let mut i = 0;
     let mut in_comment = false;
@@ -287,20 +288,20 @@ fn strip_block_comments(src: &str) -> (String, bool) {
     while i < b.len() {
         if in_comment {
             if b[i] == b'\n' {
-                out.push('\n');
+                out.push(b'\n');
                 i += 1;
             } else if b[i] == b'*' && b.get(i + 1) == Some(&b'/') {
                 in_comment = false;
-                out.push_str("  ");
+                out.extend_from_slice(b"  ");
                 i += 2;
             } else {
-                out.push(' ');
+                out.push(b' ');
                 i += 1;
             }
         } else if let Some(q) = quote {
-            out.push(b[i] as char);
+            out.push(b[i]);
             if b[i] == b'\\' && i + 1 < b.len() {
-                out.push(b[i + 1] as char);
+                out.push(b[i + 1]);
                 i += 1;
             } else if b[i] == q {
                 quote = None;
@@ -308,11 +309,11 @@ fn strip_block_comments(src: &str) -> (String, bool) {
             i += 1;
         } else if b[i] == b'"' || b[i] == b'\'' {
             quote = Some(b[i]);
-            out.push(b[i] as char);
+            out.push(b[i]);
             i += 1;
         } else if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
             in_comment = true;
-            out.push_str("  ");
+            out.extend_from_slice(b"  ");
             i += 2;
         } else if b[i] == b'/' && b.get(i + 1) == Some(&b'/') {
             // Line comment: skip to newline.
@@ -320,11 +321,15 @@ fn strip_block_comments(src: &str) -> (String, bool) {
                 i += 1;
             }
         } else {
-            out.push(b[i] as char);
+            out.push(b[i]);
             i += 1;
         }
     }
     let at_rest = !in_comment && quote.is_none();
+    // A comment, which starts and ends on a character boundary, became
+    // ASCII byte for byte and every other byte was copied, so the text
+    // is still UTF-8.
+    let out = String::from_utf8(out).expect("comment stripping keeps UTF-8 sequences whole");
     (out, at_rest)
 }
 
@@ -753,6 +758,21 @@ mod tests {
             .map(|t| t.tok)
             .filter(|t| *t != CTok::Eof)
             .collect()
+    }
+
+    #[test]
+    fn non_ascii_text_passes_through_with_true_positions() {
+        // Multi-byte UTF-8 in a comment, a string and a character constant
+        // (which the lexer rejects, but comment stripping copies whole).
+        let src = "/* naïve */ int f(void) { printk(\"café %d\", 1); return v; } int g;";
+        let (toks, _) = preprocess("t.c", src, &[]).unwrap();
+        assert!(toks.iter().any(|t| t.tok == CTok::Str("café %d".into())));
+        for name in ["v", "g"] {
+            let tok = toks.iter().find(|t| t.tok == CTok::Ident(name.into())).unwrap();
+            let at = src.find(&format!(" {name};")).unwrap() + 1;
+            assert_eq!((tok.pos, &src[tok.pos..tok.pos + 1]), (at, name));
+        }
+        assert_eq!(strip_block_comments("'é' // é\n\"é\\é\"").0, "'é' \n\"é\\é\"");
     }
 
     fn idents(src: &str) -> Vec<String> {

@@ -1,9 +1,11 @@
 //! Flat-dispatch bytecode VM — the fast boot path for `minic` programs.
 //!
-//! Executes a [`CompiledProgram`] produced by [`crate::bytecode::lower`]
-//! against the same [`Host`] trait, fuel budget and [`RunError`] taxonomy
-//! as the tree-walking [`Interpreter`](crate::interp::Interpreter), which
-//! survives as the *differential oracle*: anything observable — return
+//! Executes a [`CompiledProgram`] produced by
+//! [`Program::to_bytecode`](crate::Program::to_bytecode) or a
+//! [`LowerCache`](crate::bytecode::LowerCache) against the same [`Host`]
+//! trait, fuel budget and [`RunError`] taxonomy as the tree-walking
+//! [`Interpreter`](crate::interp::Interpreter), which survives as the
+//! *differential oracle*: anything observable — return
 //! values, fault kind/file/line, console output, line coverage, and the
 //! exact fuel-burn sequence — must be identical between the two engines,
 //! the same relationship `hwsim::reference::LinearIoSpace` has to the
@@ -13,6 +15,9 @@
 //!
 //! * every AST node burns exactly once, parent before children, so fuel
 //!   exhaustion stops at the same instruction the tree-walker would;
+//! * every op indexes the tables of the body it belongs to (a function's
+//!   or a global initialiser's), which the frame loop carries beside the
+//!   op stream and switches on every call and return;
 //! * variable references arrive as `Var` operands, frame slots or global
 //!   indices, and every op looks them up through one helper — the checker
 //!   guarantees they resolve, so an unset variable can only mean an
@@ -43,8 +48,8 @@
 //! hang of both IDE mutant populations.
 
 use crate::bytecode::{
-    BFunc, Builtin, CastKind, Coerce, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FusedOp, GFinish,
-    Op, Var, NO_FIELD,
+    BFunc, Body, Builtin, CastKind, Coerce, CompiledProgram, FuseEnd, FuseRhs, FuseSrc, FusedOp,
+    GFinish, Op, Var, NO_FIELD,
 };
 use crate::coverage::Coverage;
 use crate::deadline::{Deadline, DEADLINE_CHECK_INTERVAL};
@@ -120,7 +125,7 @@ struct Obj {
 
 /// A suspended caller frame.
 struct Saved<'a> {
-    ops: &'a [Op],
+    body: &'a Body,
     pc: usize,
     slot_base: usize,
     scope_floor: usize,
@@ -329,15 +334,16 @@ impl<'a, H: Host> Vm<'a, H> {
 
     /// Evaluate one global's initialiser ops and assemble its object.
     fn run_global(&mut self, gidx: usize) -> VmResult<usize> {
-        let g = &self.program.globals[gidx];
-        let ops: &'a [Op] = &g.ops;
+        let program: &'a CompiledProgram = self.program;
+        let g = &program.globals[gidx];
+        let body: &'a Body = &g.body;
         let mut pc = 0usize;
-        while pc < ops.len() {
-            let op = &ops[pc];
+        while pc < body.ops.len() {
+            let op = &body.ops[pc];
             pc += 1;
             // Global initialisers are checker-enforced constant
             // expressions: no calls, declarations or scopes can appear.
-            let flow = self.dispatch(op)?;
+            let flow = self.dispatch(op, body)?;
             match flow {
                 Flow::Next => {}
                 Flow::Jump(t) => pc = t as usize,
@@ -350,14 +356,14 @@ impl<'a, H: Host> Vm<'a, H> {
         let mut data = std::mem::take(&mut self.objects[id].data);
         match &g.finish {
             GFinish::Zero { template } => {
-                data.extend_from_slice(&self.program.templates[*template as usize]);
+                data.extend_from_slice(&body.templates[*template as usize]);
             }
             GFinish::Scalar { coerce } => {
                 let v = self.stack.pop().expect("scalar initialiser evaluated");
                 data.push(apply_coerce(*coerce, v));
             }
             GFinish::Array { template, items } => {
-                data.extend_from_slice(&self.program.templates[*template as usize]);
+                data.extend_from_slice(&body.templates[*template as usize]);
                 let base = self.stack.len() - *items as usize;
                 // Aggregate items store *raw*, mirroring `ensure_globals`.
                 for (i, v) in self.stack.drain(base..).enumerate() {
@@ -367,8 +373,7 @@ impl<'a, H: Host> Vm<'a, H> {
                 }
             }
             GFinish::Struct { template, items } => {
-                let mut vals: Vec<Value> =
-                    self.program.templates[*template as usize].to_vec();
+                let mut vals: Vec<Value> = body.templates[*template as usize].to_vec();
                 let base = self.stack.len() - *items as usize;
                 for (i, v) in self.stack.drain(base..).enumerate() {
                     if i < vals.len() {
@@ -385,17 +390,21 @@ impl<'a, H: Host> Vm<'a, H> {
     // ----- frame machinery ------------------------------------------------
 
     fn run_call(&mut self, fidx: u16, args: &[Value]) -> VmResult<Value> {
-        let func = &self.program.funcs[fidx as usize];
+        let program: &'a CompiledProgram = self.program;
+        let func: &'a BFunc = &program.funcs[fidx as usize];
         self.enter_frame(func)?;
         for (i, (coerce, arg)) in func.params.iter().zip(args).enumerate() {
             self.bind(i, *coerce, arg.clone());
         }
-        let mut ops: &'a [Op] = &func.ops;
+        // The running body, and its ops apart so the loop indexes them
+        // directly.
+        let mut body: &'a Body = &func.body;
+        let mut ops: &'a [Op] = &body.ops;
         let mut pc = 0usize;
         loop {
             let op = &ops[pc];
             pc += 1;
-            match self.dispatch(op)? {
+            match self.dispatch(op, body)? {
                 Flow::Next => {}
                 Flow::Jump(t) => {
                     let t = t as usize;
@@ -405,13 +414,14 @@ impl<'a, H: Host> Vm<'a, H> {
                     pc = t;
                 }
                 Flow::Call { fidx } => {
-                    let callee = &self.program.funcs[fidx as usize];
+                    let callee: &'a BFunc = &program.funcs[fidx as usize];
                     let saved =
-                        Saved { ops, pc, slot_base: self.slot_base, scope_floor: self.scope_floor };
+                        Saved { body, pc, slot_base: self.slot_base, scope_floor: self.scope_floor };
                     self.enter_frame(callee)?;
                     self.frames.push(saved);
                     self.bind_args(0, callee_argc(op), &callee.params);
-                    ops = &callee.ops;
+                    body = &callee.body;
+                    ops = &body.ops;
                     pc = 0;
                 }
                 Flow::Ret => {
@@ -423,7 +433,8 @@ impl<'a, H: Host> Vm<'a, H> {
                     self.depth -= 1;
                     match self.frames.pop() {
                         Some(saved) => {
-                            ops = saved.ops;
+                            body = saved.body;
+                            ops = &body.ops;
                             pc = saved.pc;
                             self.slot_base = saved.slot_base;
                             self.scope_floor = saved.scope_floor;
@@ -799,26 +810,26 @@ impl<'a, H: Host> Vm<'a, H> {
 
     // ----- dispatch -------------------------------------------------------
 
-    /// Execute one op. Control-transfer ops report back to the frame loop.
-    /// Inlined into both drivers (`run_call`'s hot loop and the cold
-    /// global-initialiser loop) so the per-op call overhead vanishes.
+    /// Execute one op of `body`. Control-transfer ops report back to the
+    /// frame loop. Inlined into both drivers (`run_call`'s hot loop and
+    /// the cold global-initialiser loop) so the per-op call overhead
+    /// vanishes.
     #[inline(always)]
-    fn dispatch(&mut self, op: &Op) -> VmResult<Flow> {
+    fn dispatch(&mut self, op: &Op, body: &'a Body) -> VmResult<Flow> {
         match op {
             Op::Line(l) => self.burn(*l)?,
             Op::Const { cidx, line } => {
                 self.burn(*line)?;
-                self.stack.push(self.program.consts[*cidx as usize].clone());
+                self.stack.push(body.consts[*cidx as usize].clone());
             }
             Op::ConstN { cidx, seq } => {
-                let seq = &self.program.burn_seqs[*seq as usize];
-                for l in seq.iter() {
+                for l in body.burn_seqs[*seq as usize].iter() {
                     self.burn(*l)?;
                 }
-                self.stack.push(self.program.consts[*cidx as usize].clone());
+                self.stack.push(body.consts[*cidx as usize].clone());
             }
             Op::PushConst { cidx } => {
-                self.stack.push(self.program.consts[*cidx as usize].clone());
+                self.stack.push(body.consts[*cidx as usize].clone());
             }
             Op::LoadVar { var, line } => {
                 self.burn(*line)?;
@@ -940,7 +951,7 @@ impl<'a, H: Host> Vm<'a, H> {
             Op::BinConst { op, cidx, rhs_line, line } => {
                 self.burn(*rhs_line)?;
                 let l = self.stack.pop().expect("lhs");
-                let r = self.program.consts[*cidx as usize].clone();
+                let r = body.consts[*cidx as usize].clone();
                 let v = self.apply_binop(*op, l, r, *line)?;
                 self.stack.push(v);
             }
@@ -984,7 +995,7 @@ impl<'a, H: Host> Vm<'a, H> {
                 }
             }
             Op::Switch { table } => {
-                let t = &self.program.switches[*table as usize];
+                let t = &body.switches[*table as usize];
                 let v = self.stack.pop().expect("switch scrutinee");
                 let v = v
                     .as_int()
@@ -1010,7 +1021,7 @@ impl<'a, H: Host> Vm<'a, H> {
             Op::DeclZero { slot, template } => {
                 let id = self.alloc();
                 let mut data = std::mem::take(&mut self.objects[id].data);
-                let template = &self.program.templates[*template as usize];
+                let template = &body.templates[*template as usize];
                 match &template[..] {
                     // Struct locals copy into a pooled, *unshared* buffer
                     // up front, so later field stores never pay a
@@ -1034,7 +1045,7 @@ impl<'a, H: Host> Vm<'a, H> {
             Op::DeclArray { slot, template, items, coerce } => {
                 let id = self.alloc();
                 let mut data = std::mem::take(&mut self.objects[id].data);
-                data.extend_from_slice(&self.program.templates[*template as usize]);
+                data.extend_from_slice(&body.templates[*template as usize]);
                 let base = self.stack.len() - *items as usize;
                 for (i, v) in self.stack.drain(base..).enumerate() {
                     if i < data.len() {
@@ -1045,9 +1056,8 @@ impl<'a, H: Host> Vm<'a, H> {
                 self.own(*slot as usize, id);
             }
             Op::DeclStruct { slot, template, items, coerces } => {
-                let mut vals: Vec<Value> =
-                    self.program.templates[*template as usize].to_vec();
-                let coerces = &self.program.field_coerces[*coerces as usize];
+                let mut vals: Vec<Value> = body.templates[*template as usize].to_vec();
+                let coerces = &body.field_coerces[*coerces as usize];
                 let base = self.stack.len() - *items as usize;
                 for (i, v) in self.stack.drain(base..).enumerate() {
                     if i < vals.len() {
@@ -1067,9 +1077,7 @@ impl<'a, H: Host> Vm<'a, H> {
                 return Ok(Flow::Jump(*target));
             }
             Op::FusedBr { idx } => {
-                let program: &'a CompiledProgram = self.program;
-                let f = &program.fused[*idx as usize];
-                if let Some(target) = self.exec_fused(f)? {
+                if let Some(target) = self.exec_fused(&body.fused[*idx as usize], body)? {
                     return Ok(Flow::Jump(target));
                 }
             }
@@ -1086,7 +1094,7 @@ impl<'a, H: Host> Vm<'a, H> {
                 self.depth += 1;
                 self.enter_scope();
                 // Bind arguments exactly like the out-of-line machinery.
-                let coerces = &self.program.field_coerces[*coerces as usize];
+                let coerces = &body.field_coerces[*coerces as usize];
                 self.bind_args(*first_slot as usize, *argc as usize, coerces);
             }
             Op::InlineExit => self.inline_exit(),
@@ -1181,12 +1189,12 @@ impl<'a, H: Host> Vm<'a, H> {
         Ok(new)
     }
 
-    /// Execute one superinstruction (see [`FusedOp`] for the exact
-    /// replayed sequence). Returns the branch target when taken. Kept
-    /// `inline(always)` for the same reason as `dispatch`: polling loops
-    /// are almost nothing but this.
+    /// Execute one superinstruction of `body` (see [`FusedOp`] for the
+    /// exact replayed sequence). Returns the branch target when taken.
+    /// Kept `inline(always)` for the same reason as `dispatch`: polling
+    /// loops are almost nothing but this.
     #[inline(always)]
-    fn exec_fused(&mut self, f: &FusedOp) -> VmResult<Option<u32>> {
+    fn exec_fused(&mut self, f: &FusedOp, body: &Body) -> VmResult<Option<u32>> {
         for l in f.pre.iter() {
             self.burn(*l)?;
         }
@@ -1201,7 +1209,7 @@ impl<'a, H: Host> Vm<'a, H> {
             }
             FuseSrc::PortIn { which, cidx, port_line } => {
                 self.burn(*port_line)?;
-                let port = self.program.consts[*cidx as usize].as_int().unwrap_or(0);
+                let port = body.consts[*cidx as usize].as_int().unwrap_or(0);
                 self.port_in(*which, port)
             }
             FuseSrc::FieldLocal { slot, fidx, place_line, line } => {
@@ -1209,14 +1217,13 @@ impl<'a, H: Host> Vm<'a, H> {
             }
             FuseSrc::ConstVal { cidx, line } => {
                 self.burn(*line)?;
-                self.program.consts[*cidx as usize].clone()
+                body.consts[*cidx as usize].clone()
             }
             FuseSrc::ConstSeq { cidx, seq } => {
-                let seq = &self.program.burn_seqs[*seq as usize];
-                for l in seq.iter() {
+                for l in body.burn_seqs[*seq as usize].iter() {
                     self.burn(*l)?;
                 }
-                self.program.consts[*cidx as usize].clone()
+                body.consts[*cidx as usize].clone()
             }
             FuseSrc::StackTop => self.stack.pop().expect("fused operand"),
         };
@@ -1227,7 +1234,7 @@ impl<'a, H: Host> Vm<'a, H> {
             let r = match &stage.rhs {
                 FuseRhs::Const { cidx, line } => {
                     self.burn(*line)?;
-                    self.program.consts[*cidx as usize].clone()
+                    body.consts[*cidx as usize].clone()
                 }
                 FuseRhs::Var { var, line } => {
                     self.burn(*line)?;
@@ -1304,7 +1311,7 @@ impl<'a, H: Host> Vm<'a, H> {
             }
             FuseEnd::PortOut { which, cidx, line, pop } => {
                 self.burn(line)?;
-                let port = self.program.consts[cidx as usize].as_int().unwrap_or(0);
+                let port = body.consts[cidx as usize].as_int().unwrap_or(0);
                 self.port_out(which, port, v.as_int().unwrap_or(0));
                 if !pop {
                     self.stack.push(Value::Int(0));
@@ -1935,6 +1942,17 @@ mod tests {
             other => panic!("expected panic, got {other:?}"),
         }
         differential(src, "f", &[], 1_000_000);
+    }
+
+    #[test]
+    fn non_ascii_string_literals_print_unchanged() {
+        let src = r#"int f(void) { printk("café %d", 1); return strcmp("é", "e"); }"#;
+        differential(src, "f", &[], 1_000_000);
+        let p = compile("t.c", src).unwrap();
+        let c = p.to_bytecode();
+        let mut h = NullHost::default();
+        Vm::new(&c, &mut h, 1_000_000).call("f", &[]).unwrap();
+        assert_eq!(h.log, ["café 1"]);
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl<H: Host> Vm<'_, H> {
         s.frames.extend(
             self.frames
                 .iter()
-                .map(|f| [f.ops.as_ptr() as usize, f.pc, f.slot_base, f.scope_floor]),
+                .map(|f| [f.body.ops.as_ptr() as usize, f.pc, f.slot_base, f.scope_floor]),
         );
         s.slots.clone_from(&self.slots);
         s.scope_objs.clone_from(&self.scope_objs);
@@ -253,7 +253,7 @@ impl<H: Host> Vm<'_, H> {
             .frames
             .iter()
             .zip(&self.frames)
-            .all(|(a, f)| *a == [f.ops.as_ptr() as usize, f.pc, f.slot_base, f.scope_floor]);
+            .all(|(a, f)| *a == [f.body.ops.as_ptr() as usize, f.pc, f.slot_base, f.scope_floor]);
         let same_lvs = s
             .lvs
             .iter()
